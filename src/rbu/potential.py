@@ -15,13 +15,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .dataio import BinaryTask
 from .errors import ParameterError
 
-# Chunk size for pairwise-distance accumulation; bounds peak memory at
-# roughly chunk * n * 8 bytes.
-_CHUNK = 512
+# Entries per block of pairwise squared distances, which is exponentiated
+# in place: 1 MiB of float64, small enough to stay in cache.  A block holds
+# at least one query row, so peak memory is about max(_BLOCK, n) * 8 bytes.
+_BLOCK = 1 << 17
+
+# exp(x) is exactly 0.0 for every x below this, but numpy reaches that zero
+# on a path about 8x slower than the ordinary one.
+_EXP_FLOOR = -745.2
 
 TIE_LOWEST_INDEX = "lowest-index"
 TIE_SEEDED_RANDOM = "seeded-random"
@@ -47,17 +53,34 @@ def rbf_value(distance: float, gamma: float) -> float:
     return math.exp(-((distance / gamma) ** 2))
 
 
+def _exp_in_place(arg: np.ndarray) -> np.ndarray:
+    """``np.exp(arg)`` bit for bit, written into ``arg``.
+
+    When some arguments lie at or below ``_EXP_FLOOR``, those are set to -0.0
+    before the call and their results (1.0) multiplied by zero after it, so
+    numpy's slow underflow path is never taken.
+    """
+    if arg.min() > _EXP_FLOOR:
+        return np.exp(arg, out=arg)
+    live = arg > _EXP_FLOOR
+    np.maximum(arg, _EXP_FLOOR, out=arg)  # -inf times zero would be NaN
+    arg *= live
+    np.exp(arg, out=arg)
+    arg *= live
+    return arg
+
+
 def _rbf_sums(queries: np.ndarray, points: np.ndarray, gamma: float) -> np.ndarray:
-    """Sum of RBF contributions of ``points`` at each query, chunked."""
+    """Sum of RBF contributions of ``points`` at each query, in blocks."""
     if len(points) == 0:
         return np.zeros(len(queries))
-    inv_g2 = 1.0 / (gamma * gamma)
+    scale = -1.0 / (gamma * gamma)
+    rows = max(1, _BLOCK // len(points))
     out = np.empty(len(queries))
-    for start in range(0, len(queries), _CHUNK):
-        block = queries[start : start + _CHUNK]
-        diff = block[:, None, :] - points[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        out[start : start + _CHUNK] = np.exp(-d2 * inv_g2).sum(axis=1)
+    for start in range(0, len(queries), rows):
+        arg = cdist(queries[start : start + rows], points, "sqeuclidean")
+        arg *= scale
+        out[start : start + rows] = _exp_in_place(arg).sum(axis=1)
     return out
 
 
@@ -80,21 +103,35 @@ class PotentialField:
     The field is initialized against the full original majority set (each
     point therefore includes its own unit self-contribution) and the full
     minority set.  Removing a point never recomputes anything: remaining
-    potentials only ever shrink by that point's RBF contribution.
+    potentials only ever shrink by that point's RBF contribution.  Removed
+    points keep ``-inf`` as their potential.
+
+    Distances are taken between points centred on their mean; :meth:`pop_max`,
+    :meth:`subtract` and :attr:`points` use the caller's coordinates.
 
     Mutable; owned by one logical thread at a time.
     """
 
     def __init__(self, points: np.ndarray, phi: np.ndarray, gamma: float):
+        if not np.isfinite(phi).all():
+            raise ParameterError("potentials must be finite")
         self._points = points
         self._phi = phi
-        self._alive = np.ones(len(points), dtype=bool)
-        self._row_sq = np.einsum("ij,ij->i", points, points)
+        self._centre = _mean(points)
+        centred = points - self._centre
+        self._inv_g2 = 1.0 / (gamma * gamma)
+        self._scaled_t = np.ascontiguousarray(centred.T * (2.0 * self._inv_g2))
+        self._scaled_sq = self._inv_g2 * np.einsum("ij,ij->i", centred, centred)
+        self._reach = math.sqrt(self._scaled_sq.max(initial=0.0))
         self.gamma = gamma
         self.removed_count = 0
 
     def __len__(self) -> int:
-        return int(self._alive.sum())
+        return len(self._phi) - self.removed_count
+
+    @property
+    def _alive(self) -> np.ndarray:
+        return self._phi > -np.inf
 
     @property
     def points(self) -> np.ndarray:
@@ -117,19 +154,18 @@ class PotentialField:
         Ties are broken by the lowest original index, or uniformly at random
         when ``tie_rule`` is ``"seeded-random"`` (then ``rng`` is required).
         """
-        if not self._alive.any():
+        if self.removed_count == len(self._phi):
             raise ParameterError("cannot pop from an empty potential field")
-        masked = np.where(self._alive, self._phi, -np.inf)
         if tie_rule == TIE_LOWEST_INDEX:
-            index = int(np.argmax(masked))
+            index = int(self._phi.argmax())
         elif tie_rule == TIE_SEEDED_RANDOM:
             if rng is None:
                 raise ParameterError("seeded-random tie rule requires an rng")
-            candidates = np.flatnonzero(masked == masked.max())
+            candidates = np.flatnonzero(self._phi == self._phi.max())
             index = int(rng.choice(candidates))
         else:
             raise ParameterError(f"unknown tie rule {tie_rule!r}")
-        self._alive[index] = False
+        self._phi[index] = -np.inf
         self.removed_count += 1
         return self._points[index].copy(), index
 
@@ -141,22 +177,53 @@ class PotentialField:
                 f"point has shape {removed.shape}, field dimensionality is "
                 f"{self._points.shape[1]}"
             )
-        # ||p - x||^2 via the dot-product identity: BLAS matvec, no n x m
-        # temporary.  Cancellation can leave tiny negatives; clamp them.
-        d2 = self._row_sq - 2.0 * (self._points @ removed) + removed @ removed
-        np.maximum(d2, 0.0, out=d2)
-        # Dead entries get stale values; they are masked out everywhere.
-        self._phi -= np.exp(-d2 / (self.gamma * self.gamma))
+        x = removed - self._centre
+        x_sq = self._inv_g2 * float(x @ x)
+        # -||p - x||^2 / gamma^2 by the dot-product identity.  Centred norms
+        # stay near the distances themselves, so little is lost to
+        # cancellation; clamp the tiny positives it can leave.
+        arg = x @ self._scaled_t
+        arg -= self._scaled_sq
+        arg -= x_sq
+        np.minimum(arg, 0.0, out=arg)
+        # |p - x| <= |p| + |x| and reach is the largest |p| / gamma, so no
+        # argument is below -(reach + |x| / gamma)^2.
+        if (self._reach + math.sqrt(x_sq)) ** 2 < -_EXP_FLOOR:
+            np.exp(arg, out=arg)
+        else:
+            _exp_in_place(arg)
+        self._phi -= arg
+
+
+def _mean(points: np.ndarray) -> np.ndarray:
+    return points.mean(axis=0) if len(points) else np.zeros(points.shape[1])
 
 
 def init_field(task: BinaryTask, gamma: float) -> PotentialField:
-    """Potential of every majority point against the full original task."""
+    """Potential of every majority point against the full original task.
+
+    Raises ParameterError for NaN or infinite coordinates and for points so
+    far from the majority mean that their centred squared norm overflows.
+    """
     if not gamma > 0:
         raise ParameterError(f"gamma must be > 0, got {gamma}")
-    phi = _rbf_sums(task.majority, task.majority, gamma) - _rbf_sums(
-        task.majority, task.minority, gamma
+    majority = task.majority.astype(np.float64, copy=True)
+    if not (np.isfinite(majority).all() and np.isfinite(task.minority).all()):
+        raise ParameterError("coordinates must be finite (no NaN or infinity)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = _mean(majority)
+        centred_majority = majority - centre
+        centred_minority = task.minority - centre
+        norms_finite = all(
+            np.isfinite(np.einsum("ij,ij->i", c, c)).all()
+            for c in (centred_majority, centred_minority)
+        )
+    if not norms_finite:
+        raise ParameterError("coordinates too large: centred squared norms overflow")
+    phi = _rbf_sums(centred_majority, centred_majority, gamma) - _rbf_sums(
+        centred_majority, centred_minority, gamma
     )
-    return PotentialField(task.majority.astype(np.float64, copy=True), phi, gamma)
+    return PotentialField(majority, phi, gamma)
 
 
 def subtract_contribution(field: PotentialField, removed) -> None:

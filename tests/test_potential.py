@@ -145,6 +145,21 @@ class TestInitField:
             assert np.all(field.phi >= 1 - task.n_minority - 1e-12)
             assert np.all(field.phi <= task.n_majority + 1e-12)
 
+    def test_nan_coordinate_refused(self):
+        majority = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [np.nan, 0.0], [4.0, 0.0]]
+        with pytest.raises(ParameterError, match="finite"):
+            init_field(make_task(majority, [[0.5, 0.5]]), 1.0)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_coordinate_refused(self, value):
+        with pytest.raises(ParameterError, match="finite"):
+            init_field(make_task([[0.0, 0.0], [1.0, 0.0]], [[0.0, value]]), 1.0)
+
+    def test_overflowing_centred_norm_refused(self):
+        task = make_task([[0.0, 0.0], [1e200, 0.0], [2.0, 0.0]], [[0.5, 0.5]])
+        with pytest.raises(ParameterError, match="overflow"):
+            init_field(task, 1.0)
+
     def test_matches_mutual_potential_per_point(self):
         rng = np.random.default_rng(11)
         task = random_task(rng, 12, 5, 2)
@@ -177,6 +192,10 @@ class TestPopMax:
         assert field.pop_max()[1] == 1
         assert field.pop_max()[1] == 2
         assert field.pop_max()[1] == 0
+
+    def test_non_finite_potentials_refused(self):
+        with pytest.raises(ParameterError, match="finite"):
+            self._field([0.1, np.nan])
 
     def test_single_element_then_empty(self):
         field = self._field([0.4])

@@ -143,3 +143,52 @@ class TestOracleEquivalence:
                 )
                 point, _ = field.pop_max()
                 field.subtract(point)
+
+    @pytest.mark.parametrize("offset", [1e5, 1e7])
+    def test_offset_instances_match_naive_recomputation(self, offset):
+        # The potential is translation invariant, so moving the whole task far
+        # from the origin must not change the removal order.
+        rng = np.random.default_rng(20241)
+        for _ in range(20):
+            n_min = int(rng.integers(1, 12))
+            n_maj = n_min + int(rng.integers(1, 30))
+            m = int(rng.integers(1, 5))
+            gamma = float(rng.choice([0.1, 1.0, 10.0]))
+            ratio = float(rng.choice([0.5, 1.0]))
+            task = random_task_for_gamma(rng, n_maj, n_min, m, gamma)
+            expected, _ = naive_rbu_trace(task.majority, task.minority, gamma, ratio)
+            shifted = make_task(task.majority + offset, task.minority + offset)
+            got = rbu_removal_order(shifted, RbuParams(gamma=gamma, ratio=ratio))
+            assert got.tolist() == expected
+
+
+class TestExactTies:
+    # At gamma 0.1 points 10 apart contribute exp(-1e4) == 0.0 to each other,
+    # so every majority point's potential is exactly its self-contribution.
+    MAJORITY = [[30.0, 0.0], [0.0, 10.0], [20.0, 20.0], [10.0, 0.0], [0.0, 30.0], [40.0, 40.0]]
+    MINORITY = [[60.0, 0.0], [0.0, 60.0]]
+
+    def test_isolated_points_have_potential_exactly_one(self):
+        field = init_field(make_task(self.MAJORITY, self.MINORITY), 0.1)
+        assert field.phi.tolist() == [1.0] * len(self.MAJORITY)
+
+    def test_isolated_cluster_removed_in_lowest_index_order(self):
+        task = make_task(self.MAJORITY, self.MINORITY)
+        order = rbu_removal_order(task, RbuParams(gamma=0.1, ratio=1.0))
+        assert order.tolist() == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("tie_rule", ["lowest-index", "seeded-random"])
+    def test_popping_to_empty_never_repeats_an_index(self, tie_rule):
+        field = init_field(make_task(self.MAJORITY, self.MINORITY), 0.1)
+        rng = np.random.default_rng(4)
+        popped = []
+        for _ in range(len(self.MAJORITY)):
+            point, index = field.pop_max(tie_rule=tie_rule, rng=rng)
+            field.subtract(point)
+            popped.append(index)
+        assert sorted(popped) == list(range(len(self.MAJORITY)))
+        if tie_rule == "lowest-index":
+            assert popped == sorted(popped)
+        assert len(field) == 0
+        with pytest.raises(ParameterError):
+            field.pop_max(tie_rule=tie_rule, rng=rng)
