@@ -19,6 +19,8 @@ from scipy.spatial.distance import cdist
 
 from .dataio import BinaryTask
 from .errors import ParameterError
+from .neighbors import nearest_neighbors
+from .potential import check_finite
 from .radial import RbuParams, rbu_kept_indices, removal_count
 from .seeding import derive_seed
 
@@ -78,12 +80,6 @@ def _check_k(k):
         raise ParameterError(f"k must be >= 1, got {k}")
 
 
-def _nearest_columns(dist: np.ndarray, k: int) -> np.ndarray:
-    """First k columns of a stable argsort: distance ties go to the lowest index."""
-    order = np.argsort(dist, axis=1, kind="stable")
-    return order[:, :k]
-
-
 # ---------------------------------------------------------------------------
 # Index-level implementations (what each method actually decides)
 
@@ -116,9 +112,7 @@ def smote_synthetic(task: BinaryTask, k: int, ratio: float, seed) -> np.ndarray:
     if n_new == 0:
         return np.empty((0, task.m))
 
-    dist = cdist(task.minority, task.minority)
-    np.fill_diagonal(dist, np.inf)
-    neighbors = _nearest_columns(dist, k_eff)
+    neighbors = nearest_neighbors(task.minority, task.minority, k_eff, self_offset=0)
 
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, task.n_minority, size=n_new)
@@ -140,9 +134,7 @@ def enn_kept_indices(task: BinaryTask, k: int) -> np.ndarray:
     if n_total - 1 < k:
         raise ParameterError(f"need at least {k} other points, have {n_total - 1}")
     everything = np.vstack([task.majority, task.minority])
-    dist = cdist(task.majority, everything)
-    dist[np.arange(task.n_majority), np.arange(task.n_majority)] = np.inf
-    neighbors = _nearest_columns(dist, k)
+    neighbors = nearest_neighbors(task.majority, everything, k, self_offset=0)
     minority_votes = (neighbors >= task.n_majority).sum(axis=1)
     # Removed iff a strict majority of neighbors belongs to the other class.
     return np.flatnonzero(minority_votes * 2 <= k)
@@ -164,19 +156,12 @@ def renn_kept_indices(task: BinaryTask, k: int, max_passes: int = RENN_MAX_PASSE
 def tomek_kept_indices(task: BinaryTask) -> np.ndarray:
     """Drop the majority member of every cross-class mutual-nearest pair."""
     everything = np.vstack([task.majority, task.minority])
-    n = len(everything)
-    if n < 2:
+    if len(everything) < 2:
         return np.arange(task.n_majority)
-    dist = cdist(everything, everything)
-    np.fill_diagonal(dist, np.inf)
-    nn = _nearest_columns(dist, 1)[:, 0]
-    is_minority = np.arange(n) >= task.n_majority
-    keep = np.ones(task.n_majority, dtype=bool)
-    for i in range(task.n_majority):
-        j = nn[i]
-        if is_minority[j] and nn[j] == i:
-            keep[i] = False
-    return np.flatnonzero(keep)
+    nn = nearest_neighbors(everything, everything, 1, self_offset=0)[:, 0]
+    partner = nn[: task.n_majority]
+    linked = (partner >= task.n_majority) & (nn[partner] == np.arange(task.n_majority))
+    return np.flatnonzero(~linked)
 
 
 def near_miss_kept_indices(task: BinaryTask, k: int, ratio: float) -> np.ndarray:
@@ -184,10 +169,15 @@ def near_miss_kept_indices(task: BinaryTask, k: int, ratio: float) -> np.ndarray
     minority neighborhood."""
     _check_k(k)
     _check_ratio(ratio, zero_ok=False)
+    if task.n_minority < 1:
+        raise ParameterError("near_miss needs at least 1 minority point")
     k_eff = min(k, task.n_minority)
     n_keep = task.n_majority - removal_count(task.n_majority, task.n_minority, ratio)
+    check_finite(task.majority, task.minority)
     dist = cdist(task.majority, task.minority)
-    nearest = np.sort(dist, axis=1)[:, :k_eff]
+    # The k smallest distances in ascending order, as a full sort gives them,
+    # so the mean is summed in the same order.
+    nearest = np.sort(np.partition(dist, k_eff - 1, axis=1)[:, :k_eff], axis=1)
     mean_dist = nearest.mean(axis=1)
     order = np.argsort(mean_dist, kind="stable")
     return np.sort(order[:n_keep])

@@ -444,19 +444,25 @@ def rank_methods(means_by_dataset, methods):
     return average, per_dataset, sorted(per_dataset)
 
 
-def average_ranks(report: EvalReport, metric: str, classifier: str):
-    """Per-method mean rank for one metric/classifier pair of a finished report."""
-    if metric not in METRIC_NAMES:
-        raise ParameterError(f"unknown metric {metric!r}")
-    means_by_dataset = {}
+def means_by_dataset(report: EvalReport, metric: str, classifier: str) -> dict:
+    """Fold-mean ``metric`` per dataset and method for one classifier; None
+    for a cell with failed folds."""
+    means = {}
     for row in report.aggregates:
         if row["classifier"] != classifier:
             continue
         metrics = row["metrics"]
-        means_by_dataset.setdefault(row["dataset"], {})[row["method"]] = (
+        means.setdefault(row["dataset"], {})[row["method"]] = (
             None if metrics is None else metrics[metric]
         )
-    average, _, _ = rank_methods(means_by_dataset, report.methods)
+    return means
+
+
+def average_ranks(report: EvalReport, metric: str, classifier: str):
+    """Per-method mean rank for one metric/classifier pair of a finished report."""
+    if metric not in METRIC_NAMES:
+        raise ParameterError(f"unknown metric {metric!r}")
+    average, _, _ = rank_methods(means_by_dataset(report, metric, classifier), report.methods)
     return average
 
 
@@ -479,19 +485,11 @@ def _rank_and_test(report: EvalReport) -> None:
         return
     for classifier in report.classifiers:
         for metric in METRIC_NAMES:
-            means_by_dataset = {}
-            for row in report.aggregates:
-                if row["classifier"] != classifier:
-                    continue
-                metrics = row["metrics"]
-                means_by_dataset.setdefault(row["dataset"], {})[row["method"]] = (
-                    None if metrics is None else metrics[metric]
-                )
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     average, per_dataset, used = rank_methods(
-                        means_by_dataset, report.methods
+                        means_by_dataset(report, metric, classifier), report.methods
                     )
             except ParameterError:
                 continue

@@ -25,13 +25,6 @@ from .errors import ParameterError
 FINAL_PRESET = "paper-final"
 PRELIM_PRESET = "paper-prelim"
 
-# CLI method aliases: short names accepted on the command line.
-METHOD_ALIASES = {
-    "nm": "near_miss",
-    "stl": "stl",
-    "senn": "senn",
-}
-
 DEFAULT_SMOTE_K = 5
 DEFAULT_CLEAN_K = 3
 

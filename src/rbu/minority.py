@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataio import BinaryTask, Dataset, DatasetStats, apply_standardizer, encode_categoricals, fit_standardizer, split_binary
 from .errors import ParameterError
+from .neighbors import nearest_neighbors
 
 CATEGORIES = ("safe", "borderline", "rare", "outlier")
 
@@ -59,10 +59,9 @@ def categorize_minority(task: BinaryTask, k: int = 5, p: float = 2.0) -> Minorit
         raise ParameterError(f"need at least {k + 1} points, have {n_total}")
 
     everything = np.vstack([task.majority, task.minority])
-    dist = cdist(task.minority, everything, "minkowski", p=p)
-    # Column n_majority + j is minority point j itself.
-    dist[np.arange(task.n_minority), task.n_majority + np.arange(task.n_minority)] = np.inf
-    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k]
+    neighbors = nearest_neighbors(
+        task.minority, everything, k, self_offset=task.n_majority, metric="minkowski", p=p
+    )
     same_class = (neighbors >= task.n_majority).sum(axis=1)
 
     categories = tuple(_category(int(c), k) for c in same_class)

@@ -12,10 +12,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from .errors import ParameterError
+from .neighbors import nearest_neighbors
 
 VARIANCE_SMOOTHING = 1e-9
 
@@ -44,8 +44,7 @@ class KnnClassifier:
     def score_samples(self, features: np.ndarray) -> np.ndarray:
         if self._train is None:
             raise ParameterError("classifier is not fitted")
-        dist = cdist(np.asarray(features, dtype=np.float64), self._train)
-        neighbors = np.argsort(dist, axis=1, kind="stable")[:, : self.k]
+        neighbors = nearest_neighbors(features, self._train, self.k)
         return self._labels[neighbors].mean(axis=1)
 
     def predict(self, features: np.ndarray) -> np.ndarray:

@@ -44,6 +44,13 @@ class RbfParams:
             raise ParameterError(f"gamma must be > 0, got {self.gamma}")
 
 
+def check_finite(*arrays) -> None:
+    """Raise ParameterError if any coordinate is NaN or infinite."""
+    for values in arrays:
+        if not np.isfinite(values).all():
+            raise ParameterError("coordinates must be finite (no NaN or infinity)")
+
+
 def rbf_value(distance: float, gamma: float) -> float:
     """Single RBF contribution exp(-(distance/gamma)^2); lies in (0, 1]."""
     if not gamma > 0:
@@ -85,12 +92,16 @@ def _rbf_sums(queries: np.ndarray, points: np.ndarray, gamma: float) -> np.ndarr
 
 
 def mutual_potential(x, task: BinaryTask, gamma: float) -> float:
-    """Mutual class potential at ``x``: majority RBF sum minus minority RBF sum."""
+    """Mutual class potential at ``x``: majority RBF sum minus minority RBF sum.
+
+    Raises ParameterError for NaN or infinite coordinates.
+    """
     if not gamma > 0:
         raise ParameterError(f"gamma must be > 0, got {gamma}")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (task.m,):
         raise ParameterError(f"point has shape {x.shape}, task dimensionality is {task.m}")
+    check_finite(x, task.majority, task.minority)
     query = x[None, :]
     return float(
         _rbf_sums(query, task.majority, gamma)[0] - _rbf_sums(query, task.minority, gamma)[0]
@@ -208,8 +219,7 @@ def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     if not gamma > 0:
         raise ParameterError(f"gamma must be > 0, got {gamma}")
     majority = task.majority.astype(np.float64, copy=True)
-    if not (np.isfinite(majority).all() and np.isfinite(task.minority).all()):
-        raise ParameterError("coordinates must be finite (no NaN or infinity)")
+    check_finite(majority, task.minority)
     with np.errstate(over="ignore", invalid="ignore"):
         centre = _mean(majority)
         centred_majority = majority - centre
@@ -275,7 +285,10 @@ class PotentialGrid:
 
 
 def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> PotentialGrid:
-    """Evaluate the mutual class potential over a 2-D grid of cell centers."""
+    """Evaluate the mutual class potential over a 2-D grid of cell centers.
+
+    Raises ParameterError for NaN or infinite coordinates.
+    """
     if task.m != 2:
         raise ParameterError(f"potential grids are defined for 2-D data, got m={task.m}")
     if resolution < 2:
@@ -285,6 +298,7 @@ def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> P
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ParameterError("bounds must satisfy lo < hi on both axes")
+    check_finite(task.majority, task.minority)
 
     xs = x_lo + (np.arange(resolution) + 0.5) * ((x_hi - x_lo) / resolution)
     ys = y_lo + (np.arange(resolution) + 0.5) * ((y_hi - y_lo) / resolution)

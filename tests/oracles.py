@@ -50,6 +50,43 @@ def naive_rbu_trace(majority, minority, gamma, ratio):
     return removed, step_potentials
 
 
+def naive_tomek_kept(majority, minority):
+    """Majority indices outside every cross-class mutual-nearest pair.
+
+    Each point's nearest other point comes from a scalar scan over all
+    points, distance ties going to the lowest index.
+    """
+    points = [tuple(p) for p in majority] + [tuple(p) for p in minority]
+    n_majority = len(majority)
+    nearest = [
+        min((j for j in range(len(points)) if j != i), key=lambda j: math.dist(p, points[j]))
+        for i, p in enumerate(points)
+    ]
+    return [
+        i
+        for i in range(n_majority)
+        if nearest[i] < n_majority or nearest[nearest[i]] != i
+    ]
+
+
+def argsort_smote_synthetic(majority, minority, k, ratio, seed):
+    """SMOTE synthetics with neighbours from a stable argsort of broadcast
+    distances; draws follow the library's order (seeds, picks, gaps)."""
+    minority = np.asarray(minority, dtype=np.float64)
+    n_minority = len(minority)
+    k_eff = min(k, n_minority - 1)
+    n_new = math.ceil(ratio * (len(majority) - n_minority))
+    dist = np.sqrt(((minority[:, None, :] - minority[None, :, :]) ** 2).sum(-1))
+    np.fill_diagonal(dist, np.inf)
+    neighbors = np.argsort(dist, axis=1, kind="stable")[:, :k_eff]
+    rng = np.random.default_rng(seed)
+    seeds = rng.integers(0, n_minority, size=n_new)
+    picks = rng.integers(0, k_eff, size=n_new)
+    gaps = rng.random(n_new)
+    base = minority[seeds]
+    return base + gaps[:, None] * (minority[neighbors[seeds, picks]] - base)
+
+
 def make_task(majority, minority):
     majority = np.asarray(majority, dtype=np.float64)
     minority = np.asarray(minority, dtype=np.float64)

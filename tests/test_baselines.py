@@ -25,7 +25,7 @@ from rbu.baselines import (
     tomek_kept_indices,
 )
 
-from oracles import make_task, random_task
+from oracles import argsort_smote_synthetic, make_task, naive_tomek_kept, random_task
 
 
 def brute_force_knn_vote(points, labels, query_index, k):
@@ -129,6 +129,17 @@ class TestSmote:
         task = make_task([[0.0], [1.0], [2.0], [3.0]], [[10.0], [11.0]])
         out = smote(task, k=50, ratio=1.0, seed=0)
         assert len(out) == task.n_majority
+
+    @pytest.mark.parametrize("k", [1, 3, 5, 9])
+    def test_matches_argsort_reference_on_tie_heavy_grid(self, k):
+        # Integer coordinates make many neighbour distances tie exactly, so
+        # the synthetic points depend on the order of tied neighbours.
+        rng = np.random.default_rng(15)
+        majority = rng.integers(0, 4, size=(120, 3)).astype(float)
+        minority = rng.integers(0, 4, size=(50, 3)).astype(float)
+        synth = smote_synthetic(make_task(majority, minority), k, 1.0, seed=16)
+        expected = argsort_smote_synthetic(majority, minority, k, 1.0, seed=16)
+        assert synth.tobytes() == expected.tobytes()
 
     def test_determinism(self):
         rng = np.random.default_rng(8)
@@ -234,24 +245,20 @@ class TestTomek:
         )
         minority = np.array([[1.0, 0.0], [21.0, 0.0]])
         task = make_task(majority, minority)
-        # brute-force mutual-nearest-neighbor oracle over all points
-        points = np.vstack([majority, minority])
-        n = len(points)
-        nn = []
-        for i in range(n):
-            order = sorted(
-                (j for j in range(n) if j != i),
-                key=lambda j: (float(np.linalg.norm(points[j] - points[i])), j),
+        expected_kept = naive_tomek_kept(majority, minority)
+        assert expected_kept == [2, 3]
+        np.testing.assert_array_equal(tomek_kept_indices(task), expected_kept)
+
+    def test_matches_brute_force_on_random_tie_heavy_instances(self):
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            n_majority, n_minority = rng.integers(1, 30), rng.integers(1, 12)
+            majority = rng.integers(0, 4, size=(n_majority, 2)).astype(float)
+            minority = rng.integers(0, 4, size=(n_minority, 2)).astype(float)
+            np.testing.assert_array_equal(
+                tomek_kept_indices(make_task(majority, minority)),
+                naive_tomek_kept(majority, minority),
             )
-            nn.append(order[0])
-        expected_removed = {
-            i
-            for i in range(4)
-            if nn[i] >= 4 and nn[nn[i]] == i
-        }
-        assert expected_removed == {0, 1}
-        kept = tomek_kept_indices(task)
-        assert set(range(4)) - set(kept.tolist()) == expected_removed
 
 
 class TestNearMiss:
@@ -288,6 +295,11 @@ class TestNearMiss:
         task = make_task([[0.0], [1.0], [2.0]], [[0.5]])
         out = near_miss(task, k=10, ratio=1.0)
         assert len(out) == 1
+
+    def test_needs_a_minority_point(self):
+        task = make_task([[0.0], [1.0]], [])
+        with pytest.raises(ParameterError, match="1 minority"):
+            near_miss(task, k=3, ratio=0.5)
 
     def test_ratio_zero_rejected(self):
         task = make_task([[0.0], [1.0]], [[0.5]])

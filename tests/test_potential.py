@@ -81,6 +81,17 @@ class TestMutualPotential:
         with pytest.raises(ParameterError):
             mutual_potential([0.0, 0.0, 0.0], task, 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinate_refused(self, value):
+        majority, minority = [[0.0, 0.0], [1.0, 0.0]], [[0.0, 1.0]]
+        for point, task in (
+            ([value, 0.0], make_task(majority, minority)),
+            ([0.5, 0.0], make_task([[0.0, 0.0], [value, 0.0]], minority)),
+            ([0.5, 0.0], make_task(majority, [[0.0, value]])),
+        ):
+            with pytest.raises(ParameterError, match="finite"):
+                mutual_potential(point, task, 2.0)
+
     def test_agrees_with_naive_oracle(self):
         rng = np.random.default_rng(7)
         task = random_task(rng, 40, 15, 4)
@@ -300,6 +311,15 @@ class TestPotentialGrid:
             potential_grid(task, 1.0, ((0, 1), (0, 1)), 1)
         with pytest.raises(ParameterError, match="bounds"):
             potential_grid(task, 1.0, ((1, 0), (0, 1)), 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_coordinate_refused(self, value):
+        for task in (
+            make_task([[0.0, 0.0], [value, 1.0]], [[0.5, 0.5]]),
+            make_task([[0.0, 0.0]], [[0.5, value]]),
+        ):
+            with pytest.raises(ParameterError, match="finite"):
+                potential_grid(task, 1.0, ((0, 1), (0, 1)), 4)
 
     def test_csv_and_json_forms(self):
         task = make_task([[0.5, 0.5]], [[0.2, 0.8]])
