@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 
-from rbu import BinaryTask, Dataset
+from rbu import BinaryTask, Dataset, apply_resample
 from rbu.dataio import FeatureMeta
+from rbu.seeding import derive_seed
 
 
 def naive_potential(x, majority, minority, gamma):
@@ -85,6 +86,14 @@ def argsort_smote_synthetic(majority, minority, k, ratio, seed):
     gaps = rng.random(n_new)
     base = minority[seeds]
     return base + gaps[:, None] * (minority[neighbors[seeds, picks]] - base)
+
+
+def naive_pipeline(task, stages, seed):
+    """A pipeline run one stage at a time: stage i resamples the previous
+    stage's output task, seeded with ``derive_seed(seed, i)``."""
+    for i, stage in enumerate(stages):
+        task = apply_resample(task, stage, seed=derive_seed(seed, i))
+    return task
 
 
 def make_task(majority, minority):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,13 +21,20 @@ from rbu import (
     tomek,
 )
 from rbu.baselines import (
+    apply_resample_detail,
     enn_kept_indices,
     near_miss_kept_indices,
     smote_synthetic,
     tomek_kept_indices,
 )
 
-from oracles import argsort_smote_synthetic, make_task, naive_tomek_kept, random_task
+from oracles import (
+    argsort_smote_synthetic,
+    make_task,
+    naive_pipeline,
+    naive_tomek_kept,
+    random_task,
+)
 
 
 def brute_force_knn_vote(points, labels, query_index, k):
@@ -307,7 +316,37 @@ class TestNearMiss:
             near_miss(task, k=1, ratio=0.0)
 
 
+# Ratios below 1 leave an excess for the second stage to act on.
+PIPELINE_STAGES = {
+    "ros": ResampleSpec("ros", {"ratio": 0.5}),
+    "smote": ResampleSpec("smote", {"k": 3, "ratio": 0.5}),
+    "rus": ResampleSpec("rus", {"ratio": 0.5}),
+    "tomek": ResampleSpec("tomek"),
+    "enn": ResampleSpec("enn", {"k": 3}),
+    "near_miss": ResampleSpec("near_miss", {"k": 2, "ratio": 0.5}),
+    "rbu": ResampleSpec("rbu", {"gamma": 1.0, "ratio": 0.5}),
+}
+
+
 class TestPipeline:
+    @pytest.mark.parametrize("first,second", itertools.product(PIPELINE_STAGES, repeat=2))
+    def test_pair_matches_stage_by_stage_oracle(self, first, second):
+        stages = (PIPELINE_STAGES[first], PIPELINE_STAGES[second])
+        spec = ResampleSpec("pipeline", stages=stages)
+        rng = np.random.default_rng(18)
+        for seed in range(4):
+            task = random_task(rng, 24, 7, 2, spread=1.0)
+            expected = naive_pipeline(task, stages, seed)
+            out = apply_resample(task, spec, seed=seed)
+            assert out.majority.tobytes() == expected.majority.tobytes()
+            assert out.minority.tobytes() == expected.minority.tobytes()
+            # The detail rebuilds both classes from the original task.
+            detail = apply_resample_detail(task, spec, seed=seed)
+            majority = task.majority[detail.majority_indices]
+            minority = detail.minority_matrix(task)
+            assert majority.tobytes() == expected.majority.tobytes()
+            assert minority.tobytes() == expected.minority.tobytes()
+
     def test_singleton_equals_direct_call(self):
         rng = np.random.default_rng(13)
         task = random_task(rng, 14, 5, 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -27,6 +28,29 @@ def keel_blob_file(tmp_path, name="toy.dat", n_majority=30, n_minority=10, seed=
         x, y = rng.normal(3.0, 1.0, 2)
         lines.append(f"{x:.6f}, {y:.6f}, positive")
     path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def keel_mixed_file(tmp_path, n_majority=36, n_minority=12, seed=11):
+    """Three real columns and a categorical one, so synthetic rows need
+    their category decoded."""
+    rng = np.random.default_rng(seed)
+    colours = ("red", "green", "blue")
+    lines = [
+        "@relation mixed",
+        "@attribute x0 real",
+        "@attribute x1 real",
+        "@attribute x2 real",
+        "@attribute colour {red, green, blue}",
+        "@attribute class {neg, pos}",
+        "@data",
+    ]
+    for label, n, shift in (("neg", n_majority, 0.0), ("pos", n_minority, 1.0)):
+        for _ in range(n):
+            cells = ["%.4f" % v for v in rng.normal(shift, 1.0, 3)]
+            lines.append(", ".join(cells + [colours[int(rng.integers(3))], label]))
+    path = tmp_path / "mixed.dat"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -157,6 +181,34 @@ class TestResample:
         assert out_env.read_bytes() == out_pinned.read_bytes()
         flag_vs_pinned_differ = out_flag.read_bytes() != out_pinned.read_bytes()
         assert flag_vs_pinned_differ  # the explicit flag overrode the env seed
+
+
+# sha256 of `rbu resample mixed.dat --method <m> --seed 7` with every other
+# flag at its default: the output contract of each method choice.
+RESAMPLE_DIGESTS = {
+    "none": "ebe16367c614dec81c2d8f26e293c5cb8213b34f0c875c98f4c2e14d33678cce",
+    "rus": "3d5e1f0f33ba76e0e63226798d55e2bde681e8dd6ab87b42aa9a3cab177dfb23",
+    "ros": "dfcdda55b7824cdf3c7863cf476247d644e82d9bd8c22d1bc10acdc8a9d97d79",
+    "smote": "2bf027b363b1cbc176d862f61db986784198950efd07a956e0584c036ae02c3b",
+    "enn": "3ee1af105219c5bb4b09ee15cabcc397bb7c5d504fbc4b2313ed7de4cdccbe84",
+    "renn": "2b53c757fc4dc64d30a64daac3b7a7631a4166bc23914699f9cc765cdf8891dd",
+    "tomek": "c51353d29e2c8add6b8d9e1dc3a4a3be42aea876d56e9caa919f7124d976b997",
+    "nm": "01c2e5d48584095edca02ef13bf2806ba56456cb2b330da62ae1f976735fa04b",
+    "rbu": "792e6c518ba49735d6a168585f61a903e185b661f7f268c144fa35501d7cac42",
+    "stl": "9b2031d4cba5cd0dba479d4e957a745de6959eda8dee7a2a180b908d88ce4f85",
+    "senn": "20048d4d9a374a3e94edbad4a65f9167f612bd06fc226f0b67c0ce286f4c2f89",
+}
+
+
+@pytest.mark.parametrize("method", sorted(RESAMPLE_DIGESTS))
+def test_resample_output_digest(runner, tmp_path, method):
+    data = keel_mixed_file(tmp_path)
+    out = tmp_path / "out.dat"
+    result = runner.invoke(
+        main, ["resample", str(data), "--method", method, "--seed", "7", "-o", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RESAMPLE_DIGESTS[method]
 
 
 class TestTypify:
