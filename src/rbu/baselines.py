@@ -12,6 +12,8 @@ pipelines (SMOTE+Tomek, SMOTE+ENN).
 
 from __future__ import annotations
 
+import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,29 +22,23 @@ from scipy.spatial.distance import cdist
 from .dataio import BinaryTask
 from .errors import ParameterError
 from .neighbors import nearest_neighbors
-from .potential import check_finite
+from .potential import _BLOCK, TIE_LOWEST_INDEX, check_finite
 from .radial import RbuParams, rbu_kept_indices, removal_count
 from .seeding import derive_seed
 
-METHODS = (
-    "none",
-    "rus",
-    "ros",
-    "smote",
-    "enn",
-    "renn",
-    "tomek",
-    "near_miss",
-    "rbu",
-    "pipeline",
-)
-
 RENN_MAX_PASSES = 100
+
+# Marks a parameter that a spec must give: it has no default.
+REQUIRED = object()
 
 
 @dataclass(frozen=True)
 class ResampleSpec:
-    """Method identifier plus its hyperparameters; pipelines carry stages."""
+    """Method identifier plus its hyperparameters; pipelines carry stages.
+
+    The parameters are checked against the method's schema when the spec is
+    built.  ``seed``, which every method accepts, pins the random stream.
+    """
 
     method: str
     params: dict = field(default_factory=dict)
@@ -53,6 +49,16 @@ class ResampleSpec:
             raise ParameterError(f"unknown resampling method {self.method!r}")
         if self.method == "pipeline" and not self.stages:
             raise ParameterError("pipeline spec needs at least one stage")
+        schema = METHODS[self.method].params
+        extras = sorted(set(self.params) - set(schema) - {"seed"})
+        if extras:
+            raise ParameterError(f"unexpected parameters for {self.method}: {extras}")
+        for name, default in schema.items():
+            if default is REQUIRED and name not in self.params:
+                raise ParameterError(f"{self.method} requires parameter {name!r}")
+        k = self.params.get("k", 0)
+        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer():
+            raise ParameterError(f"k must be an integer, got {k!r}")
 
     @property
     def label(self) -> str:
@@ -61,18 +67,20 @@ class ResampleSpec:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
         return f"{self.method}({inner})" if inner else self.method
 
+    @property
+    def args(self) -> dict:
+        """Keyword arguments of the method: defaults filled in, no ``seed``."""
+        args = {**METHODS[self.method].params, **self.params}
+        args.pop("seed", None)
+        if "k" in args:
+            args["k"] = int(args["k"])
+        return args
+
 
 def _check_ratio(ratio, zero_ok=True):
     if not 0.0 <= ratio <= 1.0 or (ratio == 0.0 and not zero_ok):
         bound = "[0, 1]" if zero_ok else "(0, 1]"
         raise ParameterError(f"ratio must lie in {bound}, got {ratio}")
-
-
-def _pop_required(params: dict, name: str, method: str):
-    try:
-        return params.pop(name)
-    except KeyError:
-        raise ParameterError(f"{method} requires parameter {name!r}") from None
 
 
 def _check_k(k):
@@ -174,11 +182,16 @@ def near_miss_kept_indices(task: BinaryTask, k: int, ratio: float) -> np.ndarray
     k_eff = min(k, task.n_minority)
     n_keep = task.n_majority - removal_count(task.n_majority, task.n_minority, ratio)
     check_finite(task.majority, task.minority)
-    dist = cdist(task.majority, task.minority)
-    # The k smallest distances in ascending order, as a full sort gives them,
-    # so the mean is summed in the same order.
-    nearest = np.sort(np.partition(dist, k_eff - 1, axis=1)[:, :k_eff], axis=1)
-    mean_dist = nearest.mean(axis=1)
+    # Distances in blocks of majority rows, as in nearest_neighbors; each
+    # row's result depends on that row alone.
+    rows = max(1, _BLOCK // task.n_minority)
+    mean_dist = np.empty(task.n_majority)
+    for start in range(0, task.n_majority, rows):
+        dist = cdist(task.majority[start : start + rows], task.minority)
+        # The k smallest distances in ascending order, as a full sort gives
+        # them, so the mean is summed in the same order.
+        nearest = np.sort(np.partition(dist, k_eff - 1, axis=1)[:, :k_eff], axis=1)
+        mean_dist[start : start + rows] = nearest.mean(axis=1)
     order = np.argsort(mean_dist, kind="stable")
     return np.sort(order[:n_keep])
 
@@ -221,137 +234,131 @@ def near_miss(task: BinaryTask, k: int, ratio: float) -> np.ndarray:
 
 def pipeline(task: BinaryTask, stages, seed=None) -> BinaryTask:
     """Apply stages left to right, each to the previous stage's output."""
-    if not stages:
-        raise ParameterError("pipeline needs at least one stage")
     spec = ResampleSpec("pipeline", stages=tuple(stages))
     return apply_resample(task, spec, seed=seed)
 
 
 # ---------------------------------------------------------------------------
-# Spec dispatch with index bookkeeping
+# The method table: spec dispatch with index bookkeeping
 
 
 @dataclass(frozen=True)
 class ResampleOutcome:
     """Resampling result in terms of the original task.
 
-    ``majority_indices`` select surviving majority rows; ``minority_entries``
-    lists the output minority in order, each entry either an original row
-    index (int) or a synthetic point (vector).
+    ``majority_indices`` select the surviving majority rows.  The output
+    minority is ``vstack([task.minority, synthetic])[minority_indices]``:
+    original rows, their copies and synthetic points, in output order.
     """
 
     majority_indices: np.ndarray
-    minority_entries: tuple
+    minority_indices: np.ndarray
+    synthetic: np.ndarray
 
-    def minority_matrix(self, task: BinaryTask) -> np.ndarray:
-        rows = [
-            task.minority[entry] if isinstance(entry, (int, np.integer)) else entry
-            for entry in self.minority_entries
-        ]
-        return np.array(rows, dtype=np.float64).reshape(len(rows), task.m)
+    def resampled_task(self, task: BinaryTask) -> BinaryTask:
+        pool = np.vstack([task.minority, self.synthetic]) if len(self.synthetic) else task.minority
+        return BinaryTask(
+            majority=task.majority[self.majority_indices],
+            minority=pool[self.minority_indices],
+            minority_label=task.minority_label,
+            majority_label=task.majority_label,
+        )
 
 
-def _identity_outcome(task: BinaryTask) -> ResampleOutcome:
-    return ResampleOutcome(
-        majority_indices=np.arange(task.n_majority),
-        minority_entries=tuple(range(task.n_minority)),
-    )
+def _kept(task: BinaryTask, majority_indices) -> ResampleOutcome:
+    """An undersampler's outcome: the minority passes through."""
+    return ResampleOutcome(majority_indices, np.arange(task.n_minority), np.empty((0, task.m)))
+
+
+def _copied(task: BinaryTask, picks) -> ResampleOutcome:
+    """ROS's outcome: the minority followed by copies of the picked rows."""
+    minority = np.concatenate([np.arange(task.n_minority), picks])
+    return ResampleOutcome(np.arange(task.n_majority), minority, np.empty((0, task.m)))
+
+
+def _synthesized(task: BinaryTask, synthetic) -> ResampleOutcome:
+    """An oversampler's outcome: the minority followed by new points."""
+    minority = np.arange(task.n_minority + len(synthetic))
+    return ResampleOutcome(np.arange(task.n_majority), minority, synthetic)
+
+
+def _compose(task: BinaryTask, spec: ResampleSpec, seed) -> ResampleOutcome:
+    """Stages left to right, each on the previous stage's output; stage i
+    draws from ``derive_seed(seed, i)``."""
+    outcome, current = _kept(task, np.arange(task.n_majority)), task
+    for i, stage in enumerate(spec.stages):
+        if i:
+            current = outcome.resampled_task(task)
+        step = apply_resample_detail(current, stage, derive_seed(seed, i))
+        # Row j of the current minority is row minority_indices[j] of the
+        # original pool; the step's synthetic points extend that pool.
+        first_new = task.n_minority + len(outcome.synthetic)
+        lookup = np.concatenate(
+            [outcome.minority_indices, first_new + np.arange(len(step.synthetic))]
+        )
+        outcome = ResampleOutcome(
+            outcome.majority_indices[step.majority_indices],
+            lookup[step.minority_indices],
+            np.vstack([outcome.synthetic, step.synthetic]),
+        )
+    return outcome
+
+
+@dataclass(frozen=True)
+class Method:
+    """A method's parameters in declared order, each with its default (or
+    REQUIRED), and how a spec of it runs: ``run(task, spec, seed)``."""
+
+    params: dict
+    run: Callable[[BinaryTask, ResampleSpec, object], ResampleOutcome]
+
+
+# The runners look the index functions up by name when called, so that
+# replacing a module attribute (as a tracer does) reaches every spec.
+METHODS = {
+    "none": Method({}, lambda task, spec, seed: _kept(task, np.arange(task.n_majority))),
+    "rus": Method(
+        {"ratio": REQUIRED},
+        lambda task, spec, seed: _kept(task, rus_kept_indices(task, **spec.args, seed=seed)),
+    ),
+    "ros": Method(
+        {"ratio": REQUIRED},
+        lambda task, spec, seed: _copied(task, ros_picked_indices(task, **spec.args, seed=seed)),
+    ),
+    "smote": Method(
+        {"k": 5, "ratio": REQUIRED},
+        lambda task, spec, seed: _synthesized(task, smote_synthetic(task, **spec.args, seed=seed)),
+    ),
+    "enn": Method(
+        {"k": 3}, lambda task, spec, seed: _kept(task, enn_kept_indices(task, **spec.args))
+    ),
+    "renn": Method(
+        {"k": 3}, lambda task, spec, seed: _kept(task, renn_kept_indices(task, **spec.args))
+    ),
+    "tomek": Method({}, lambda task, spec, seed: _kept(task, tomek_kept_indices(task))),
+    "near_miss": Method(
+        {"k": 3, "ratio": 1.0},
+        lambda task, spec, seed: _kept(task, near_miss_kept_indices(task, **spec.args)),
+    ),
+    "rbu": Method(
+        {"gamma": REQUIRED, "ratio": REQUIRED, "tie_rule": TIE_LOWEST_INDEX, "tie_seed": None},
+        lambda task, spec, seed: _kept(task, rbu_kept_indices(task, RbuParams(**spec.args))),
+    ),
+    "pipeline": Method({}, _compose),
+}
 
 
 def apply_resample_detail(task: BinaryTask, spec: ResampleSpec, seed=None) -> ResampleOutcome:
     """Run a spec and report which rows survived / were added."""
-    seed = spec.params.get("seed", seed)
-    method = spec.method
-
-    if method == "pipeline":
-        outcome = _identity_outcome(task)
-        current = task
-        for i, stage in enumerate(spec.stages):
-            stage_outcome = apply_resample_detail(current, stage, derive_seed(seed, i))
-            majority = outcome.majority_indices[stage_outcome.majority_indices]
-            entries = tuple(
-                outcome.minority_entries[e] if isinstance(e, (int, np.integer)) else e
-                for e in stage_outcome.minority_entries
-            )
-            outcome = ResampleOutcome(majority, entries)
-            current = BinaryTask(
-                majority=task.majority[majority],
-                minority=outcome.minority_matrix(task),
-                minority_label=task.minority_label,
-                majority_label=task.majority_label,
-            )
-        return outcome
-
-    if method == "none":
-        return _identity_outcome(task)
-
-    params = dict(spec.params)
-    params.pop("seed", None)
-    base = _identity_outcome(task)
-    if method == "rus":
-        kept = rus_kept_indices(task, _pop_required(params, "ratio", method), seed)
-        _reject_extras(method, params)
-        return ResampleOutcome(kept, base.minority_entries)
-    if method == "ros":
-        picks = ros_picked_indices(task, _pop_required(params, "ratio", method), seed)
-        _reject_extras(method, params)
-        return ResampleOutcome(
-            base.majority_indices, base.minority_entries + tuple(int(p) for p in picks)
-        )
-    if method == "smote":
-        synth = smote_synthetic(
-            task, int(params.pop("k", 5)), _pop_required(params, "ratio", method), seed
-        )
-        _reject_extras(method, params)
-        return ResampleOutcome(
-            base.majority_indices, base.minority_entries + tuple(synth)
-        )
-    if method == "enn":
-        kept = enn_kept_indices(task, int(params.pop("k", 3)))
-        _reject_extras(method, params)
-        return ResampleOutcome(kept, base.minority_entries)
-    if method == "renn":
-        kept = renn_kept_indices(task, int(params.pop("k", 3)))
-        _reject_extras(method, params)
-        return ResampleOutcome(kept, base.minority_entries)
-    if method == "tomek":
-        _reject_extras(method, params)
-        return ResampleOutcome(tomek_kept_indices(task), base.minority_entries)
-    if method == "near_miss":
-        kept = near_miss_kept_indices(
-            task, int(params.pop("k", 3)), params.pop("ratio", 1.0)
-        )
-        _reject_extras(method, params)
-        return ResampleOutcome(kept, base.minority_entries)
-    if method == "rbu":
-        rbu_params = RbuParams(
-            gamma=_pop_required(params, "gamma", method),
-            ratio=_pop_required(params, "ratio", method),
-            tie_rule=params.pop("tie_rule", "lowest-index"),
-            tie_seed=params.pop("tie_seed", None),
-        )
-        _reject_extras(method, params)
-        return ResampleOutcome(rbu_kept_indices(task, rbu_params), base.minority_entries)
-    raise ParameterError(f"unknown resampling method {method!r}")
-
-
-def _reject_extras(method, params):
-    if params:
-        raise ParameterError(f"unexpected parameters for {method}: {sorted(params)}")
+    return METHODS[spec.method].run(task, spec, spec.params.get("seed", seed))
 
 
 def apply_resample(task: BinaryTask, spec: ResampleSpec, seed=None) -> BinaryTask:
     """Run a spec and return the resampled task."""
-    outcome = apply_resample_detail(task, spec, seed=seed)
-    return BinaryTask(
-        majority=task.majority[outcome.majority_indices],
-        minority=outcome.minority_matrix(task),
-        minority_label=task.minority_label,
-        majority_label=task.majority_label,
-    )
+    return apply_resample_detail(task, spec, seed=seed).resampled_task(task)
 
 
-def stl_spec(k: int = 5, ratio: float = 1.0) -> ResampleSpec:
+def stl_spec(k: int = METHODS["smote"].params["k"], ratio: float = 1.0) -> ResampleSpec:
     """SMOTE followed by Tomek-link cleaning."""
     return ResampleSpec(
         "pipeline",
@@ -362,7 +369,11 @@ def stl_spec(k: int = 5, ratio: float = 1.0) -> ResampleSpec:
     )
 
 
-def senn_spec(k: int = 5, ratio: float = 1.0, clean_k: int = 3) -> ResampleSpec:
+def senn_spec(
+    k: int = METHODS["smote"].params["k"],
+    ratio: float = 1.0,
+    clean_k: int = METHODS["enn"].params["k"],
+) -> ResampleSpec:
     """SMOTE followed by edited-nearest-neighbor cleaning."""
     return ResampleSpec(
         "pipeline",

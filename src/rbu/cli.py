@@ -10,15 +10,15 @@ entropy, or set the RR_SEED environment variable).
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
-from collections import Counter
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .baselines import ResampleSpec, apply_resample_detail, senn_spec, stl_spec
+from .baselines import METHODS, ResampleSpec, apply_resample_detail, senn_spec, stl_spec
 from .dataio import (
     Dataset,
     apply_standardizer,
@@ -32,9 +32,9 @@ from .dataio import (
 )
 from .errors import FormatError, ParameterError
 from .evaluation import run_experiment
-from .grids import DEFAULT_CLEAN_K, FINAL_PRESET, PRELIM_PRESET, load_grid_file, preset_grids
+from .grids import FINAL_PRESET, PRELIM_PRESET, load_grid_file, preset_grids
 from .minority import CATEGORIES, categorize_minority, dataset_stats
-from .potential import potential_grid
+from .potential import TIE_SEEDED_RANDOM, potential_grid
 
 DEFAULT_SEED = 1729
 
@@ -42,7 +42,18 @@ EXIT_PARSE = 1
 EXIT_PARAMS = 2
 EXIT_IO = 3
 
-METHOD_CHOICES = ("none", "rus", "ros", "smote", "enn", "renn", "tomek", "nm", "rbu", "stl", "senn")
+# CLI names of library methods, where they differ.
+METHOD_ALIASES = {"near_miss": "nm"}
+# The combined methods: SMOTE, then a cleaning stage (senn's ENN takes
+# --clean-k).  They take SMOTE's parameters.
+PIPELINES = {
+    "stl": lambda clean_k, **smote: stl_spec(**smote),
+    "senn": lambda clean_k, **smote: senn_spec(**smote, clean_k=clean_k),
+}
+METHOD_CHOICES = tuple(
+    METHOD_ALIASES.get(m, m) for m in METHODS if m != "pipeline"
+) + tuple(PIPELINES)
+DEFAULT_CLEAN_K = METHODS["enn"].params["k"]
 CLASSIFIER_CHOICES = ("knn", "gnb")
 
 
@@ -138,32 +149,6 @@ def main():
 # resample
 
 
-def build_spec(method, *, gamma, ratio, k, clean_k, tie_rule, seed) -> ResampleSpec:
-    if method == "none":
-        return ResampleSpec("none")
-    if method in ("rus", "ros"):
-        return ResampleSpec(method, {"ratio": ratio})
-    if method == "smote":
-        return ResampleSpec("smote", {"k": k or 5, "ratio": ratio})
-    if method in ("enn", "renn"):
-        return ResampleSpec(method, {"k": k or 3})
-    if method == "tomek":
-        return ResampleSpec("tomek")
-    if method == "nm":
-        return ResampleSpec("near_miss", {"k": k or 3, "ratio": ratio})
-    if method == "rbu":
-        params = {"gamma": gamma, "ratio": ratio}
-        if tie_rule == "seeded-random":
-            params["tie_rule"] = tie_rule
-            params["tie_seed"] = seed
-        return ResampleSpec("rbu", params)
-    if method == "stl":
-        return stl_spec(k or 5, ratio)
-    if method == "senn":
-        return senn_spec(k or 5, ratio, clean_k)
-    raise ParameterError(f"unknown method {method!r}")
-
-
 def _decode_synthetic_row(values, meta_list):
     cells = []
     for value, meta in zip(values, meta_list):
@@ -188,22 +173,19 @@ def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, outcome) -> Da
     are mapped back through the standardizer, with categorical coordinates
     snapped to the nearest valid code.
     """
-    kept_rows = set(int(task.majority_indices[i]) for i in outcome.majority_indices)
-    int_entries = [int(e) for e in outcome.minority_entries if isinstance(e, (int, np.integer))]
-    synth = [e for e in outcome.minority_entries if not isinstance(e, (int, np.integer))]
-    entry_counts = Counter(int_entries)
-    kept_rows.update(int(task.minority_indices[j]) for j in entry_counts)
+    picks = outcome.minority_indices
+    copies = np.bincount(picks[picks < task.n_minority], minlength=task.n_minority)
+    keep = np.zeros(raw.n, dtype=bool)
+    keep[task.majority_indices[outcome.majority_indices]] = True
+    keep[task.minority_indices[copies > 0]] = True
+    duplicates = np.repeat(task.minority_indices, np.maximum(copies - 1, 0))
+    source = np.concatenate([np.flatnonzero(keep), duplicates])
 
-    order = [i for i in range(raw.n) if i in kept_rows]
-    duplicates = []
-    for j, count in sorted(entry_counts.items()):
-        duplicates.extend([int(task.minority_indices[j])] * (count - 1))
-
-    rows = [list(raw.features[i]) for i in order + duplicates]
-    labels = [raw.labels[i] for i in order + duplicates]
-    if synth:
-        synth_matrix = scaler.inverse_transform(np.asarray(synth, dtype=np.float64))
-        for values in synth_matrix:
+    rows = [list(raw.features[i]) for i in source]
+    labels = [raw.labels[i] for i in source]
+    synthetic = outcome.synthetic[picks[picks >= task.n_minority] - task.n_minority]
+    if len(synthetic):
+        for values in scaler.inverse_transform(synthetic):
             rows.append(_decode_synthetic_row(values, encoded.feature_meta))
             labels.append(task.minority_label)
 
@@ -250,8 +232,10 @@ def resample(input_path, method, gamma, ratio, k, clean_k, tie_rule, output,
     """
     seed = parse_seed(seed_text)
     raw, fmt = read_dataset(input_path, fmt, label_column)
-    spec = build_spec(method, gamma=gamma, ratio=ratio, k=k, clean_k=clean_k,
-                      tie_rule=tie_rule, seed=seed)
+    flags = {"gamma": [gamma], "ratio": [ratio], "k": [] if k is None else [k]}
+    if tie_rule == TIE_SEEDED_RANDOM:
+        flags.update(tie_rule=[tie_rule], tie_seed=[seed])
+    (spec,) = flag_grids([method], flags, clean_k)[method]
     encoded = encode_categoricals(raw)
     scaler = fit_standardizer(encoded)
     task = split_binary(apply_standardizer(scaler, encoded), minority_label)
@@ -261,7 +245,7 @@ def resample(input_path, method, gamma, ratio, k, clean_k, tie_rule, output,
 
     summary = (
         f"majority: {task.n_majority} -> {len(outcome.majority_indices)}\n"
-        f"minority: {task.n_minority} -> {len(outcome.minority_entries)}"
+        f"minority: {task.n_minority} -> {len(outcome.minority_indices)}"
     )
     if output:
         Path(output).write_text(text)
@@ -391,34 +375,28 @@ def load_datasets(inputs, fmt, label_column):
     return datasets
 
 
-def flag_grids(methods, gammas, ratios, ks, clean_k):
-    """Build per-method grids from repeated CLI flag values."""
-    from .grids import expand_grid
+def _cli_method(name, clean_k):
+    """Parameter schema and spec builder of a CLI method name."""
+    if name in PIPELINES:
+        return METHODS["smote"].params, functools.partial(PIPELINES[name], clean_k)
+    method = {alias: m for m, alias in METHOD_ALIASES.items()}.get(name, name)
+    return METHODS[method].params, lambda **params: ResampleSpec(method, params)
 
-    gammas = list(gammas) or [0.1]
-    ratios = list(ratios) or [1.0]
+
+def flag_grids(methods, flags, clean_k):
+    """Per-method grids from CLI flag values.
+
+    ``flags`` maps parameter names to flag values.  Each parameter of a
+    method that has a flag spans its values, in the method's declared
+    parameter order, or takes the method's default when the list is empty.
+    """
     grids = {}
-    for method in methods:
-        if method == "none":
-            grids[method] = [ResampleSpec("none")]
-        elif method in ("rus", "ros"):
-            grids[method] = expand_grid(method, {"ratio": ratios})
-        elif method == "smote":
-            grids[method] = expand_grid("smote", {"k": list(ks) or [5], "ratio": ratios})
-        elif method in ("enn", "renn"):
-            grids[method] = expand_grid(method, {"k": list(ks) or [3]})
-        elif method == "tomek":
-            grids[method] = [ResampleSpec("tomek")]
-        elif method == "nm":
-            grids[method] = expand_grid("near_miss", {"k": list(ks) or [3], "ratio": ratios})
-        elif method == "rbu":
-            grids[method] = expand_grid("rbu", {"gamma": gammas, "ratio": ratios})
-        elif method == "stl":
-            grids[method] = [stl_spec(k, r) for k in (list(ks) or [5]) for r in ratios]
-        elif method == "senn":
-            grids[method] = [senn_spec(k, r, clean_k) for k in (list(ks) or [5]) for r in ratios]
-        else:
-            raise ParameterError(f"unknown method {method!r}")
+    for name in methods:
+        schema, build = _cli_method(name, clean_k)
+        axes = {p: flags[p] or [default] for p, default in schema.items() if p in flags}
+        grids[name] = [
+            build(**dict(zip(axes, values))) for values in itertools.product(*axes.values())
+        ]
     return grids
 
 
@@ -506,9 +484,8 @@ def evaluate(inputs, methods, gammas, ratios, ks, clean_k, grid_file, classifier
     """
     seed = parse_seed(seed_text)
     datasets = load_datasets(inputs, fmt, label_column)
-    grids = load_grid_file(grid_file) if grid_file else flag_grids(
-        methods, gammas, ratios, ks, clean_k
-    )
+    flags = {"gamma": list(gammas) or [0.1], "ratio": list(ratios) or [1.0], "k": list(ks)}
+    grids = load_grid_file(grid_file) if grid_file else flag_grids(methods, flags, clean_k)
     _run_eval(datasets, grids, classifiers, seed, repeats, jobs, standardize,
               minority_label, output)
 

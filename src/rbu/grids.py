@@ -19,14 +19,11 @@ from __future__ import annotations
 import itertools
 import json
 
-from .baselines import ResampleSpec
+from .baselines import ResampleSpec, senn_spec, stl_spec
 from .errors import ParameterError
 
 FINAL_PRESET = "paper-final"
 PRELIM_PRESET = "paper-prelim"
-
-DEFAULT_SMOTE_K = 5
-DEFAULT_CLEAN_K = 3
 
 
 def expand_grid(method: str, grid: dict | None) -> list[ResampleSpec]:
@@ -73,18 +70,6 @@ def load_grid_file(path) -> dict[str, list[ResampleSpec]]:
     return grids
 
 
-def _combined_grid(k_values, ratio_values, clean_stage) -> list[ResampleSpec]:
-    specs = []
-    for k, ratio in itertools.product(k_values, ratio_values):
-        specs.append(
-            ResampleSpec(
-                "pipeline",
-                stages=(ResampleSpec("smote", {"k": k, "ratio": ratio}), clean_stage),
-            )
-        )
-    return specs
-
-
 def preset_grids(name: str) -> dict[str, list[ResampleSpec]]:
     """Built-in grids for the two experiment presets."""
     ratios = [0.5, 0.75, 1.0]
@@ -101,10 +86,8 @@ def preset_grids(name: str) -> dict[str, list[ResampleSpec]]:
             "renn": expand_grid("renn", {"k": neighborhood_k}),
             "tomek": [ResampleSpec("tomek")],
             "nm": expand_grid("near_miss", {"k": neighborhood_k, "ratio": [1.0]}),
-            "stl": _combined_grid(smote_k, ratios, ResampleSpec("tomek")),
-            "senn": _combined_grid(
-                smote_k, ratios, ResampleSpec("enn", {"k": DEFAULT_CLEAN_K})
-            ),
+            "stl": [stl_spec(k, ratio) for k in smote_k for ratio in ratios],
+            "senn": [senn_spec(k, ratio) for k in smote_k for ratio in ratios],
         }
     if name == PRELIM_PRESET:
         return {

@@ -236,11 +236,6 @@ def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     return PotentialField(majority, phi, gamma)
 
 
-def subtract_contribution(field: PotentialField, removed) -> None:
-    """Alias of :meth:`PotentialField.subtract` (free-function form)."""
-    field.subtract(removed)
-
-
 # ---------------------------------------------------------------------------
 # Grid emission for visualization
 

@@ -1,9 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from rbu import (
     ParameterError,
@@ -20,6 +22,7 @@ from rbu import (
     stl_spec,
     tomek,
 )
+from rbu import baselines
 from rbu.baselines import (
     apply_resample_detail,
     enn_kept_indices,
@@ -315,6 +318,22 @@ class TestNearMiss:
         with pytest.raises(ParameterError):
             near_miss(task, k=1, ratio=0.0)
 
+    def test_row_blocks_match_unblocked_reference(self, monkeypatch):
+        # Integer coordinates make many mean distances tie exactly.
+        rng = np.random.default_rng(20)
+        majority = rng.integers(0, 4, size=(50, 2)).astype(float)
+        minority = rng.integers(0, 4, size=(9, 2)).astype(float)
+        task = make_task(majority, minority)
+        monkeypatch.setattr(baselines, "_BLOCK", 3 * len(minority))  # 3 rows per block
+        for k in (1, 3, 9, 20):
+            nearest = np.sort(cdist(majority, minority), axis=1)[:, : min(k, 9)]
+            order = np.argsort(nearest.mean(axis=1), kind="stable")
+            for ratio in (0.5, 1.0):
+                n_keep = 50 - math.ceil(ratio * (50 - 9))
+                np.testing.assert_array_equal(
+                    near_miss_kept_indices(task, k, ratio), np.sort(order[:n_keep])
+                )
+
 
 # Ratios below 1 leave an excess for the second stage to act on.
 PIPELINE_STAGES = {
@@ -343,7 +362,8 @@ class TestPipeline:
             # The detail rebuilds both classes from the original task.
             detail = apply_resample_detail(task, spec, seed=seed)
             majority = task.majority[detail.majority_indices]
-            minority = detail.minority_matrix(task)
+            pool = np.vstack([task.minority, detail.synthetic])
+            minority = pool[detail.minority_indices]
             assert majority.tobytes() == expected.majority.tobytes()
             assert minority.tobytes() == expected.minority.tobytes()
 
@@ -399,6 +419,51 @@ class TestSpecDispatch:
         task = make_task([[0.0], [1.0]], [[0.5]])
         with pytest.raises(ParameterError, match="requires"):
             apply_resample(task, ResampleSpec("rbu", {"ratio": 1.0}), seed=0)
+
+    def test_parameters_checked_when_the_spec_is_built(self):
+        with pytest.raises(ParameterError, match="unexpected"):
+            ResampleSpec("smote", {"k": 3, "ratio": 1.0, "ratoi": 1.0})
+        with pytest.raises(ParameterError, match="requires"):
+            ResampleSpec("smote", {"k": 3})
+        with pytest.raises(ParameterError, match="unexpected"):
+            ResampleSpec("pipeline", {"ratio": 1.0}, stages=(ResampleSpec("tomek"),))
+
+    @pytest.mark.parametrize("k", [2.7, True, "3", None, float("nan"), float("inf")])
+    def test_k_must_be_integer_valued(self, k):
+        with pytest.raises(ParameterError, match="integer"):
+            ResampleSpec("enn", {"k": k})
+
+    def test_integer_valued_float_k_runs_as_int_and_keeps_its_label(self):
+        spec = ResampleSpec("smote", {"k": 5.0, "ratio": 1.0})
+        assert spec.label == "smote(k=5.0, ratio=1.0)"
+        task = random_task(np.random.default_rng(19), 14, 5, 2)
+        out = apply_resample(task, spec, seed=2)
+        np.testing.assert_array_equal(out.minority, smote(task, 5, 1.0, seed=2))
+
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (ResampleSpec("smote", {"ratio": 1.0}), lambda t: (t.majority, smote(t, 5, 1.0, 3))),
+            (ResampleSpec("enn"), lambda t: (enn(t, 3), t.minority)),
+            (ResampleSpec("renn"), lambda t: (renn(t, 3), t.minority)),
+            (ResampleSpec("near_miss"), lambda t: (near_miss(t, 3, 1.0), t.minority)),
+        ],
+        ids=lambda value: getattr(value, "method", ""),
+    )
+    def test_defaults(self, spec, expected):
+        task = random_task(np.random.default_rng(21), 20, 8, 2, spread=1.0)
+        out = apply_resample(task, spec, seed=3)
+        majority, minority = expected(task)
+        np.testing.assert_array_equal(out.majority, majority)
+        np.testing.assert_array_equal(out.minority, minority)
+
+    def test_pipeline_seed_pins_its_stages(self):
+        task = random_task(np.random.default_rng(22), 16, 5, 2)
+        stages = (ResampleSpec("rus", {"ratio": 1.0}),)
+        pinned = ResampleSpec("pipeline", {"seed": 4}, stages=stages)
+        out = apply_resample(task, pinned, seed=99)
+        expected = apply_resample(task, ResampleSpec("pipeline", stages=stages), seed=4)
+        np.testing.assert_array_equal(out.majority, expected.majority)
 
     def test_none_is_identity(self):
         rng = np.random.default_rng(16)

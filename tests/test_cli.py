@@ -211,6 +211,13 @@ def test_resample_output_digest(runner, tmp_path, method):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RESAMPLE_DIGESTS[method]
 
 
+@pytest.mark.parametrize("method", ["smote", "enn", "renn", "nm", "stl", "senn"])
+def test_resample_k_zero_exits_2(runner, tmp_path, method):
+    data = keel_blob_file(tmp_path)
+    result = runner.invoke(main, ["resample", str(data), "--method", method, "--k", "0"])
+    assert result.exit_code == 2, result.output
+
+
 class TestTypify:
     def test_lonely_minority_point_is_outlier(self, runner, tmp_path):
         lines = [KEEL_IMBALANCED_HEADER.rstrip("\n")]
@@ -343,6 +350,29 @@ class TestEvaluateAndSweep:
         assert doc["methods"] == ["none", "rbu"]
         specs = {r["spec"] for r in doc["runs"] if r["method"] == "rbu"}
         assert specs <= {"rbu(gamma=0.1, ratio=1.0)", "rbu(gamma=1.0, ratio=1.0)"}
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "rus", "method": "rus", "grid": {"ratoi": [1.0]}},
+            {"name": "smote", "method": "smote", "grid": {"k": [2.7], "ratio": [1.0]}},
+            {"name": "stl", "method": "pipeline",
+             "stages": [{"method": "smote", "grid": {"k": [3], "ratio": [1.0]}},
+                        {"method": "tomek", "grid": {"k": [3]}}]},
+        ],
+        ids=["misspelled", "fractional-k", "stage-extra"],
+    )
+    def test_invalid_grid_file_refused_before_any_report(self, runner, tmp_path, entry):
+        data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"methods": [{"name": "none", "method": "none"}, entry]}))
+        result = runner.invoke(
+            main,
+            ["sweep", str(data), "--grid-file", str(grid_file), "--classifier", "gnb",
+             "--seed", "3", "-o", str(tmp_path / "rep")],
+        )
+        assert result.exit_code == 2, result.output
+        assert not (tmp_path / "rep.json").exists()
 
     def test_sweep_unknown_filter_method(self, runner, tmp_path):
         data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)

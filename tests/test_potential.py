@@ -14,7 +14,6 @@ from rbu import (
     mutual_potential,
     potential_grid,
     rbf_value,
-    subtract_contribution,
 )
 
 from oracles import make_task, naive_potential, random_task
@@ -257,11 +256,6 @@ class TestSubtract:
         field = init_field(make_task([[0.0, 0.0]], []), 1.0)
         with pytest.raises(ParameterError):
             field.subtract(np.array([1.0, 2.0, 3.0]))
-
-    def test_free_function_alias(self):
-        field = init_field(make_task([[0.0, 0.0], [3.0, 0.0]], []), 1.0)
-        subtract_contribution(field, np.array([0.0, 0.0]))
-        assert field.phi[1] < 1.0 + math.exp(-9.0) + 1e-12
 
     def test_subtractions_match_naive_recomputation(self):
         rng = np.random.default_rng(42)
