@@ -56,9 +56,10 @@ class ResampleSpec:
         for name, default in schema.items():
             if default is REQUIRED and name not in self.params:
                 raise ParameterError(f"{self.method} requires parameter {name!r}")
-        k = self.params.get("k", 0)
-        if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer():
-            raise ParameterError(f"k must be an integer, got {k!r}")
+        if "k" in self.params:
+            k = self.params["k"]
+            if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer():
+                raise ParameterError(f"k must be an integer, got {k!r}")
 
     @property
     def label(self) -> str:

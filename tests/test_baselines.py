@@ -9,11 +9,13 @@ from scipy.spatial.distance import cdist
 
 from rbu import (
     ParameterError,
+    RbuParams,
     ResampleSpec,
     apply_resample,
     enn,
     near_miss,
     pipeline,
+    rbu_undersample,
     renn,
     ros,
     rus,
@@ -405,6 +407,18 @@ class TestPipeline:
             pipeline(task, [])
 
 
+INDEX_FUNCTION_SPECS = {
+    "rus_kept_indices": ResampleSpec("rus", {"ratio": 1.0}),
+    "ros_picked_indices": ResampleSpec("ros", {"ratio": 1.0}),
+    "smote_synthetic": ResampleSpec("smote", {"ratio": 1.0}),
+    "enn_kept_indices": ResampleSpec("enn"),
+    "renn_kept_indices": ResampleSpec("renn"),
+    "tomek_kept_indices": ResampleSpec("tomek"),
+    "near_miss_kept_indices": ResampleSpec("near_miss"),
+    "rbu_kept_indices": ResampleSpec("rbu", {"gamma": 0.5, "ratio": 1.0}),
+}
+
+
 class TestSpecDispatch:
     def test_unknown_method(self):
         with pytest.raises(ParameterError, match="unknown"):
@@ -443,14 +457,21 @@ class TestSpecDispatch:
     @pytest.mark.parametrize(
         "spec,expected",
         [
+            (ResampleSpec("rus", {"ratio": 0.5}), lambda t: (rus(t, 0.5, 3), t.minority)),
+            (ResampleSpec("ros", {"ratio": 1.0}), lambda t: (t.majority, ros(t, 1.0, 3))),
             (ResampleSpec("smote", {"ratio": 1.0}), lambda t: (t.majority, smote(t, 5, 1.0, 3))),
             (ResampleSpec("enn"), lambda t: (enn(t, 3), t.minority)),
             (ResampleSpec("renn"), lambda t: (renn(t, 3), t.minority)),
+            (ResampleSpec("tomek"), lambda t: (tomek(t), t.minority)),
             (ResampleSpec("near_miss"), lambda t: (near_miss(t, 3, 1.0), t.minority)),
+            (
+                ResampleSpec("rbu", {"gamma": 0.5, "ratio": 1.0}),
+                lambda t: (rbu_undersample(t, RbuParams(0.5, 1.0)), t.minority),
+            ),
         ],
-        ids=lambda value: getattr(value, "method", ""),
+        ids=["rus", "ros", "smote", "enn", "renn", "tomek", "near_miss", "rbu"],
     )
-    def test_defaults(self, spec, expected):
+    def test_runs_the_point_level_function_with_defaults(self, spec, expected):
         task = random_task(np.random.default_rng(21), 20, 8, 2, spread=1.0)
         out = apply_resample(task, spec, seed=3)
         majority, minority = expected(task)
@@ -464,6 +485,21 @@ class TestSpecDispatch:
         out = apply_resample(task, pinned, seed=99)
         expected = apply_resample(task, ResampleSpec("pipeline", stages=stages), seed=4)
         np.testing.assert_array_equal(out.majority, expected.majority)
+
+    @pytest.mark.parametrize("function", sorted(INDEX_FUNCTION_SPECS))
+    def test_index_function_looked_up_on_the_module_when_run(self, monkeypatch, function):
+        # Replacing the module attribute (as a span tracer does) must reach specs.
+        calls = []
+        original = getattr(baselines, function)
+
+        def recorded(*args, **kwargs):
+            calls.append(function)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, function, recorded)
+        task = random_task(np.random.default_rng(23), 20, 8, 2, spread=1.0)
+        apply_resample(task, INDEX_FUNCTION_SPECS[function], seed=1)
+        assert calls
 
     def test_none_is_identity(self):
         rng = np.random.default_rng(16)
