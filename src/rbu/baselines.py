@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import radial
 from .dataio import BinaryTask
 from .errors import ParameterError
 from .neighbors import nearest_neighbors
@@ -89,6 +90,15 @@ def _check_k(k):
         raise ParameterError(f"k must be >= 1, got {k}")
 
 
+def _reuse(shared, key, compute):
+    """``compute()``, kept in ``shared`` under ``key`` when a dict is given."""
+    if shared is None:
+        return compute()
+    if key not in shared:
+        shared[key] = compute()
+    return shared[key]
+
+
 # ---------------------------------------------------------------------------
 # Index-level implementations (what each method actually decides)
 
@@ -110,8 +120,11 @@ def ros_picked_indices(task: BinaryTask, ratio: float, seed) -> np.ndarray:
     return rng.integers(0, task.n_minority, size=n_new)
 
 
-def smote_synthetic(task: BinaryTask, k: int, ratio: float, seed) -> np.ndarray:
-    """Synthetic minority points interpolated toward same-class neighbors."""
+def smote_synthetic(task: BinaryTask, k: int, ratio: float, seed, shared=None) -> np.ndarray:
+    """Synthetic minority points interpolated toward same-class neighbors.
+
+    ``shared`` (see ``apply_resample``) keeps the neighbour table per k.
+    """
     _check_k(k)
     _check_ratio(ratio)
     if task.n_minority < 2:
@@ -121,7 +134,11 @@ def smote_synthetic(task: BinaryTask, k: int, ratio: float, seed) -> np.ndarray:
     if n_new == 0:
         return np.empty((0, task.m))
 
-    neighbors = nearest_neighbors(task.minority, task.minority, k_eff, self_offset=0)
+    neighbors = _reuse(
+        shared,
+        ("smote", k_eff),
+        lambda: nearest_neighbors(task.minority, task.minority, k_eff, self_offset=0),
+    )
 
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, task.n_minority, size=n_new)
@@ -283,14 +300,17 @@ def _synthesized(task: BinaryTask, synthetic) -> ResampleOutcome:
     return ResampleOutcome(np.arange(task.n_majority), minority, synthetic)
 
 
-def _compose(task: BinaryTask, spec: ResampleSpec, seed) -> ResampleOutcome:
+def _compose(task: BinaryTask, spec: ResampleSpec, seed, shared) -> ResampleOutcome:
     """Stages left to right, each on the previous stage's output; stage i
-    draws from ``derive_seed(seed, i)``."""
+    draws from ``derive_seed(seed, i)``.  Only stage 0 sees ``task`` itself,
+    so only it gets ``shared``."""
     outcome, current = _kept(task, np.arange(task.n_majority)), task
     for i, stage in enumerate(spec.stages):
         if i:
             current = outcome.resampled_task(task)
-        step = apply_resample_detail(current, stage, derive_seed(seed, i))
+        step = apply_resample_detail(
+            current, stage, derive_seed(seed, i), shared=None if i else shared
+        )
         # Row j of the current minority is row minority_indices[j] of the
         # original pool; the step's synthetic points extend that pool.
         first_new = task.n_minority + len(outcome.synthetic)
@@ -305,58 +325,90 @@ def _compose(task: BinaryTask, spec: ResampleSpec, seed) -> ResampleOutcome:
     return outcome
 
 
+def _rbu(task: BinaryTask, spec: ResampleSpec, seed, shared) -> ResampleOutcome:
+    """RBU's outcome.  The greedy loop for ratio r takes the first
+    ``removal_count(r)`` steps of the loop for ratio 1.0, so with ``shared``
+    one ratio-1.0 removal order per (gamma, tie rule, tie seed) serves every
+    ratio."""
+    params = RbuParams(**spec.args)
+    n_remove = removal_count(task.n_majority, task.n_minority, params.ratio)
+    if shared is None or n_remove == 0:
+        return _kept(task, rbu_kept_indices(task, params))
+    order = _reuse(
+        shared,
+        ("rbu", params.gamma, params.tie_rule, params.tie_seed),
+        lambda: radial.rbu_removal_order(task, replace(params, ratio=1.0)),
+    )
+    return _kept(task, np.delete(np.arange(task.n_majority), order[:n_remove]))
+
+
 @dataclass(frozen=True)
 class Method:
     """A method's parameters in declared order, each with its default (or
-    REQUIRED), and how a spec of it runs: ``run(task, spec, seed)``."""
+    REQUIRED), and how a spec of it runs: ``run(task, spec, seed, shared)``."""
 
     params: dict
-    run: Callable[[BinaryTask, ResampleSpec, object], ResampleOutcome]
+    run: Callable[[BinaryTask, ResampleSpec, object, dict | None], ResampleOutcome]
 
 
 # The runners look the index functions up by name when called, so that
 # replacing a module attribute (as a tracer does) reaches every spec.
 METHODS = {
-    "none": Method({}, lambda task, spec, seed: _kept(task, np.arange(task.n_majority))),
+    "none": Method({}, lambda task, spec, seed, shared: _kept(task, np.arange(task.n_majority))),
     "rus": Method(
         {"ratio": REQUIRED},
-        lambda task, spec, seed: _kept(task, rus_kept_indices(task, **spec.args, seed=seed)),
+        lambda task, spec, seed, shared: _kept(
+            task, rus_kept_indices(task, **spec.args, seed=seed)
+        ),
     ),
     "ros": Method(
         {"ratio": REQUIRED},
-        lambda task, spec, seed: _copied(task, ros_picked_indices(task, **spec.args, seed=seed)),
+        lambda task, spec, seed, shared: _copied(
+            task, ros_picked_indices(task, **spec.args, seed=seed)
+        ),
     ),
     "smote": Method(
         {"k": 5, "ratio": REQUIRED},
-        lambda task, spec, seed: _synthesized(task, smote_synthetic(task, **spec.args, seed=seed)),
+        lambda task, spec, seed, shared: _synthesized(
+            task, smote_synthetic(task, **spec.args, seed=seed, shared=shared)
+        ),
     ),
     "enn": Method(
-        {"k": 3}, lambda task, spec, seed: _kept(task, enn_kept_indices(task, **spec.args))
+        {"k": 3}, lambda task, spec, seed, shared: _kept(task, enn_kept_indices(task, **spec.args))
     ),
     "renn": Method(
-        {"k": 3}, lambda task, spec, seed: _kept(task, renn_kept_indices(task, **spec.args))
+        {"k": 3},
+        lambda task, spec, seed, shared: _kept(task, renn_kept_indices(task, **spec.args)),
     ),
-    "tomek": Method({}, lambda task, spec, seed: _kept(task, tomek_kept_indices(task))),
+    "tomek": Method({}, lambda task, spec, seed, shared: _kept(task, tomek_kept_indices(task))),
     "near_miss": Method(
         {"k": 3, "ratio": 1.0},
-        lambda task, spec, seed: _kept(task, near_miss_kept_indices(task, **spec.args)),
+        lambda task, spec, seed, shared: _kept(task, near_miss_kept_indices(task, **spec.args)),
     ),
     "rbu": Method(
         {"gamma": REQUIRED, "ratio": REQUIRED, "tie_rule": TIE_LOWEST_INDEX, "tie_seed": None},
-        lambda task, spec, seed: _kept(task, rbu_kept_indices(task, RbuParams(**spec.args))),
+        _rbu,
     ),
     "pipeline": Method({}, _compose),
 }
 
 
-def apply_resample_detail(task: BinaryTask, spec: ResampleSpec, seed=None) -> ResampleOutcome:
-    """Run a spec and report which rows survived / were added."""
-    return METHODS[spec.method].run(task, spec, spec.params.get("seed", seed))
+def apply_resample_detail(
+    task: BinaryTask, spec: ResampleSpec, seed=None, shared=None
+) -> ResampleOutcome:
+    """Run a spec and report which rows survived / were added.
+
+    ``shared`` is a dict owned by one training task (one inner fold of
+    parameter selection).  Runners keep there what depends on that task
+    alone, so that other specs run on the same task reuse it; results are
+    identical with or without it.
+    """
+    return METHODS[spec.method].run(task, spec, spec.params.get("seed", seed), shared)
 
 
-def apply_resample(task: BinaryTask, spec: ResampleSpec, seed=None) -> BinaryTask:
+def apply_resample(task: BinaryTask, spec: ResampleSpec, seed=None, shared=None) -> BinaryTask:
     """Run a spec and return the resampled task."""
-    return apply_resample_detail(task, spec, seed=seed).resampled_task(task)
+    return apply_resample_detail(task, spec, seed=seed, shared=shared).resampled_task(task)
 
 
 def stl_spec(k: int = METHODS["smote"].params["k"], ratio: float = 1.0) -> ResampleSpec:

@@ -15,13 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .baselines import ResampleSpec, apply_resample
 from .dataio import BinaryTask, encode_categoricals, fit_standardizer, split_binary
 from .errors import LeakageError, ParameterError
 from .minority import categorize_minority
-from .modeling import METRIC_NAMES, compute_metrics, make_classifier
+from .modeling import METRIC_NAMES, compute_metrics, make_classifier, midranks
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
@@ -116,42 +115,60 @@ def select_params(
 ) -> ResampleSpec:
     """Pick the grid point maximizing the inner-CV mean of (F + AUC + G-mean)/3.
 
-    A grid point whose resampling or fit fails on an inner fold scores 0 for
-    that fold.  Ties keep the earliest grid point in declared order.
+    A grid point whose resampling or fit is refused with ``ParameterError``
+    on an inner fold scores 0 for that fold; any other exception propagates.
+    Ties keep the earliest grid point in declared order.
     """
     grid = list(grid)
     if not grid:
         raise ParameterError("empty parameter grid")
     if len(grid) == 1:
         return grid[0]
+    scores = inner_scores(features, labels, grid, classifier, seed, inner_repeats, plan_seed)
+    best_spec, best_score = None, -np.inf
+    for spec, fold_scores in zip(grid, scores):
+        score = float(np.mean(fold_scores))
+        if score > best_score:
+            best_spec, best_score = spec, score
+    return best_spec
+
+
+def inner_scores(
+    features, labels, grid, classifier: str, seed, inner_repeats: int = 3, plan_seed=None
+) -> np.ndarray:
+    """Grid x inner-fold array of combined scores, ``select_params``' inputs.
+
+    Folds run one at a time.  Each fold builds its task once and keeps a
+    ``shared`` dict of results that depend on that task alone (an RBU removal
+    order, a SMOTE neighbour table), which every grid point's resampler may
+    reuse.  Grid point i on fold j draws from ``derive_seed(seed, i, j)``.
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     if plan_seed is None:
         plan_seed = derive_seed(seed, "inner-plan")
     plan = make_folds(labels, inner_repeats, plan_seed)
 
-    best_spec, best_score = None, -np.inf
-    for grid_idx, spec in enumerate(grid):
-        fold_scores = []
-        for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
+    scores = np.empty((len(grid), len(plan)))
+    for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
+        task = binary_task_from_labels(features[train_idx], labels[train_idx])
+        test_x, test_y = features[test_idx], labels[test_idx]
+        shared = {}
+        for grid_idx, spec in enumerate(grid):
             try:
-                task = binary_task_from_labels(features[train_idx], labels[train_idx])
                 resampled = apply_resample(
-                    task, spec, seed=derive_seed(seed, grid_idx, fold_idx)
+                    task, spec, seed=derive_seed(seed, grid_idx, fold_idx), shared=shared
                 )
                 fit_x, fit_y = _stack_task(resampled)
-                preds, scores = _fit_and_score(classifier, fit_x, fit_y, features[test_idx])
-                metrics = compute_metrics(labels[test_idx], preds, scores)
+                preds, test_scores = _fit_and_score(classifier, fit_x, fit_y, test_x)
+                metrics = compute_metrics(test_y, preds, test_scores)
                 combined = sum(getattr(metrics, m) for m in SELECTION_METRICS) / len(
                     SELECTION_METRICS
                 )
-            except Exception:
+            except ParameterError:
                 combined = 0.0
-            fold_scores.append(combined)
-        score = float(np.mean(fold_scores))
-        if score > best_score:
-            best_spec, best_score = spec, score
-    return best_spec
+            scores[grid_idx, fold_idx] = combined
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +451,7 @@ def rank_methods(means_by_dataset, methods):
                 f"dataset {dataset!r} has missing cells and is excluded from ranking"
             )
             continue
-        ranks = rankdata([-v for v in values], method="average")
+        ranks = midranks([-v for v in values])
         per_dataset[dataset] = {m: float(r) for m, r in zip(methods, ranks)}
     if not per_dataset:
         raise ParameterError("no dataset has complete cells for ranking")

@@ -28,6 +28,13 @@ PRELIM_PRESET = "paper-prelim"
 
 def expand_grid(method: str, grid: dict | None) -> list[ResampleSpec]:
     """Cartesian product of grid axes, declared key order, earliest first."""
+    if grid is not None and not (
+        isinstance(grid, dict)
+        and all(isinstance(v, (list, tuple)) and v for v in grid.values())
+    ):
+        raise ParameterError(
+            f"grid of {method!r} must be an object of non-empty lists, got {grid!r}"
+        )
     if not grid:
         return [ResampleSpec(method)]
     keys = list(grid.keys())
@@ -37,10 +44,17 @@ def expand_grid(method: str, grid: dict | None) -> list[ResampleSpec]:
     return specs
 
 
+def _entry(entry) -> dict:
+    """A grid-file method or stage entry, refused unless it is an object."""
+    if not isinstance(entry, dict):
+        raise ParameterError(f"grid-file methods and stages must be objects, got {entry!r}")
+    return entry
+
+
 def expand_pipeline(stage_entries) -> list[ResampleSpec]:
     """Product of per-stage grids, each combination one pipeline spec."""
     per_stage = [
-        expand_grid(entry["method"], entry.get("grid")) for entry in stage_entries
+        expand_grid(entry["method"], entry.get("grid")) for entry in map(_entry, stage_entries)
     ]
     return [
         ResampleSpec("pipeline", stages=tuple(combo))
@@ -55,7 +69,7 @@ def load_grid_file(path) -> dict[str, list[ResampleSpec]]:
     if not isinstance(entries, list) or not entries:
         raise ParameterError("grid file must carry a non-empty 'methods' list")
     grids: dict[str, list[ResampleSpec]] = {}
-    for entry in entries:
+    for entry in map(_entry, entries):
         method = entry.get("method")
         name = entry.get("name", method)
         if name in grids:

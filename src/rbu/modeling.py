@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ParameterError
 from .neighbors import nearest_neighbors
@@ -154,12 +153,10 @@ def confusion(y_true, y_pred) -> ConfusionCounts:
         raise ParameterError(f"length mismatch: {len(y_true)} vs {len(y_pred)}")
     if len(y_true) == 0:
         raise ParameterError("empty label vectors")
-    return ConfusionCounts(
-        tp=int(((y_true == 1) & (y_pred == 1)).sum()),
-        fp=int(((y_true == 0) & (y_pred == 1)).sum()),
-        fn=int(((y_true == 1) & (y_pred == 0)).sum()),
-        tn=int(((y_true == 0) & (y_pred == 0)).sum()),
-    )
+    if ((y_true | y_pred) >> 1).any():
+        raise ParameterError("labels must be 0 or 1")
+    tn, fp, fn, tp = np.bincount(2 * y_true + y_pred, minlength=4).tolist()
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
 
 
 def precision_score(c: ConfusionCounts) -> float:
@@ -183,6 +180,29 @@ def g_mean_score(c: ConfusionCounts) -> float:
     return math.sqrt(recall_score(c) * specificity_score(c))
 
 
+def midranks(values) -> np.ndarray:
+    """1-based ranks of ``values``, each run of equal values sharing the
+    average of its positions (``scipy.stats.rankdata(method="average")``).
+
+    NaN and ±inf are refused: a sort would place NaN last and give it a rank.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ParameterError("ranks need finite values")
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # Boundaries of the runs of equal values in sorted order.
+    bounds = np.concatenate(
+        ([0], np.flatnonzero(ordered[1:] != ordered[:-1]) + 1, [len(values)])
+    )
+    # Positions start+1 .. end average to (start + end + 1) / 2, a
+    # half-integer, so the ranks are exact.
+    run_ranks = (bounds[:-1] + bounds[1:] + 1) / 2.0
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(run_ranks, np.diff(bounds))
+    return ranks
+
+
 def auc_score(y_true, scores) -> float:
     """Mann-Whitney statistic: P(score_pos > score_neg) with ties counted 1/2."""
     y_true = np.asarray(y_true).astype(np.int64)
@@ -191,7 +211,7 @@ def auc_score(y_true, scores) -> float:
     n_neg = int((y_true == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise ParameterError("AUC is undefined when only one class is present")
-    ranks = rankdata(scores, method="average")
+    ranks = midranks(scores)
     rank_sum = ranks[y_true == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

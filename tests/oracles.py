@@ -7,10 +7,21 @@ so that agreement is meaningful.
 
 import math
 
+import dataclasses
+
 import numpy as np
+from scipy.stats import rankdata
 
 from rbu import BinaryTask, Dataset, apply_resample
 from rbu.dataio import FeatureMeta
+from rbu.evaluation import (
+    SELECTION_METRICS,
+    _fit_and_score,
+    _stack_task,
+    binary_task_from_labels,
+    make_folds,
+)
+from rbu.modeling import compute_metrics
 from rbu.seeding import derive_seed
 
 
@@ -94,6 +105,56 @@ def naive_pipeline(task, stages, seed):
     for i, stage in enumerate(stages):
         task = apply_resample(task, stage, seed=derive_seed(seed, i))
     return task
+
+
+def rankdata_auc(y_true, scores):
+    """Mann-Whitney AUC from ``scipy.stats.rankdata`` average ranks."""
+    y_true = np.asarray(y_true)
+    n_pos = int((y_true == 1).sum())
+    n_neg = int((y_true == 0).sum())
+    rank_sum = rankdata(scores, method="average")[y_true == 1].sum()
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def naive_select_params(features, labels, grid, classifier, seed, inner_repeats=3, plan_seed=None):
+    """Inner selection grid point by grid point, each fold rebuilding its task
+    and every resampler run from scratch, with a ``rankdata`` AUC.
+
+    Returns (chosen spec, per-grid-point mean scores).
+    """
+    grid = list(grid)
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if plan_seed is None:
+        plan_seed = derive_seed(seed, "inner-plan")
+    plan = make_folds(labels, inner_repeats, plan_seed)
+
+    best_spec, best_score, means = None, -np.inf, []
+    for grid_idx, spec in enumerate(grid):
+        fold_scores = []
+        for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
+            try:
+                task = binary_task_from_labels(features[train_idx], labels[train_idx])
+                resampled = apply_resample(
+                    task, spec, seed=derive_seed(seed, grid_idx, fold_idx)
+                )
+                fit_x, fit_y = _stack_task(resampled)
+                preds, scores = _fit_and_score(classifier, fit_x, fit_y, features[test_idx])
+                metrics = compute_metrics(labels[test_idx], preds, scores)
+                metrics = dataclasses.replace(
+                    metrics, auc=rankdata_auc(labels[test_idx], scores)
+                )
+                combined = sum(getattr(metrics, m) for m in SELECTION_METRICS) / len(
+                    SELECTION_METRICS
+                )
+            except Exception:
+                combined = 0.0
+            fold_scores.append(combined)
+        score = float(np.mean(fold_scores))
+        means.append(score)
+        if score > best_score:
+            best_spec, best_score = spec, score
+    return best_spec, means
 
 
 def make_task(majority, minority):

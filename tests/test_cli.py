@@ -359,8 +359,14 @@ class TestEvaluateAndSweep:
             {"name": "stl", "method": "pipeline",
              "stages": [{"method": "smote", "grid": {"k": [3], "ratio": [1.0]}},
                         {"method": "tomek", "grid": {"k": [3]}}]},
+            {"name": "rus", "method": "rus", "grid": [1.0]},
+            {"name": "rus", "method": "rus", "grid": {"ratio": 1.0}},
+            {"name": "rus", "method": "rus", "grid": {"ratio": []}},
+            1,
+            {"name": "stl", "method": "pipeline", "stages": [1]},
         ],
-        ids=["misspelled", "fractional-k", "stage-extra"],
+        ids=["misspelled", "fractional-k", "stage-extra", "grid-list", "axis-scalar",
+             "axis-empty", "entry-not-object", "stage-not-object"],
     )
     def test_invalid_grid_file_refused_before_any_report(self, runner, tmp_path, entry):
         data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)

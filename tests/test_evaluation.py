@@ -16,15 +16,22 @@ from rbu import (
     run_experiment,
     select_params,
 )
+from rbu import baselines, radial
 from rbu.evaluation import (
     _stack_task,
     binary_task_from_labels,
     check_no_leakage,
+    inner_scores,
     rank_methods,
 )
+from rbu.grids import preset_grids
 from rbu.modeling import compute_metrics, make_classifier
+from rbu.potential import TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM
+from rbu.radial import RbuParams, rbu_kept_indices
 from rbu.seeding import derive_seed
-from rbu.baselines import apply_resample
+from rbu.baselines import apply_resample, apply_resample_detail, senn_spec, stl_spec
+
+from oracles import make_task, naive_pipeline, naive_select_params, random_task
 
 
 def imbalanced_dataset(rng, n_majority, n_minority, m=2, gap=2.5):
@@ -159,6 +166,18 @@ class TestSelectParams:
         assert best is expected
         assert scores[0] != scores[1]  # the trace actually discriminates
 
+    def test_unexpected_error_propagates(self, monkeypatch):
+        # Only ParameterError scores a fold 0; a resampler bug must surface.
+        def broken(task, ratio, seed):
+            raise IndexError("broken resampler")
+
+        monkeypatch.setattr(baselines, "rus_kept_indices", broken)
+        rng = np.random.default_rng(53)
+        features, labels = imbalanced_dataset(rng, 24, 8)
+        grid = [ResampleSpec("rus", {"ratio": 1.0}), ResampleSpec("none")]
+        with pytest.raises(IndexError, match="broken resampler"):
+            select_params(features, labels, grid, "knn", seed=1)
+
     def test_tie_prefers_first_declared(self):
         rng = np.random.default_rng(52)
         features, labels = imbalanced_dataset(rng, 20, 8)
@@ -166,6 +185,133 @@ class TestSelectParams:
         same = ResampleSpec("rus", {"ratio": 0.0})  # identical behavior to none
         best = select_params(features, labels, [first, same], "knn", seed=3)
         assert best is first
+
+
+class TestFoldMajorSelection:
+    """Fold-major selection with per-fold shared work against the grid-major
+    loop that reruns everything."""
+
+    @pytest.mark.parametrize("classifier", ["knn", "gnb"])
+    @pytest.mark.parametrize("data_seed", [0, 1, 2])
+    def test_matches_grid_major_oracle_on_paper_final_grids(self, classifier, data_seed):
+        rng = np.random.default_rng([54, data_seed])
+        features, labels = imbalanced_dataset(rng, 36, 12, m=3, gap=1.5)
+        for name, grid in preset_grids("paper-final").items():
+            seed = derive_seed(data_seed, name)
+            expected, expected_means = naive_select_params(
+                features, labels, grid, classifier, seed=seed
+            )
+            best = select_params(features, labels, grid, classifier, seed=seed)
+            assert best is expected, name
+            scores = inner_scores(features, labels, grid, classifier, seed=seed)
+            assert [float(np.mean(row)) for row in scores] == expected_means, name
+
+    def _count_calls(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_rbu_greedy_run_per_fold_and_gamma(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, radial, "rbu_removal_order")
+        rng = np.random.default_rng(55)
+        features, labels = imbalanced_dataset(rng, 36, 12)
+        grid = preset_grids("paper-final")["rbu"]  # 4 gammas x 3 ratios
+        select_params(features, labels, grid, "gnb", seed=4)
+        assert len(calls) == 6 * 4
+
+    def test_one_smote_neighbour_search_per_fold_and_k(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, baselines, "nearest_neighbors")
+        rng = np.random.default_rng(56)
+        # Ten minority rows per inner training half: every k up to 9 is its own k_eff.
+        features, labels = imbalanced_dataset(rng, 40, 20)
+        grid = preset_grids("paper-final")["smote"]  # 5 ks x 3 ratios
+        select_params(features, labels, grid, "gnb", seed=4)
+        assert len(calls) == 6 * 5
+
+
+def tie_heavy_task(rng, n_majority, n_minority):
+    """Points on a small integer grid: repeated points give exact ties."""
+    return make_task(
+        rng.integers(0, 4, size=(n_majority, 2)), rng.integers(1, 5, size=(n_minority, 2))
+    )
+
+
+def assert_same_outcome(got, want):
+    np.testing.assert_array_equal(got.majority_indices, want.majority_indices)
+    np.testing.assert_array_equal(got.minority_indices, want.minority_indices)
+    np.testing.assert_array_equal(got.synthetic, want.synthetic)
+
+
+class TestSharedFoldWork:
+    """Runs given a fold's ``shared`` dict equal the runs without it."""
+
+    # 0.2 first: the stored order must come from a full run, not this ratio.
+    RATIOS = (0.2, 0.0, 0.5, 1.0, 0.75)
+
+    @pytest.mark.parametrize(
+        "tie_rule, tie_seed", [(TIE_LOWEST_INDEX, None), (TIE_SEEDED_RANDOM, 11)]
+    )
+    def test_rbu_shared_order_matches_plain_run_at_every_ratio(self, tie_rule, tie_seed):
+        rng = np.random.default_rng(57)
+        tasks = [random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)]
+        for task in tasks:
+            shared = {}
+            for gamma in (0.5, 2.0):
+                for ratio in self.RATIOS:
+                    params = {"gamma": gamma, "ratio": ratio, "tie_rule": tie_rule,
+                              "tie_seed": tie_seed}
+                    got = apply_resample_detail(task, ResampleSpec("rbu", params), shared=shared)
+                    want = rbu_kept_indices(task, RbuParams(**params))
+                    np.testing.assert_array_equal(got.majority_indices, want)
+
+    def test_smote_and_pipelines_match_plain_runs(self):
+        rng = np.random.default_rng(58)
+        smote = [ResampleSpec("smote", {"k": k, "ratio": r}) for k in (1, 3, 5, 9)
+                 for r in (0.5, 1.0)]
+        pipelines = [stl_spec(k, r) for k in (1, 5) for r in (0.5, 1.0)]
+        pipelines += [senn_spec(k, r) for k in (1, 5) for r in (0.5, 1.0)]
+        for task in (random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)):
+            shared = {}
+            for i, spec in enumerate(smote + pipelines):
+                assert_same_outcome(
+                    apply_resample_detail(task, spec, seed=i, shared=shared),
+                    apply_resample_detail(task, spec, seed=i),
+                )
+
+    def test_later_stages_do_not_share_the_first_stage_task(self):
+        # Stage 1 resamples stage 0's output; results it kept in the fold's
+        # dict would be wrong for the fold's own task, and the reverse.
+        rng = np.random.default_rng(59)
+        smote_half = ResampleSpec("smote", {"k": 3, "ratio": 0.5})
+        smote_full = ResampleSpec("smote", {"k": 3, "ratio": 1.0})
+        rbu_half = ResampleSpec("rbu", {"gamma": 1.0, "ratio": 0.5})
+        rbu_full = ResampleSpec("rbu", {"gamma": 1.0, "ratio": 1.0})
+        pairs = [
+            (smote_half, smote_full),
+            (ResampleSpec("ros", {"ratio": 0.5}), smote_full),
+            (ResampleSpec("rus", {"ratio": 0.5}), rbu_half),
+            (rbu_half, rbu_full),
+        ]
+        singles = [smote_full, rbu_full]
+        for task in (random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)):
+            shared = {}
+            for i, (first, second) in enumerate(pairs):
+                spec = ResampleSpec("pipeline", stages=(first, second))
+                got = apply_resample(task, spec, seed=i, shared=shared)
+                want = naive_pipeline(task, spec.stages, seed=i)
+                np.testing.assert_array_equal(got.majority, want.majority)
+                np.testing.assert_array_equal(got.minority, want.minority)
+            for i, spec in enumerate(singles):
+                assert_same_outcome(
+                    apply_resample_detail(task, spec, seed=i, shared=shared),
+                    apply_resample_detail(task, spec, seed=i),
+                )
 
 
 class TestRunExperiment:
@@ -229,6 +375,22 @@ class TestRunExperiment:
         assert report.ranks == [] or all(
             row["datasets"] == [] for row in report.ranks
         )
+
+    def test_unexpected_inner_error_fails_the_cell(self, monkeypatch):
+        def broken(task, ratio, seed):
+            raise IndexError("broken resampler")
+
+        monkeypatch.setattr(baselines, "rus_kept_indices", broken)
+        methods = {
+            "rus": [ResampleSpec("rus", {"ratio": 1.0}), ResampleSpec("none")],
+            "none": [ResampleSpec("none")],
+        }
+        report = run_experiment(self._datasets(n=1), methods, ["knn"], seed=5)
+        rus_rows = [r for r in report.runs if r["method"] == "rus"]
+        assert all(r["metrics"] is None for r in rus_rows)
+        assert all(r["error"] == "IndexError: broken resampler" for r in rus_rows)
+        assert all(r["metrics"] is not None for r in report.runs if r["method"] == "none")
+        assert json.loads(report.to_json())["schema"] == 1
 
     def test_global_standardize_mode(self):
         datasets = self._datasets(n=1)
@@ -304,6 +466,12 @@ class TestRanks:
         with pytest.warns(UserWarning, match="excluded"):
             average, per_dataset, used = rank_methods(means, ["a", "b"])
         assert used == ["d1"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mean_refused(self, bad):
+        means = {"d1": {"a": 0.9, "b": bad}}
+        with pytest.raises(ParameterError, match="finite"):
+            rank_methods(means, ["a", "b"])
 
     def test_rank_sums_invariant(self):
         rng = np.random.default_rng(70)

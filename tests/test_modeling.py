@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
+
+import rbu
 
 from rbu import (
     GaussianNbClassifier,
@@ -17,6 +23,7 @@ from rbu import (
 from rbu.modeling import (
     f_measure_score,
     g_mean_score,
+    midranks,
     precision_score,
     recall_score,
 )
@@ -145,6 +152,32 @@ class TestConfusion:
         assert precision_score(c) == 0.0
         assert f_measure_score(c) == 0.0
 
+    @pytest.mark.parametrize("y_true, y_pred", [([0, 2], [0, 1]), ([0, 1], [-1, 1])])
+    def test_labels_outside_zero_one_refused(self, y_true, y_pred):
+        with pytest.raises(ParameterError, match="0 or 1"):
+            confusion(y_true, y_pred)
+
+
+class TestMidranks:
+    def test_matches_rankdata_average_on_tie_heavy_inputs(self):
+        rng = np.random.default_rng(33)
+        for n in range(1, 71):
+            for values in (
+                rng.integers(0, 4, size=n).astype(np.float64),
+                np.round(rng.normal(size=n), 1),
+                rng.random(n),
+                np.full(n, -0.0),
+            ):
+                np.testing.assert_array_equal(midranks(values), rankdata(values, method="average"))
+
+    def test_empty_input(self):
+        assert midranks([]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            midranks([0.5, bad, 0.1])
+
 
 class TestAuc:
     def test_perfect_separation(self):
@@ -160,6 +193,12 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ParameterError, match="one class"):
             auc_score([1, 1], [0.5, 0.6])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_refused(self, bad):
+        # A sort puts NaN last, which would read as a finite, wrong AUC.
+        with pytest.raises(ParameterError, match="finite"):
+            auc_score([1, 0, 1, 0], [0.9, bad, 0.4, 0.2])
 
     def test_matches_exhaustive_counting_on_random_scores(self):
         rng = np.random.default_rng(32)
@@ -215,3 +254,14 @@ class TestMetricSet:
     def test_g_mean_zero_when_one_class_recall_zero(self):
         ms = compute_metrics([1, 0, 0], [0, 0, 0], [0.4, 0.5, 0.6])
         assert ms.g_mean == 0.0 and ms.f_measure == 0.0
+
+
+def test_import_leaves_scipy_stats_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rbu.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, rbu, rbu.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
