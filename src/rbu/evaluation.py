@@ -45,6 +45,8 @@ class FoldPlan:
 
 def make_folds(labels, repeats: int, seed) -> FoldPlan:
     """Seeded stratified half-and-half splits, both halves serving as train once."""
+    if repeats < 1:
+        raise ParameterError(f"repeats must be at least 1, got {repeats}")
     labels = np.asarray(labels)
     classes, counts = np.unique(labels, return_counts=True)
     smallest = counts.min()
@@ -142,6 +144,9 @@ def inner_scores(
     ``shared`` dict of results that depend on that task alone (an RBU removal
     order, a SMOTE neighbour table), which every grid point's resampler may
     reuse.  Grid point i on fold j draws from ``derive_seed(seed, i, j)``.
+    The fold's predictions and scores, one row per grid point, go through
+    one ``compute_metrics`` call.  A grid point whose resampling or fit is
+    refused, or whose scores are not finite, scores 0 on that fold.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -149,11 +154,12 @@ def inner_scores(
         plan_seed = derive_seed(seed, "inner-plan")
     plan = make_folds(labels, inner_repeats, plan_seed)
 
-    scores = np.empty((len(grid), len(plan)))
+    scores = np.zeros((len(grid), len(plan)))
     for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
         task = binary_task_from_labels(features[train_idx], labels[train_idx])
         test_x, test_y = features[test_idx], labels[test_idx]
         shared = {}
+        scored, pred_rows, score_rows = [], [], []
         for grid_idx, spec in enumerate(grid):
             try:
                 resampled = apply_resample(
@@ -161,13 +167,22 @@ def inner_scores(
                 )
                 fit_x, fit_y = _stack_task(resampled)
                 preds, test_scores = _fit_and_score(classifier, fit_x, fit_y, test_x)
-                metrics = compute_metrics(test_y, preds, test_scores)
-                combined = sum(getattr(metrics, m) for m in SELECTION_METRICS) / len(
-                    SELECTION_METRICS
-                )
             except ParameterError:
-                combined = 0.0
-            scores[grid_idx, fold_idx] = combined
+                continue
+            # Ranking refuses non-finite scores; refuse them for this row only.
+            if np.isfinite(test_scores).all():
+                scored.append(grid_idx)
+                pred_rows.append(preds)
+                score_rows.append(test_scores)
+        if not scored:
+            continue
+        try:
+            metrics = compute_metrics(test_y, np.array(pred_rows), np.array(score_rows))
+        except ParameterError:  # the fold's own labels: every grid point scores 0
+            continue
+        scores[scored, fold_idx] = sum(getattr(metrics, m) for m in SELECTION_METRICS) / len(
+            SELECTION_METRICS
+        )
     return scores
 
 

@@ -7,8 +7,6 @@ so that agreement is meaningful.
 
 import math
 
-import dataclasses
-
 import numpy as np
 from scipy.stats import rankdata
 
@@ -16,12 +14,11 @@ from rbu import BinaryTask, Dataset, apply_resample
 from rbu.dataio import FeatureMeta
 from rbu.evaluation import (
     SELECTION_METRICS,
-    _fit_and_score,
     _stack_task,
     binary_task_from_labels,
     make_folds,
 )
-from rbu.modeling import compute_metrics
+from rbu.modeling import VARIANCE_SMOOTHING, make_classifier
 from rbu.seeding import derive_seed
 
 
@@ -116,9 +113,62 @@ def rankdata_auc(y_true, scores):
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def naive_metrics(y_true, y_pred, scores):
+    """The metric set of one row as a dict, from scalar Python formulas on
+    counted pairs and a ``rankdata`` AUC."""
+    pairs = [(int(t), int(p)) for t, p in zip(y_true, y_pred)]
+    tp = sum(1 for t, p in pairs if t == 1 and p == 1)
+    fp = sum(1 for t, p in pairs if t == 0 and p == 1)
+    fn = sum(1 for t, p in pairs if t == 1 and p == 0)
+    tn = sum(1 for t, p in pairs if t == 0 and p == 0)
+    precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+    recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+    specificity = tn / (tn + fp) if tn + fp > 0 else 0.0
+    f_measure = (
+        2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    )
+    return {
+        "precision": precision,
+        "recall": recall,
+        "f_measure": f_measure,
+        "auc": rankdata_auc(y_true, scores),
+        "g_mean": math.sqrt(recall * specificity),
+        "balanced_accuracy": (recall + specificity) / 2.0,
+    }
+
+
+def naive_gnb(features, labels, queries, var_smoothing=VARIANCE_SMOOTHING):
+    """Gaussian naive Bayes fitted class by class with ``np.unique`` and
+    boolean masks, and scored one class at a time.
+
+    Returns (class means, smoothed variances, positive-class scores).
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels).astype(np.int64)
+    queries = np.asarray(queries, dtype=np.float64)
+    classes = np.unique(labels)
+    if classes.tolist() != [0, 1]:
+        raise ValueError("training data must contain both classes")
+    epsilon = var_smoothing * float(features.var(axis=0).max())
+    if epsilon == 0.0:
+        epsilon = var_smoothing
+    priors = [(labels == c).mean() for c in classes]
+    means = np.stack([features[labels == c].mean(axis=0) for c in classes])
+    variances = np.stack([features[labels == c].var(axis=0) for c in classes]) + epsilon
+    jll = np.empty((len(queries), 2))
+    for c in (0, 1):
+        log_norm = -0.5 * np.log(2.0 * np.pi * variances[c]).sum()
+        sq = ((queries - means[c]) ** 2 / variances[c]).sum(axis=1)
+        jll[:, c] = math.log(priors[c]) + log_norm - 0.5 * sq
+    probs = np.exp(jll - jll.max(axis=1, keepdims=True))
+    posterior = probs[:, 1] / probs.sum(axis=1)
+    return means, variances, np.clip(posterior, 1e-300, 1.0 - 1e-16)
+
+
 def naive_select_params(features, labels, grid, classifier, seed, inner_repeats=3, plan_seed=None):
     """Inner selection grid point by grid point, each fold rebuilding its task
-    and every resampler run from scratch, with a ``rankdata`` AUC.
+    and every resampler run from scratch, scored by ``naive_metrics`` (and
+    ``naive_gnb`` for the gnb classifier).
 
     Returns (chosen spec, per-grid-point mean scores).
     """
@@ -139,14 +189,16 @@ def naive_select_params(features, labels, grid, classifier, seed, inner_repeats=
                     task, spec, seed=derive_seed(seed, grid_idx, fold_idx)
                 )
                 fit_x, fit_y = _stack_task(resampled)
-                preds, scores = _fit_and_score(classifier, fit_x, fit_y, features[test_idx])
-                metrics = compute_metrics(labels[test_idx], preds, scores)
-                metrics = dataclasses.replace(
-                    metrics, auc=rankdata_auc(labels[test_idx], scores)
-                )
-                combined = sum(getattr(metrics, m) for m in SELECTION_METRICS) / len(
-                    SELECTION_METRICS
-                )
+                test_x = features[test_idx]
+                if classifier == "gnb":
+                    scores = naive_gnb(fit_x, fit_y, test_x)[2]
+                else:
+                    scores = make_classifier(classifier).fit(fit_x, fit_y).score_samples(test_x)
+                metrics = naive_metrics(labels[test_idx], scores > 0.5, scores)
+                combined = 0.0
+                for name in SELECTION_METRICS:
+                    combined += metrics[name]
+                combined /= len(SELECTION_METRICS)
             except Exception:
                 combined = 0.0
             fold_scores.append(combined)

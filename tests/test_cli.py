@@ -380,6 +380,19 @@ class TestEvaluateAndSweep:
         assert result.exit_code == 2, result.output
         assert not (tmp_path / "rep.json").exists()
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_refused_before_any_report(self, runner, tmp_path, repeats):
+        data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)
+        result = runner.invoke(
+            main,
+            ["sweep", str(data), "--method", "rus", "--repeats", repeats, "--seed", "3",
+             "-o", str(tmp_path / "rep")],
+        )
+        assert result.exit_code == 2, result.output
+        assert "repeats" in result.output
+        assert not (tmp_path / "rep.json").exists()
+        assert not (tmp_path / "rep.csv").exists()
+
     def test_sweep_unknown_filter_method(self, runner, tmp_path):
         data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)
         result = runner.invoke(

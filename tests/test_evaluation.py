@@ -16,7 +16,7 @@ from rbu import (
     run_experiment,
     select_params,
 )
-from rbu import baselines, radial
+from rbu import baselines, evaluation, radial
 from rbu.evaluation import (
     _stack_task,
     binary_task_from_labels,
@@ -98,6 +98,11 @@ class TestMakeFolds:
         labels = np.array([0] * 20 + [1] * 9)
         with pytest.raises(ParameterError, match="smallest class"):
             make_folds(labels, repeats=5, seed=0)
+
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_refused(self, repeats):
+        with pytest.raises(ParameterError, match="repeats"):
+            make_folds(np.array([0] * 10 + [1] * 10), repeats=repeats, seed=0)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(10, 40), st.integers(10, 40), st.integers(0, 10_000))
@@ -233,6 +238,53 @@ class TestFoldMajorSelection:
         grid = preset_grids("paper-final")["smote"]  # 5 ks x 3 ratios
         select_params(features, labels, grid, "gnb", seed=4)
         assert len(calls) == 6 * 5
+
+    def test_one_metrics_call_per_fold(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, evaluation, "compute_metrics")
+        rng = np.random.default_rng(62)
+        features, labels = imbalanced_dataset(rng, 36, 12)
+        grid = preset_grids("paper-final")["smote"]  # 15 points
+        select_params(features, labels, grid, "knn", seed=4)
+        assert len(calls) == 6
+
+    def test_refused_row_scores_zero_on_its_fold_alone(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        features, labels = imbalanced_dataset(rng, 36, 12)
+        grid = [ResampleSpec("none"), ResampleSpec("rus", {"ratio": 0.5}),
+                ResampleSpec("rus", {"ratio": 1.0}), ResampleSpec("ros", {"ratio": 1.0})]
+        want = inner_scores(features, labels, grid, "gnb", seed=5)
+        original = evaluation._fit_and_score
+        calls = []
+
+        def patched(classifier, fit_x, fit_y, test_x):
+            # Every resampler succeeds, so calls run fold by fold, grid point
+            # by point: cell is (fold, grid point).
+            cell = divmod(len(calls), len(grid))
+            calls.append(cell)
+            if cell == (0, 1):
+                raise ParameterError("fit refused")
+            preds, scores = original(classifier, fit_x, fit_y, test_x)
+            if cell in ((2, 3), (4, 0)):
+                scores = scores.copy()
+                scores[3] = np.nan if cell == (2, 3) else np.inf
+            return preds, scores
+
+        monkeypatch.setattr(evaluation, "_fit_and_score", patched)
+        got = inner_scores(features, labels, grid, "gnb", seed=5)
+        assert len(calls) == 6 * len(grid)
+        refused = [(1, 0), (3, 2), (0, 4)]  # (grid point, fold)
+        assert all(want[cell] > 0 for cell in refused)
+        for cell in refused:
+            want[cell] = 0.0
+        np.testing.assert_array_equal(got, want)
+
+    def test_fold_without_both_classes_scores_zero_everywhere(self):
+        # The metrics refuse the fold's own labels, so no grid point scores.
+        rng = np.random.default_rng(64)
+        features, _ = imbalanced_dataset(rng, 24, 8)
+        grid = [ResampleSpec("none"), ResampleSpec("rus", {"ratio": 0.0})]
+        got = inner_scores(features, np.zeros(32, dtype=np.int64), grid, "knn", seed=6)
+        np.testing.assert_array_equal(got, np.zeros((2, 6)))
 
 
 def tie_heavy_task(rng, n_majority, n_minority):

@@ -21,12 +21,15 @@ from rbu import (
     make_classifier,
 )
 from rbu.modeling import (
+    METRIC_NAMES,
     f_measure_score,
     g_mean_score,
     midranks,
     precision_score,
     recall_score,
 )
+
+from oracles import naive_gnb, naive_metrics
 
 
 class TestKnn:
@@ -63,6 +66,10 @@ class TestKnn:
     def test_empty_training_set(self):
         with pytest.raises(ParameterError, match="empty"):
             KnnClassifier(k=1).fit(np.zeros((0, 2)), np.array([]))
+
+    def test_labels_outside_zero_one_refused(self):
+        with pytest.raises(ParameterError, match="0 or 1"):
+            KnnClassifier(k=2).fit(np.arange(6.0)[:, None], np.array([0, 2, 2, 1, 0, 2]))
 
     def test_distance_tie_prefers_lower_train_index(self):
         X = np.array([[1.0], [-1.0], [9.0]])
@@ -116,6 +123,31 @@ class TestGaussianNb:
         assert model._priors.tolist() == [0.6, 0.4]
         assert model._priors.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("m", range(1, 12))
+    def test_fit_and_score_match_naive_gnb_bit_for_bit(self, m):
+        # m > 8 crosses numpy's pairwise-summation block over the features.
+        rng = np.random.default_rng([61, m])
+        for n in (2, 7, 30, 61):
+            labels = rng.permutation(np.arange(n) % 3 == 0).astype(np.int64)
+            for features in (
+                rng.normal(0.0, 2.0, size=(n, m)),
+                np.round(rng.normal(size=(n, m)), 1),
+                np.column_stack([np.full(n, 3.5), rng.normal(size=(n, m - 1))]),
+                np.full((n, m), -1.25),  # every feature constant: absolute epsilon
+            ):
+                # Queries far out give posteriors clipped at both ends.
+                queries = np.vstack([rng.normal(0.0, 3.0, size=(25, m)), np.full((2, m), 40.0),
+                                     np.full((2, m), -40.0)])
+                means, variances, scores = naive_gnb(features, labels, queries)
+                model = GaussianNbClassifier().fit(features, labels)
+                np.testing.assert_array_equal(model._means, means)
+                np.testing.assert_array_equal(model._vars, variances)
+                np.testing.assert_array_equal(model.score_samples(queries), scores)
+
+    def test_labels_outside_zero_one_refused(self):
+        with pytest.raises(ParameterError, match="0 or 1"):
+            GaussianNbClassifier().fit(np.arange(6.0)[:, None], np.array([0, 2, 2, 1, 0, 2]))
+
     def test_factory(self):
         assert isinstance(make_classifier("knn", k=3), KnnClassifier)
         assert isinstance(make_classifier("gnb"), GaussianNbClassifier)
@@ -162,13 +194,18 @@ class TestMidranks:
     def test_matches_rankdata_average_on_tie_heavy_inputs(self):
         rng = np.random.default_rng(33)
         for n in range(1, 71):
-            for values in (
+            stack = np.array([
                 rng.integers(0, 4, size=n).astype(np.float64),
                 np.round(rng.normal(size=n), 1),
                 rng.random(n),
                 np.full(n, -0.0),
-            ):
+            ])
+            for values in stack:
                 np.testing.assert_array_equal(midranks(values), rankdata(values, method="average"))
+            # A stack is ranked row by row.
+            np.testing.assert_array_equal(
+                midranks(stack), rankdata(stack, method="average", axis=-1)
+            )
 
     def test_empty_input(self):
         assert midranks([]).shape == (0,)
@@ -193,6 +230,11 @@ class TestAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ParameterError, match="one class"):
             auc_score([1, 1], [0.5, 0.6])
+
+    @pytest.mark.parametrize("y_true", [[0, 1, 2], [0, 1, -1]])
+    def test_labels_outside_zero_one_refused(self, y_true):
+        with pytest.raises(ParameterError, match="0 or 1"):
+            auc_score(y_true, [0.1, 0.9, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_refused(self, bad):
@@ -250,6 +292,37 @@ class TestMetricSet:
         assert set(ms.as_dict()) == {
             "precision", "recall", "f_measure", "auc", "g_mean", "balanced_accuracy",
         }
+
+    def test_stack_matches_naive_metrics_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        clipped = np.array([1e-300, 1.0 - 1e-16, 0.5, 0.25])
+        for n in (2, 3, 24, 27, 30):
+            y_true = rng.permutation(np.arange(n) % 3 == 0).astype(np.int64)
+            rows = [
+                rng.integers(0, 4, size=n) / 4.0,  # tie-heavy, exact 0.5 ties
+                np.round(rng.random(n), 1),
+                rng.choice(clipped, size=n),  # clipped GNB posteriors
+                np.full(n, 1e-300),  # all equal, so tp = 0
+                np.full(n, 1.0 - 1e-16),  # all equal, all predicted positive
+                np.where(y_true == 1, 1e-300, 1.0 - 1e-16),  # every prediction wrong
+                rng.random(n),
+            ]
+            scores = np.array(rows)
+            preds = (scores > 0.5).astype(np.int64)
+            got = compute_metrics(y_true, preds, scores)
+            want = [naive_metrics(y_true, p, s) for p, s in zip(preds, scores)]
+            for name in METRIC_NAMES:
+                np.testing.assert_array_equal(
+                    getattr(got, name), [w[name] for w in want], err_msg=name
+                )
+            # One row gives the same numbers as floats.  AUC stays a numpy
+            # float64: reports round it with numpy's rule, not Python's.
+            for p, s, w in zip(preds, scores, want):
+                one = compute_metrics(y_true, p, s).as_dict()
+                assert one == w
+                assert {name: type(v) for name, v in one.items()} == {
+                    **dict.fromkeys(METRIC_NAMES, float), "auc": np.float64
+                }
 
     def test_g_mean_zero_when_one_class_recall_zero(self):
         ms = compute_metrics([1, 0, 0], [0, 0, 0], [0.4, 0.5, 0.6])
