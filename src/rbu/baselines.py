@@ -17,13 +17,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import radial
 from .dataio import BinaryTask
 from .errors import ParameterError
-from .neighbors import nearest_neighbors
-from .potential import _BLOCK, TIE_LOWEST_INDEX, check_finite
+from .neighbors import distance_blocks, nearest_neighbors
+from .potential import TIE_LOWEST_INDEX
 from .radial import RbuParams, rbu_kept_indices, removal_count
 from .seeding import derive_seed
 
@@ -199,17 +198,12 @@ def near_miss_kept_indices(task: BinaryTask, k: int, ratio: float) -> np.ndarray
         raise ParameterError("near_miss needs at least 1 minority point")
     k_eff = min(k, task.n_minority)
     n_keep = task.n_majority - removal_count(task.n_majority, task.n_minority, ratio)
-    check_finite(task.majority, task.minority)
-    # Distances in blocks of majority rows, as in nearest_neighbors; each
-    # row's result depends on that row alone.
-    rows = max(1, _BLOCK // task.n_minority)
     mean_dist = np.empty(task.n_majority)
-    for start in range(0, task.n_majority, rows):
-        dist = cdist(task.majority[start : start + rows], task.minority)
+    for start, dist in distance_blocks(task.majority, task.minority):
         # The k smallest distances in ascending order, as a full sort gives
         # them, so the mean is summed in the same order.
         nearest = np.sort(np.partition(dist, k_eff - 1, axis=1)[:, :k_eff], axis=1)
-        mean_dist[start : start + rows] = nearest.mean(axis=1)
+        mean_dist[start : start + len(dist)] = nearest.mean(axis=1)
     order = np.argsort(mean_dist, kind="stable")
     return np.sort(order[:n_keep])
 

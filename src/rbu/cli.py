@@ -314,7 +314,10 @@ def _parse_bounds(text, task):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ParameterError("bounds must be 'auto' or 'xlo,xhi,ylo,yhi'")
-    x_lo, x_hi, y_lo, y_hi = (float(p) for p in parts)
+    try:
+        x_lo, x_hi, y_lo, y_hi = (float(p) for p in parts)
+    except ValueError:
+        raise ParameterError(f"bounds must be numbers, got {text!r}") from None
     return ((x_lo, x_hi), (y_lo, y_hi))
 
 

@@ -185,9 +185,11 @@ def parse_keel(text) -> Dataset:
                 rng = None
                 if type_match.group(2):
                     bounds = type_match.group(2).strip("[]").split(",")
-                    if len(bounds) != 2:
-                        raise FormatError("malformed numeric range", line=no)
-                    rng = (float(bounds[0]), float(bounds[1]))
+                    try:
+                        lo, hi = (float(b) for b in bounds)
+                    except ValueError:
+                        raise FormatError("malformed numeric range", line=no) from None
+                    rng = (lo, hi)
                 meta = FeatureMeta(name, "numeric", range=rng)
             attr_names.append(name)
             attr_meta[name] = meta

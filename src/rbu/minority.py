@@ -50,10 +50,13 @@ def categorize_minority(task: BinaryTask, k: int = 5, p: float = 2.0) -> Minorit
     """Categorize every minority object from its k-neighborhood vote.
 
     Neighbors are searched among all other points of both classes under the
-    Minkowski-p metric; distance ties go to the lowest index.
+    Minkowski-p metric (p > 0; p = inf is Chebyshev); distance ties go to the
+    lowest index.
     """
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
+    if not p > 0:
+        raise ParameterError(f"p must be > 0, got {p}")
     n_total = task.n_majority + task.n_minority
     if n_total < k + 1:
         raise ParameterError(f"need at least {k + 1} points, have {n_total}")

@@ -27,6 +27,11 @@ def _binary_labels(labels) -> np.ndarray:
     return labels
 
 
+def _check_lengths(features: np.ndarray, labels: np.ndarray) -> None:
+    if len(features) != len(labels):
+        raise ParameterError(f"{len(features)} feature rows but {len(labels)} labels")
+
+
 def _mean_var(x: np.ndarray):
     """Column means and variances of ``x`` by the same reductions, in the
     same order, as ``x.mean(axis=0)`` and ``x.var(axis=0)``."""
@@ -52,8 +57,10 @@ class KnnClassifier:
             raise ParameterError("empty training set")
         if self.k > len(features):
             raise ParameterError(f"k={self.k} exceeds training size {len(features)}")
+        labels = _binary_labels(labels)
+        _check_lengths(features, labels)
         self._train = features
-        self._labels = _binary_labels(labels)
+        self._labels = labels
         return self
 
     def score_samples(self, features: np.ndarray) -> np.ndarray:
@@ -76,6 +83,7 @@ class GaussianNbClassifier:
     def fit(self, features: np.ndarray, labels: np.ndarray):
         features = np.asarray(features, dtype=np.float64)
         minority = _binary_labels(labels) == 1
+        _check_lengths(features, minority)
         n, n_minority = len(minority), int(np.count_nonzero(minority))
         if not 0 < n_minority < n:
             raise ParameterError("training data must contain both classes")

@@ -1,10 +1,10 @@
-"""Nearest-neighbour search shared by every neighbourhood method.
+"""Blocked pairwise distances and the nearest-neighbour search built on them.
 
 ``nearest_neighbors`` returns, for each query, the indices of its k nearest
 points, nearest first, with distance ties going to the lowest index: the
-first k columns of a stable argsort of the distance row.  Distances are
-computed in blocks of query rows, so memory stays near one block whatever
-the number of queries.
+first k columns of a stable argsort of the distance row.  All distances,
+RBF potentials included, come from ``distance_blocks`` in blocks of query
+rows, so memory stays near one block whatever the number of queries.
 """
 
 from __future__ import annotations
@@ -13,7 +13,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ParameterError
-from .potential import _BLOCK, check_finite
+
+# Entries per block of pairwise distances: 1 MiB of float64, small enough to
+# stay in cache.  A block holds at least one query row, so peak memory is
+# about max(_BLOCK, n) * 8 bytes.
+_BLOCK = 1 << 17
 
 # Up to this many columns a stable argsort of the whole row is cheaper than
 # more than one round of argmin (measured with numpy 2.4 on x86-64); beyond
@@ -22,6 +26,27 @@ _SORT_COLUMNS = 40
 
 # Beyond this many neighbours a full sort is used whatever the row length.
 _MAX_ROUNDS = 16
+
+
+def check_finite(*arrays) -> None:
+    """Raise ParameterError if any coordinate is NaN or infinite."""
+    for values in arrays:
+        if not np.isfinite(values).all():
+            raise ParameterError("coordinates must be finite (no NaN or infinity)")
+
+
+def distance_blocks(queries, points, metric="euclidean", **metric_kw):
+    """Yield ``(start, cdist(queries[start:start + rows], points, metric, **metric_kw))``
+    for blocks of about ``_BLOCK`` entries, each overwriting the last in one
+    buffer that stays in cache.  Raises ParameterError for NaN or infinite
+    coordinates.
+    """
+    check_finite(queries, points)
+    rows = max(1, _BLOCK // max(1, len(points)))
+    buffer = np.empty((min(rows, len(queries)), len(points)))
+    for start in range(0, len(queries), rows):
+        block = queries[start : start + rows]
+        yield start, cdist(block, points, metric, out=buffer[: len(block)], **metric_kw)
 
 
 def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean", **metric_kw):
@@ -39,7 +64,6 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
-    check_finite(queries, points)
     n_points = len(points)
     candidates = n_points
     if self_offset is not None:
@@ -49,20 +73,16 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
     k = max(0, min(k, candidates))
     if k == 0:
         return np.empty((len(queries), 0), dtype=np.intp)
-    rows = max(1, _BLOCK // n_points)
-    if len(queries) <= rows:
-        return _nearest_block(queries, points, k, self_offset, metric, metric_kw)
     out = np.empty((len(queries), k), dtype=np.intp)
-    for start in range(0, len(queries), rows):
+    for start, dist in distance_blocks(queries, points, metric, **metric_kw):
         own = None if self_offset is None else self_offset + start
-        block = queries[start : start + rows]
-        out[start : start + rows] = _nearest_block(block, points, k, own, metric, metric_kw)
+        rows = slice(start, start + len(dist))
+        out[rows] = _nearest_block(dist, queries[rows], points, k, own, metric, metric_kw)
     return out
 
 
-def _nearest_block(queries, points, k, own, metric, metric_kw):
+def _nearest_block(dist, queries, points, k, own, metric, metric_kw):
     """:func:`nearest_neighbors` for one block; query i is point ``own + i``."""
-    dist = cdist(queries, points, metric, **metric_kw)
     if k == 1 or (len(points) > _SORT_COLUMNS and k <= _MAX_ROUNDS):
         picked, exact = _argmin_rounds(dist, k, own)
         if exact:

@@ -15,15 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .dataio import BinaryTask
 from .errors import ParameterError
-
-# Entries per block of pairwise squared distances, which is exponentiated
-# in place: 1 MiB of float64, small enough to stay in cache.  A block holds
-# at least one query row, so peak memory is about max(_BLOCK, n) * 8 bytes.
-_BLOCK = 1 << 17
+from .neighbors import check_finite, distance_blocks
 
 # exp(x) is exactly 0.0 for every x below this, but numpy reaches that zero
 # on a path about 8x slower than the ordinary one.
@@ -44,13 +39,6 @@ class RbfParams:
             raise ParameterError(f"gamma must be > 0, got {self.gamma}")
 
 
-def check_finite(*arrays) -> None:
-    """Raise ParameterError if any coordinate is NaN or infinite."""
-    for values in arrays:
-        if not np.isfinite(values).all():
-            raise ParameterError("coordinates must be finite (no NaN or infinity)")
-
-
 def rbf_value(distance: float, gamma: float) -> float:
     """Single RBF contribution exp(-(distance/gamma)^2); lies in (0, 1]."""
     if not gamma > 0:
@@ -67,7 +55,8 @@ def _exp_in_place(arg: np.ndarray) -> np.ndarray:
     before the call and their results (1.0) multiplied by zero after it, so
     numpy's slow underflow path is never taken.
     """
-    if arg.min() > _EXP_FLOOR:
+    # Every argument is <= 0, so the initial value only lets an empty block through.
+    if arg.min(initial=0.0) > _EXP_FLOOR:
         return np.exp(arg, out=arg)
     live = arg > _EXP_FLOOR
     np.maximum(arg, _EXP_FLOOR, out=arg)  # -inf times zero would be NaN
@@ -79,16 +68,17 @@ def _exp_in_place(arg: np.ndarray) -> np.ndarray:
 
 def _rbf_sums(queries: np.ndarray, points: np.ndarray, gamma: float) -> np.ndarray:
     """Sum of RBF contributions of ``points`` at each query, in blocks."""
-    if len(points) == 0:
-        return np.zeros(len(queries))
     scale = -1.0 / (gamma * gamma)
-    rows = max(1, _BLOCK // len(points))
     out = np.empty(len(queries))
-    for start in range(0, len(queries), rows):
-        arg = cdist(queries[start : start + rows], points, "sqeuclidean")
+    for start, arg in distance_blocks(queries, points, "sqeuclidean"):
         arg *= scale
-        out[start : start + rows] = _exp_in_place(arg).sum(axis=1)
+        out[start : start + len(arg)] = _exp_in_place(arg).sum(axis=1)
     return out
+
+
+def _potential(queries, majority, minority, gamma: float) -> np.ndarray:
+    """Mutual class potential at each query: majority minus minority RBF sums."""
+    return _rbf_sums(queries, majority, gamma) - _rbf_sums(queries, minority, gamma)
 
 
 def mutual_potential(x, task: BinaryTask, gamma: float) -> float:
@@ -101,11 +91,7 @@ def mutual_potential(x, task: BinaryTask, gamma: float) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (task.m,):
         raise ParameterError(f"point has shape {x.shape}, task dimensionality is {task.m}")
-    check_finite(x, task.majority, task.minority)
-    query = x[None, :]
-    return float(
-        _rbf_sums(query, task.majority, gamma)[0] - _rbf_sums(query, task.minority, gamma)[0]
-    )
+    return float(_potential(x[None, :], task.majority, task.minority, gamma)[0])
 
 
 class PotentialField:
@@ -230,9 +216,7 @@ def init_field(task: BinaryTask, gamma: float) -> PotentialField:
         )
     if not norms_finite:
         raise ParameterError("coordinates too large: centred squared norms overflow")
-    phi = _rbf_sums(centred_majority, centred_majority, gamma) - _rbf_sums(
-        centred_majority, centred_minority, gamma
-    )
+    phi = _potential(centred_majority, centred_majority, centred_minority, gamma)
     return PotentialField(majority, phi, gamma)
 
 
@@ -282,7 +266,8 @@ class PotentialGrid:
 def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> PotentialGrid:
     """Evaluate the mutual class potential over a 2-D grid of cell centers.
 
-    Raises ParameterError for NaN or infinite coordinates.
+    Raises ParameterError for NaN or infinite coordinates, and for bounds that
+    are not finite or whose cell widths overflow.
     """
     if task.m != 2:
         raise ParameterError(f"potential grids are defined for 2-D data, got m={task.m}")
@@ -293,12 +278,14 @@ def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> P
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ParameterError("bounds must satisfy lo < hi on both axes")
-    check_finite(task.majority, task.minority)
+    step_x, step_y = (x_hi - x_lo) / resolution, (y_hi - y_lo) / resolution
+    if not np.isfinite([x_lo, x_hi, y_lo, y_hi, step_x, step_y]).all():
+        raise ParameterError("bounds and their cell widths must be finite")
 
-    xs = x_lo + (np.arange(resolution) + 0.5) * ((x_hi - x_lo) / resolution)
-    ys = y_lo + (np.arange(resolution) + 0.5) * ((y_hi - y_lo) / resolution)
+    xs = x_lo + (np.arange(resolution) + 0.5) * step_x
+    ys = y_lo + (np.arange(resolution) + 0.5) * step_y
     cells = np.stack([np.repeat(xs, resolution), np.tile(ys, resolution)], axis=1)
-    phi = _rbf_sums(cells, task.majority, gamma) - _rbf_sums(cells, task.minority, gamma)
+    phi = _potential(cells, task.majority, task.minority, gamma)
     return PotentialGrid(
         bounds=((float(x_lo), float(x_hi)), (float(y_lo), float(y_hi))),
         resolution=int(resolution),

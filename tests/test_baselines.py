@@ -24,7 +24,7 @@ from rbu import (
     stl_spec,
     tomek,
 )
-from rbu import baselines
+from rbu import baselines, neighbors
 from rbu.baselines import (
     apply_resample_detail,
     enn_kept_indices,
@@ -326,7 +326,7 @@ class TestNearMiss:
         majority = rng.integers(0, 4, size=(50, 2)).astype(float)
         minority = rng.integers(0, 4, size=(9, 2)).astype(float)
         task = make_task(majority, minority)
-        monkeypatch.setattr(baselines, "_BLOCK", 3 * len(minority))  # 3 rows per block
+        monkeypatch.setattr(neighbors, "_BLOCK", 3 * len(minority))  # 3 rows per block
         for k in (1, 3, 9, 20):
             nearest = np.sort(cdist(majority, minority), axis=1)[:, : min(k, 9)]
             order = np.argsort(nearest.mean(axis=1), kind="stable")

@@ -244,6 +244,19 @@ class TestTypify:
         assert result.exit_code == 0, result.output
         assert result.output.strip().splitlines()[-1] == "100.00 0.00 0.00 0.00"
 
+    @pytest.mark.parametrize("p", ["0", "-1", "nan"])
+    def test_p_not_positive_exits_2(self, runner, tmp_path, p):
+        data = keel_blob_file(tmp_path)
+        result = runner.invoke(main, ["typify", str(data), "--p", p])
+        assert result.exit_code == 2
+        assert "p must be > 0" in result.output
+
+    @pytest.mark.parametrize("p", ["0.5", "inf"])
+    def test_fractional_and_chebyshev_p_accepted(self, runner, tmp_path, p):
+        data = keel_blob_file(tmp_path)
+        result = runner.invoke(main, ["typify", str(data), "--p", p])
+        assert result.exit_code == 0, result.output
+
     def test_per_object_csv(self, runner, tmp_path):
         data = keel_blob_file(tmp_path)
         per = tmp_path / "types.csv"
@@ -261,6 +274,14 @@ class TestStats:
         assert result.exit_code == 0
         line = result.output.strip()
         assert line.startswith("ir=3.00 samples=40 features=2 safe=")
+
+    def test_malformed_numeric_range_exits_1(self, runner, tmp_path):
+        path = keel_blob_file(tmp_path)
+        path.write_text(path.read_text().replace("@attribute x real", "@attribute x real [a, b]"))
+        result = runner.invoke(main, ["stats", str(path)])
+        assert result.exit_code == 1
+        assert "parse error: line 2: malformed numeric range" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
 
 class TestPotentialGrid:
@@ -281,6 +302,26 @@ class TestPotentialGrid:
             main, ["potential-grid", str(data), "--gamma", "1.0", "--resolution", "1"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ("a,b,c,d", "bounds must be numbers"),
+            ("0,1,0", "bounds must be 'auto'"),
+            ("0,inf,0,1", "bounds and their cell widths must be finite"),
+            ("-1e308,1e308,0,1", "bounds and their cell widths must be finite"),
+        ],
+    )
+    def test_bad_bounds_exit_2(self, runner, tmp_path, bounds, message):
+        data = keel_blob_file(tmp_path)
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(
+            main, ["potential-grid", str(data), "--gamma", "1.0", "--bounds", bounds,
+                   "-o", str(out)]
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+        assert not out.exists()
 
     def test_non_2d_exits_2(self, runner, tmp_path):
         path = tmp_path / "d3.csv"

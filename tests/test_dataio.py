@@ -59,6 +59,12 @@ class TestParseKeel:
         with pytest.raises(FormatError, match="@data"):
             parse_keel(header_only)
 
+    @pytest.mark.parametrize("bounds", ["[a, b]", "[0.0, ten]", "[1.0]", "[0, 1, 2]"])
+    def test_malformed_numeric_range_names_line(self, bounds):
+        bad = KEEL_TOY.replace("[0.0, 10.0]", bounds)
+        with pytest.raises(FormatError, match="line 2: malformed numeric range"):
+            parse_keel(bad)
+
     def test_malformed_attribute(self):
         bad = KEEL_TOY.replace("@attribute y real", "@attribute y widget")
         with pytest.raises(FormatError, match="line 3"):

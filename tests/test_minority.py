@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from rbu import ParameterError, categorize_minority, dataset_stats, parse_csv
 
@@ -81,6 +82,27 @@ class TestCategorize:
         report = categorize_minority(task)
         assert len(report.categories) == 17
         assert sum(report.proportions.values()) == pytest.approx(100.0, abs=1e-6)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan, -np.inf])
+    def test_p_not_positive_refused(self, p):
+        task = random_task(np.random.default_rng(24), 12, 5, 2)
+        with pytest.raises(ParameterError, match="p must be > 0"):
+            categorize_minority(task, k=3, p=p)
+
+    def test_fractional_and_chebyshev_p_accepted(self):
+        rng = np.random.default_rng(25)
+        task = random_task(rng, 25, 10, 3, spread=1.0)
+        report = categorize_minority(task, k=5, p=0.5)
+        assert list(report.categories) == brute_force_categories(
+            task.majority, task.minority, 5, 0.5
+        )
+        everything = np.vstack([task.majority, task.minority])
+        dist = cdist(task.minority, everything, "chebyshev")
+        dist[np.arange(10), 25 + np.arange(10)] = np.inf
+        same = (np.argsort(dist, axis=1, kind="stable")[:, :5] >= 25).sum(axis=1)
+        expected = ["safe" if s >= 4 else "borderline" if s >= 2 else "rare" if s else "outlier"
+                    for s in same]
+        assert list(categorize_minority(task, k=5, p=np.inf).categories) == expected
 
     def test_too_small_dataset(self):
         task = make_task([[0.0], [1.0]], [[2.0]])

@@ -71,6 +71,11 @@ class TestKnn:
         with pytest.raises(ParameterError, match="0 or 1"):
             KnnClassifier(k=2).fit(np.arange(6.0)[:, None], np.array([0, 2, 2, 1, 0, 2]))
 
+    @pytest.mark.parametrize("n_labels", [8, 2])
+    def test_label_count_must_match_rows(self, n_labels):
+        with pytest.raises(ParameterError, match="5 feature rows but"):
+            KnnClassifier(k=1).fit(np.arange(5.0)[:, None], np.arange(n_labels) % 2)
+
     def test_distance_tie_prefers_lower_train_index(self):
         X = np.array([[1.0], [-1.0], [9.0]])
         y = np.array([1, 0, 0])
@@ -147,6 +152,11 @@ class TestGaussianNb:
     def test_labels_outside_zero_one_refused(self):
         with pytest.raises(ParameterError, match="0 or 1"):
             GaussianNbClassifier().fit(np.arange(6.0)[:, None], np.array([0, 2, 2, 1, 0, 2]))
+
+    @pytest.mark.parametrize("n_labels", [8, 2])
+    def test_label_count_must_match_rows(self, n_labels):
+        with pytest.raises(ParameterError, match="5 feature rows but"):
+            GaussianNbClassifier().fit(np.arange(5.0)[:, None], np.arange(n_labels) % 2)
 
     def test_factory(self):
         assert isinstance(make_classifier("knn", k=3), KnnClassifier)

@@ -10,7 +10,7 @@ from rbu.baselines import (
     smote_synthetic,
     tomek_kept_indices,
 )
-from rbu.neighbors import nearest_neighbors
+from rbu.neighbors import distance_blocks, nearest_neighbors
 
 from oracles import make_task
 
@@ -33,6 +33,27 @@ def grid_points(rng, n, m, scale=1.0):
 # Point counts on both sides of neighbors._SORT_COLUMNS, so that both the
 # sort and the argmin rounds run.
 SIZES = [(7, 3), (30, 2), (90, 3)]
+
+
+class TestDistanceBlocks:
+    @pytest.mark.parametrize("block, rows", [(None, 25), (1, 1), (3 * 7, 3), (10 * 7 - 1, 9)])
+    def test_blocks_tile_the_distance_matrix(self, block, rows, monkeypatch):
+        rng = np.random.default_rng(3)
+        queries, points = rng.normal(size=(25, 2)), rng.normal(size=(7, 2))
+        if block is not None:
+            monkeypatch.setattr(neighbors, "_BLOCK", block)
+        blocks = [
+            (start, dist.copy())  # each block overwrites the last
+            for start, dist in distance_blocks(queries, points, "minkowski", p=3.0)
+        ]
+        assert [start for start, _ in blocks] == list(range(0, 25, rows))
+        np.testing.assert_array_equal(
+            np.vstack([dist for _, dist in blocks]), cdist(queries, points, "minkowski", p=3.0)
+        )
+
+    def test_no_points_gives_empty_rows(self):
+        ((start, dist),) = distance_blocks(np.zeros((4, 2)), np.empty((0, 2)))
+        assert start == 0 and dist.shape == (4, 0)
 
 
 class TestMatchesStableArgsort:

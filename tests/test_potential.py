@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from rbu import (
     ParameterError,
@@ -13,6 +14,7 @@ from rbu import (
     init_field,
     mutual_potential,
     potential_grid,
+    neighbors,
     rbf_value,
 )
 
@@ -79,6 +81,13 @@ class TestMutualPotential:
         task = make_task([[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(ParameterError):
             mutual_potential([0.0, 0.0, 0.0], task, 1.0)
+
+    def test_empty_minority_subtracts_nothing(self):
+        rng = np.random.default_rng(8)
+        majority = rng.normal(size=(9, 3))
+        x, gamma = rng.normal(size=3), 1.3
+        majority_sum = np.exp(cdist([x], majority, "sqeuclidean") * (-1.0 / (gamma * gamma))).sum()
+        assert mutual_potential(x, make_task(majority, []), gamma) == majority_sum
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinate_refused(self, value):
@@ -306,6 +315,20 @@ class TestPotentialGrid:
         with pytest.raises(ParameterError, match="bounds"):
             potential_grid(task, 1.0, ((1, 0), (0, 1)), 4)
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ((0.0, np.inf), (0.0, 1.0)),
+            ((0.0, 1.0), (-np.inf, 1.0)),
+            ((-1e308, 1e308), (0.0, 1.0)),  # finite bounds, infinite cell width
+            ((0.0, 1.0), (-1e308, 1e308)),
+        ],
+    )
+    def test_non_finite_bounds_or_cell_width_refused(self, bounds):
+        task = make_task([[0.0, 0.0]], [[0.5, 0.5]])
+        with pytest.raises(ParameterError, match="bounds and their cell widths"):
+            potential_grid(task, 1.0, bounds, 4)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_coordinate_refused(self, value):
         for task in (
@@ -327,3 +350,23 @@ class TestPotentialGrid:
         doc = json.loads(grid.to_json())
         assert doc["resolution"] == 3
         np.testing.assert_allclose(np.array(doc["values"]), grid.values)
+
+
+@pytest.mark.parametrize("block", ["one row", "three rows"])
+def test_row_blocks_leave_every_potential_bit_identical(block, monkeypatch):
+    rng = np.random.default_rng(31)
+    task = random_task(rng, 40, 15, 2)
+    queries = rng.normal(size=(6, 2))
+    bounds = ((-4.0, 5.0), (-4.0, 5.0))
+
+    def outputs():
+        return (
+            init_field(task, 0.8).phi,
+            np.array([mutual_potential(x, task, 0.8) for x in queries]),
+            potential_grid(task, 0.8, bounds, 7).values,
+        )
+
+    whole = outputs()  # 40 points per row: every call fits one default block
+    monkeypatch.setattr(neighbors, "_BLOCK", 1 if block == "one row" else 3 * 40)
+    for blocked, unblocked in zip(outputs(), whole):
+        np.testing.assert_array_equal(blocked, unblocked)

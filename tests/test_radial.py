@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rbu import ParameterError, RbuParams, init_field, rbu_kept_indices, rbu_removal_order, rbu_undersample
+from rbu import ParameterError, RbuParams, init_field, neighbors, rbu_kept_indices, rbu_removal_order, rbu_undersample
 
 from oracles import make_task, naive_rbu_trace, random_task, random_task_for_gamma
 
@@ -104,6 +104,21 @@ class TestUndersample:
         one = rbu_removal_order(task, params)
         two = rbu_removal_order(task, params)
         np.testing.assert_array_equal(one, two)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            RbuParams(gamma=0.5, ratio=1.0),
+            RbuParams(gamma=0.5, ratio=1.0, tie_rule="seeded-random", tie_seed=4),
+        ],
+    )
+    def test_row_blocks_leave_removal_order_bit_identical(self, params, monkeypatch):
+        rng = np.random.default_rng(12)
+        # Integer coordinates make many potentials tie exactly.
+        task = make_task(rng.integers(0, 3, size=(30, 2)), rng.integers(0, 3, size=(8, 2)))
+        whole = rbu_removal_order(task, params)
+        monkeypatch.setattr(neighbors, "_BLOCK", 3 * task.n_majority)  # 3 rows per block
+        np.testing.assert_array_equal(rbu_removal_order(task, params), whole)
 
     @settings(max_examples=30, deadline=None)
     @given(
