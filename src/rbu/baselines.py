@@ -122,7 +122,9 @@ def ros_picked_indices(task: BinaryTask, ratio: float, seed) -> np.ndarray:
 def smote_synthetic(task: BinaryTask, k: int, ratio: float, seed, shared=None) -> np.ndarray:
     """Synthetic minority points interpolated toward same-class neighbors.
 
-    ``shared`` (see ``apply_resample``) keeps the neighbour table per k.
+    ``shared`` (see ``apply_resample``) keeps one table of all of each
+    minority point's neighbours, whose first k columns serve every k:
+    ``nearest_neighbors`` returns the first k of a stable argsort.
     """
     _check_k(k)
     _check_ratio(ratio)
@@ -133,11 +135,16 @@ def smote_synthetic(task: BinaryTask, k: int, ratio: float, seed, shared=None) -
     if n_new == 0:
         return np.empty((0, task.m))
 
-    neighbors = _reuse(
-        shared,
-        ("smote", k_eff),
-        lambda: nearest_neighbors(task.minority, task.minority, k_eff, self_offset=0),
-    )
+    if shared is None:
+        neighbors = nearest_neighbors(task.minority, task.minority, k_eff, self_offset=0)
+    else:
+        neighbors = _reuse(
+            shared,
+            ("smote",),
+            lambda: nearest_neighbors(
+                task.minority, task.minority, task.n_minority - 1, self_offset=0
+            ),
+        )[:, :k_eff]
 
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, task.n_minority, size=n_new)
@@ -336,6 +343,12 @@ def _rbu(task: BinaryTask, spec: ResampleSpec, seed, shared) -> ResampleOutcome:
     return _kept(task, np.delete(np.arange(task.n_majority), order[:n_remove]))
 
 
+def _kept_once(task: BinaryTask, spec: ResampleSpec, shared, kept) -> ResampleOutcome:
+    """An undersampler whose kept indices ``kept()`` depend on the task and
+    the spec's arguments alone: with ``shared``, once per argument set."""
+    return _kept(task, _reuse(shared, (spec.method, *spec.args.values()), kept))
+
+
 @dataclass(frozen=True)
 class Method:
     """A method's parameters in declared order, each with its default (or
@@ -368,16 +381,23 @@ METHODS = {
         ),
     ),
     "enn": Method(
-        {"k": 3}, lambda task, spec, seed, shared: _kept(task, enn_kept_indices(task, **spec.args))
+        {"k": 3},
+        lambda task, spec, seed, shared: _kept_once(
+            task, spec, shared, lambda: enn_kept_indices(task, **spec.args)
+        ),
     ),
     "renn": Method(
         {"k": 3},
-        lambda task, spec, seed, shared: _kept(task, renn_kept_indices(task, **spec.args)),
+        lambda task, spec, seed, shared: _kept_once(
+            task, spec, shared, lambda: renn_kept_indices(task, **spec.args)
+        ),
     ),
     "tomek": Method({}, lambda task, spec, seed, shared: _kept(task, tomek_kept_indices(task))),
     "near_miss": Method(
         {"k": 3, "ratio": 1.0},
-        lambda task, spec, seed, shared: _kept(task, near_miss_kept_indices(task, **spec.args)),
+        lambda task, spec, seed, shared: _kept_once(
+            task, spec, shared, lambda: near_miss_kept_indices(task, **spec.args)
+        ),
     ),
     "rbu": Method(
         {"gamma": REQUIRED, "ratio": REQUIRED, "tie_rule": TIE_LOWEST_INDEX, "tie_seed": None},
@@ -394,8 +414,9 @@ def apply_resample_detail(
 
     ``shared`` is a dict owned by one training task (one inner fold of
     parameter selection).  Runners keep there what depends on that task
-    alone, so that other specs run on the same task reuse it; results are
-    identical with or without it.
+    alone (an RBU removal order, a SMOTE neighbour table, the kept indices
+    of ENN, RENN and NearMiss), so that other specs run on the same task
+    reuse it; results are identical with or without it.
     """
     return METHODS[spec.method].run(task, spec, spec.params.get("seed", seed), shared)
 

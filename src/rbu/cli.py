@@ -309,8 +309,13 @@ def _parse_bounds(text, task):
         points = np.vstack([task.majority, task.minority])
         lo = points.min(axis=0)
         hi = points.max(axis=0)
-        pad = np.where(hi > lo, 0.05 * (hi - lo), 1.0)
-        return ((lo[0] - pad[0], hi[0] + pad[0]), (lo[1] - pad[1], hi[1] + pad[1]))
+        # A span or padded bound past the float range is refused, not warned about.
+        with np.errstate(over="ignore"):
+            pad = np.where(hi > lo, 0.05 * (hi - lo), 1.0)
+            bounds = ((lo[0] - pad[0], hi[0] + pad[0]), (lo[1] - pad[1], hi[1] + pad[1]))
+        if not np.isfinite(bounds).all():
+            raise ParameterError("bounds and their cell widths must be finite")
+        return bounds
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ParameterError("bounds must be 'auto' or 'xlo,xhi,ylo,yhi'")

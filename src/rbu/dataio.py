@@ -189,6 +189,11 @@ def parse_keel(text) -> Dataset:
                         lo, hi = (float(b) for b in bounds)
                     except ValueError:
                         raise FormatError("malformed numeric range", line=no) from None
+                    if not (np.isfinite([lo, hi]).all() and lo <= hi):
+                        raise FormatError(
+                            f"numeric range [{lo}, {hi}] must be finite with low <= high",
+                            line=no,
+                        )
                     rng = (lo, hi)
                 meta = FeatureMeta(name, "numeric", range=rng)
             attr_names.append(name)

@@ -2,9 +2,10 @@
 model selection by the combined F/AUC/G-mean criterion, experiment sweeps,
 rank aggregation and the Friedman statistic.
 
-Every random decision derives its stream from the master seed and the unit
+Every random decision derives its stream from the master seed and the cell
 identity (dataset, method, classifier, fold), so reports are identical no
-matter how work is scheduled, including across worker processes.
+matter how work is scheduled, including across worker processes.  A unit of
+work is one (dataset, outer fold), whose cells share their inner selection.
 """
 
 from __future__ import annotations
@@ -106,84 +107,107 @@ def _stack_task(task: BinaryTask):
     return features, labels
 
 
-def select_params(
-    features,
-    labels,
-    grid,
-    classifier: str,
-    seed,
-    inner_repeats: int = 3,
-    plan_seed=None,
-) -> ResampleSpec:
-    """Pick the grid point maximizing the inner-CV mean of (F + AUC + G-mean)/3.
+def select_params(features, labels, cells, plan_seed, inner_repeats: int = 3) -> list:
+    """For each cell ``(grid, classifier, seed)``, the grid point maximizing
+    the inner-CV mean of (F + AUC + G-mean)/3, or the exception that failed
+    the cell.
 
-    A grid point whose resampling or fit is refused with ``ParameterError``
-    on an inner fold scores 0 for that fold; any other exception propagates.
-    Ties keep the earliest grid point in declared order.
+    A one-point grid is chosen without being scored, and an empty grid fails
+    its cell.  The other cells share the inner plan drawn from ``plan_seed``
+    and are scored together by ``inner_scores``.  A grid point whose
+    resampling or fit is refused with ``ParameterError`` on an inner fold
+    scores 0 for that fold; any other exception fails its cell alone, and
+    one outside every cell's own runs (building the plan, say) fails every
+    cell that is scored.  Ties keep the earliest grid point in declared
+    order.
     """
-    grid = list(grid)
-    if not grid:
-        raise ParameterError("empty parameter grid")
-    if len(grid) == 1:
-        return grid[0]
-    scores = inner_scores(features, labels, grid, classifier, seed, inner_repeats, plan_seed)
-    best_spec, best_score = None, -np.inf
-    for spec, fold_scores in zip(grid, scores):
-        score = float(np.mean(fold_scores))
-        if score > best_score:
-            best_spec, best_score = spec, score
-    return best_spec
+    cells = [(list(grid), classifier, seed) for grid, classifier, seed in cells]
+    chosen = [grid[0] if grid else ParameterError("empty parameter grid") for grid, _, _ in cells]
+    scored = [i for i, (grid, _, _) in enumerate(cells) if len(grid) > 1]
+    if not scored:
+        return chosen
+    try:
+        scores = inner_scores(
+            features, labels, [cells[i] for i in scored], plan_seed, inner_repeats
+        )
+    except Exception as exc:
+        scores = [exc] * len(scored)
+    for i, cell_scores in zip(scored, scores):
+        if isinstance(cell_scores, Exception):
+            chosen[i] = cell_scores
+            continue
+        best_score = -np.inf
+        for spec, fold_scores in zip(cells[i][0], cell_scores):
+            score = float(np.mean(fold_scores))
+            if score > best_score:
+                chosen[i], best_score = spec, score
+    return chosen
 
 
-def inner_scores(
-    features, labels, grid, classifier: str, seed, inner_repeats: int = 3, plan_seed=None
-) -> np.ndarray:
-    """Grid x inner-fold array of combined scores, ``select_params``' inputs.
+def inner_scores(features, labels, cells, plan_seed, inner_repeats: int = 3) -> list:
+    """For each cell ``(grid, classifier, seed)``, its grid x inner-fold array
+    of combined scores, or the exception that failed it: ``select_params``'
+    inputs.
 
     Folds run one at a time.  Each fold builds its task once and keeps a
     ``shared`` dict of results that depend on that task alone (an RBU removal
-    order, a SMOTE neighbour table), which every grid point's resampler may
-    reuse.  Grid point i on fold j draws from ``derive_seed(seed, i, j)``.
-    The fold's predictions and scores, one row per grid point, go through
-    one ``compute_metrics`` call.  A grid point whose resampling or fit is
-    refused, or whose scores are not finite, scores 0 on that fold.
+    order, a SMOTE neighbour table, ENN's kept indices), which every cell's
+    resampler may reuse.  Grid point i of a cell on fold j draws from
+    ``derive_seed(seed, i, j)``.  The fold's predictions and scores, one row
+    per grid point of every cell, go through one ``compute_metrics`` call.
+    A grid point whose resampling or fit is refused, or whose scores are not
+    finite, scores 0 on that fold; a cell whose run raises anything else
+    fails and is not run on later folds.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    if plan_seed is None:
-        plan_seed = derive_seed(seed, "inner-plan")
     plan = make_folds(labels, inner_repeats, plan_seed)
 
-    scores = np.zeros((len(grid), len(plan)))
+    results = [np.zeros((len(grid), len(plan))) for grid, _, _ in cells]
     for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
         task = binary_task_from_labels(features[train_idx], labels[train_idx])
         test_x, test_y = features[test_idx], labels[test_idx]
         shared = {}
+        # (cell, that cell's scored grid points) in row order of the stacks.
         scored, pred_rows, score_rows = [], [], []
-        for grid_idx, spec in enumerate(grid):
-            try:
-                resampled = apply_resample(
-                    task, spec, seed=derive_seed(seed, grid_idx, fold_idx), shared=shared
-                )
-                fit_x, fit_y = _stack_task(resampled)
-                preds, test_scores = _fit_and_score(classifier, fit_x, fit_y, test_x)
-            except ParameterError:
+        for cell_idx, (grid, classifier, seed) in enumerate(cells):
+            if isinstance(results[cell_idx], Exception):
                 continue
-            # Ranking refuses non-finite scores; refuse them for this row only.
-            if np.isfinite(test_scores).all():
-                scored.append(grid_idx)
-                pred_rows.append(preds)
-                score_rows.append(test_scores)
+            points, preds_of, scores_of = [], [], []
+            try:
+                for grid_idx, spec in enumerate(grid):
+                    try:
+                        resampled = apply_resample(
+                            task, spec, seed=derive_seed(seed, grid_idx, fold_idx), shared=shared
+                        )
+                        fit_x, fit_y = _stack_task(resampled)
+                        preds, test_scores = _fit_and_score(classifier, fit_x, fit_y, test_x)
+                    except ParameterError:
+                        continue
+                    # Ranking refuses non-finite scores; refuse them for this row only.
+                    if np.isfinite(test_scores).all():
+                        points.append(grid_idx)
+                        preds_of.append(preds)
+                        scores_of.append(test_scores)
+            except Exception as exc:
+                results[cell_idx] = exc
+                continue
+            if points:
+                scored.append((cell_idx, points))
+                pred_rows += preds_of
+                score_rows += scores_of
         if not scored:
             continue
         try:
             metrics = compute_metrics(test_y, np.array(pred_rows), np.array(score_rows))
         except ParameterError:  # the fold's own labels: every grid point scores 0
             continue
-        scores[scored, fold_idx] = sum(getattr(metrics, m) for m in SELECTION_METRICS) / len(
-            SELECTION_METRICS
-        )
-    return scores
+        combined = sum(getattr(metrics, m) for m in SELECTION_METRICS) / len(SELECTION_METRICS)
+        start = 0
+        for cell_idx, points in scored:
+            results[cell_idx][points, fold_idx] = combined[start : start + len(points)]
+            start += len(points)
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -191,66 +215,72 @@ def inner_scores(
 
 
 def _evaluate_unit(payload):
-    """Evaluate one (dataset, classifier, method) cell over every outer fold."""
+    """Evaluate every (classifier, method) cell on one (dataset, outer fold).
+
+    The unit standardizes the fold once and selects every cell's parameters
+    in one ``select_params`` call, so the cells share the inner plan, each
+    inner fold's work and its metrics call.  Each cell's outer fit then
+    draws from ``derive_seed(unit_seed, "final")``, where ``unit_seed`` is
+    ``derive_seed(master_seed, dataset, classifier, method, fold)``.
+    """
     (
         dataset_name,
         features,
         labels01,
-        folds,
-        classifier,
-        method_name,
-        grid,
+        fold_idx,
+        (train_idx, test_idx),
+        cells,
         master_seed,
         inner_repeats,
         standardize,
     ) = payload
 
-    rows = []
-    checks = 0
-    for fold_idx, (train_idx, test_idx) in enumerate(folds):
-        check_no_leakage(train_idx, test_idx)
-        checks += 1
-        row = {
-            "dataset": dataset_name,
-            "classifier": classifier,
-            "method": method_name,
-            "fold": fold_idx,
-        }
-        try:
-            train_x_raw, train_y = features[train_idx], labels01[train_idx]
-            test_x_raw, test_y = features[test_idx], labels01[test_idx]
-            if standardize == "per-fold":
-                scaler = fit_standardizer(train_x_raw)
-                train_x = scaler.transform(train_x_raw)
-                test_x = scaler.transform(test_x_raw)
-            else:  # "global": matrix was standardized up front
-                train_x, test_x = train_x_raw, test_x_raw
-            unit_seed = derive_seed(master_seed, dataset_name, classifier, method_name, fold_idx)
-            inner_plan_seed = derive_seed(master_seed, dataset_name, "inner", fold_idx)
-            best = select_params(
-                train_x,
-                train_y,
-                grid,
-                classifier,
-                seed=unit_seed,
-                inner_repeats=inner_repeats,
-                plan_seed=inner_plan_seed,
-            )
-            task = binary_task_from_labels(train_x, train_y)
-            resampled = apply_resample(task, best, seed=derive_seed(unit_seed, "final"))
-            fit_x, fit_y = _stack_task(resampled)
-            preds, scores = _fit_and_score(classifier, fit_x, fit_y, test_x)
-            metrics = compute_metrics(test_y, preds, scores)
-            row["spec"] = best.label
-            row["metrics"] = metrics.as_dict()
-        except LeakageError:
-            raise
-        except Exception as exc:  # recorded, not fatal to the sweep
-            row["spec"] = None
-            row["metrics"] = None
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    return rows, checks
+    check_no_leakage(train_idx, test_idx)
+    rows = [
+        {"dataset": dataset_name, "classifier": classifier, "method": method, "fold": fold_idx}
+        for classifier, method, _ in cells
+    ]
+    seeds = [
+        derive_seed(master_seed, dataset_name, classifier, method, fold_idx)
+        for classifier, method, _ in cells
+    ]
+    try:
+        train_x_raw, train_y = features[train_idx], labels01[train_idx]
+        test_x_raw, test_y = features[test_idx], labels01[test_idx]
+        if standardize == "per-fold":
+            scaler = fit_standardizer(train_x_raw)
+            train_x = scaler.transform(train_x_raw)
+            test_x = scaler.transform(test_x_raw)
+        else:  # "global": matrix was standardized up front
+            train_x, test_x = train_x_raw, test_x_raw
+        chosen = select_params(
+            train_x,
+            train_y,
+            [(grid, classifier, seed) for (classifier, _, grid), seed in zip(cells, seeds)],
+            derive_seed(master_seed, dataset_name, "inner", fold_idx),
+            inner_repeats,
+        )
+        task = binary_task_from_labels(train_x, train_y)
+    except Exception as exc:  # recorded for every cell, not fatal to the sweep
+        chosen = [exc] * len(cells)
+
+    for row, (classifier, _, _), seed, best in zip(rows, cells, seeds, chosen):
+        error = best if isinstance(best, Exception) else None
+        if error is None:
+            try:
+                resampled = apply_resample(task, best, seed=derive_seed(seed, "final"))
+                fit_x, fit_y = _stack_task(resampled)
+                preds, scores = _fit_and_score(classifier, fit_x, fit_y, test_x)
+                row["metrics"] = compute_metrics(test_y, preds, scores).as_dict()
+                row["spec"] = best.label
+                continue
+            except Exception as exc:  # recorded, not fatal to the sweep
+                error = exc
+        row["spec"] = None
+        row["metrics"] = None
+        row["error"] = f"{type(error).__name__}: {error}"
+    # The fold's one leakage check covers each of its rows.
+    return rows, len(rows)
 
 
 @dataclass
@@ -385,22 +415,15 @@ def run_experiment(
                 }
             )
 
-    units = [
-        (
-            name,
-            features,
-            labels01,
-            plan.folds,
-            classifier,
-            method_name,
-            list(grid),
-            seed,
-            inner_repeats,
-            standardize,
-        )
-        for (name, features, labels01, plan) in prepared
+    cells = [
+        (classifier, method_name, list(grid))
         for classifier in classifiers
         for method_name, grid in methods.items()
+    ]
+    units = [
+        (name, features, labels01, fold_idx, fold, cells, seed, inner_repeats, standardize)
+        for (name, features, labels01, plan) in prepared
+        for fold_idx, fold in enumerate(plan.folds)
     ]
 
     if jobs > 1:

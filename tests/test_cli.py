@@ -283,6 +283,17 @@ class TestStats:
         assert "parse error: line 2: malformed numeric range" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("bounds", ["[10.0, 0.0]", "[nan, 1]", "[inf, -inf]"])
+    def test_reversed_or_non_finite_range_exits_1(self, runner, tmp_path, bounds):
+        path = keel_blob_file(tmp_path)
+        path.write_text(
+            path.read_text().replace("@attribute x real", f"@attribute x real {bounds}")
+        )
+        result = runner.invoke(main, ["stats", str(path)])
+        assert result.exit_code == 1
+        assert "parse error: line 2: numeric range" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
 
 class TestPotentialGrid:
     def test_grid_cell_count(self, runner, tmp_path):
@@ -321,6 +332,22 @@ class TestPotentialGrid:
         )
         assert result.exit_code == 2
         assert message in result.output
+        assert not out.exists()
+
+    def test_auto_bounds_past_float_range_exit_2_quietly(self, runner, tmp_path):
+        # The x span -1e308..1e308 overflows; it is refused before any padding
+        # arithmetic can warn.
+        path = tmp_path / "huge.dat"
+        path.write_text(
+            KEEL_IMBALANCED_HEADER
+            + "-1e308, 0.0, negative\n1e308, 1.0, negative\n0.0, 0.5, positive\n"
+        )
+        out = tmp_path / "grid.csv"
+        result = runner.invoke(
+            main, ["potential-grid", str(path), "--gamma", "1.0", "-o", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.stderr == "parameter error: bounds and their cell widths must be finite\n"
         assert not out.exists()
 
     def test_non_2d_exits_2(self, runner, tmp_path):

@@ -65,6 +65,17 @@ class TestParseKeel:
         with pytest.raises(FormatError, match="line 2: malformed numeric range"):
             parse_keel(bad)
 
+    @pytest.mark.parametrize("bounds", ["[10.0, 0.0]", "[nan, 1]", "[0, nan]", "[inf, -inf]",
+                                        "[-inf, 1]", "[0, 1e999]"])
+    def test_reversed_or_non_finite_range_names_line(self, bounds):
+        bad = KEEL_TOY.replace("[0.0, 10.0]", bounds)
+        with pytest.raises(FormatError, match=r"line 2: numeric range .* must be finite"):
+            parse_keel(bad)
+
+    def test_single_point_range_kept(self):
+        ds = parse_keel(KEEL_TOY.replace("[0.0, 10.0]", "[2.5, 2.5]"))
+        assert ds.feature_meta[0].range == (2.5, 2.5)
+
     def test_malformed_attribute(self):
         bad = KEEL_TOY.replace("@attribute y real", "@attribute y widget")
         with pytest.raises(FormatError, match="line 3"):

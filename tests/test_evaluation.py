@@ -46,6 +46,27 @@ def imbalanced_dataset(rng, n_majority, n_minority, m=2, gap=2.5):
     return features[perm], labels[perm]
 
 
+def select_one(features, labels, grid, classifier, seed, plan_seed=None):
+    """``select_params`` on one cell, raising the exception that failed it;
+    the plan seed defaults to ``derive_seed(seed, "inner-plan")``."""
+    if plan_seed is None:
+        plan_seed = derive_seed(seed, "inner-plan")
+    (best,) = select_params(features, labels, [(grid, classifier, seed)], plan_seed)
+    if isinstance(best, Exception):
+        raise best
+    return best
+
+
+def inner_one(features, labels, grid, classifier, seed):
+    """``inner_scores`` on one cell, as ``select_one`` calls it."""
+    (scores,) = inner_scores(
+        features, labels, [(grid, classifier, seed)], derive_seed(seed, "inner-plan")
+    )
+    if isinstance(scores, Exception):
+        raise scores
+    return scores
+
+
 def as_dataset(features, labels):
     header = ",".join(f"f{i}" for i in range(features.shape[1])) + ",class"
     rows = [
@@ -126,11 +147,11 @@ class TestLeakageCheck:
 class TestSelectParams:
     def test_singleton_grid_shortcut(self):
         spec = ResampleSpec("none")
-        assert select_params(np.zeros((4, 1)), np.array([0, 0, 1, 1]), [spec], "knn", 0) is spec
+        assert select_one(np.zeros((4, 1)), np.array([0, 0, 1, 1]), [spec], "knn", 0) is spec
 
     def test_empty_grid(self):
         with pytest.raises(ParameterError, match="empty"):
-            select_params(np.zeros((4, 1)), np.array([0, 0, 1, 1]), [], "knn", 0)
+            select_one(np.zeros((4, 1)), np.array([0, 0, 1, 1]), [], "knn", 0)
 
     def test_broken_spec_loses_to_valid_spec(self):
         rng = np.random.default_rng(50)
@@ -138,7 +159,7 @@ class TestSelectParams:
         # smote with k<1 fails on every inner fold and scores 0
         broken = ResampleSpec("smote", {"k": 0, "ratio": 1.0})
         fine = ResampleSpec("none")
-        best = select_params(features, labels, [broken, fine], "knn", seed=1)
+        best = select_one(features, labels, [broken, fine], "knn", seed=1)
         assert best is fine
 
     def test_matches_manual_inner_loop_trace(self):
@@ -149,9 +170,7 @@ class TestSelectParams:
             ResampleSpec("rus", {"ratio": 1.0}),
         ]
         seed, plan_seed = 9, 99
-        best = select_params(
-            features, labels, grid, "gnb", seed=seed, plan_seed=plan_seed
-        )
+        best = select_one(features, labels, grid, "gnb", seed=seed, plan_seed=plan_seed)
 
         # oracle: replay the protocol step by step with public primitives
         plan = make_folds(labels, 3, plan_seed)
@@ -181,14 +200,14 @@ class TestSelectParams:
         features, labels = imbalanced_dataset(rng, 24, 8)
         grid = [ResampleSpec("rus", {"ratio": 1.0}), ResampleSpec("none")]
         with pytest.raises(IndexError, match="broken resampler"):
-            select_params(features, labels, grid, "knn", seed=1)
+            select_one(features, labels, grid, "knn", seed=1)
 
     def test_tie_prefers_first_declared(self):
         rng = np.random.default_rng(52)
         features, labels = imbalanced_dataset(rng, 20, 8)
         first = ResampleSpec("none")
         same = ResampleSpec("rus", {"ratio": 0.0})  # identical behavior to none
-        best = select_params(features, labels, [first, same], "knn", seed=3)
+        best = select_one(features, labels, [first, same], "knn", seed=3)
         assert best is first
 
 
@@ -206,9 +225,9 @@ class TestFoldMajorSelection:
             expected, expected_means = naive_select_params(
                 features, labels, grid, classifier, seed=seed
             )
-            best = select_params(features, labels, grid, classifier, seed=seed)
+            best = select_one(features, labels, grid, classifier, seed=seed)
             assert best is expected, name
-            scores = inner_scores(features, labels, grid, classifier, seed=seed)
+            scores = inner_one(features, labels, grid, classifier, seed=seed)
             assert [float(np.mean(row)) for row in scores] == expected_means, name
 
     def _count_calls(self, monkeypatch, module, name):
@@ -227,24 +246,25 @@ class TestFoldMajorSelection:
         rng = np.random.default_rng(55)
         features, labels = imbalanced_dataset(rng, 36, 12)
         grid = preset_grids("paper-final")["rbu"]  # 4 gammas x 3 ratios
-        select_params(features, labels, grid, "gnb", seed=4)
+        select_one(features, labels, grid, "gnb", seed=4)
         assert len(calls) == 6 * 4
 
     def test_one_smote_neighbour_search_per_fold_and_k(self, monkeypatch):
         calls = self._count_calls(monkeypatch, baselines, "nearest_neighbors")
         rng = np.random.default_rng(56)
-        # Ten minority rows per inner training half: every k up to 9 is its own k_eff.
+        # Ten minority rows per inner training half: every k up to 9 is its own
+        # k_eff, and one full neighbour table per fold serves them all.
         features, labels = imbalanced_dataset(rng, 40, 20)
         grid = preset_grids("paper-final")["smote"]  # 5 ks x 3 ratios
-        select_params(features, labels, grid, "gnb", seed=4)
-        assert len(calls) == 6 * 5
+        select_one(features, labels, grid, "gnb", seed=4)
+        assert len(calls) == 6
 
     def test_one_metrics_call_per_fold(self, monkeypatch):
         calls = self._count_calls(monkeypatch, evaluation, "compute_metrics")
         rng = np.random.default_rng(62)
         features, labels = imbalanced_dataset(rng, 36, 12)
         grid = preset_grids("paper-final")["smote"]  # 15 points
-        select_params(features, labels, grid, "knn", seed=4)
+        select_one(features, labels, grid, "knn", seed=4)
         assert len(calls) == 6
 
     def test_refused_row_scores_zero_on_its_fold_alone(self, monkeypatch):
@@ -252,7 +272,7 @@ class TestFoldMajorSelection:
         features, labels = imbalanced_dataset(rng, 36, 12)
         grid = [ResampleSpec("none"), ResampleSpec("rus", {"ratio": 0.5}),
                 ResampleSpec("rus", {"ratio": 1.0}), ResampleSpec("ros", {"ratio": 1.0})]
-        want = inner_scores(features, labels, grid, "gnb", seed=5)
+        want = inner_one(features, labels, grid, "gnb", seed=5)
         original = evaluation._fit_and_score
         calls = []
 
@@ -270,7 +290,7 @@ class TestFoldMajorSelection:
             return preds, scores
 
         monkeypatch.setattr(evaluation, "_fit_and_score", patched)
-        got = inner_scores(features, labels, grid, "gnb", seed=5)
+        got = inner_one(features, labels, grid, "gnb", seed=5)
         assert len(calls) == 6 * len(grid)
         refused = [(1, 0), (3, 2), (0, 4)]  # (grid point, fold)
         assert all(want[cell] > 0 for cell in refused)
@@ -283,7 +303,7 @@ class TestFoldMajorSelection:
         rng = np.random.default_rng(64)
         features, _ = imbalanced_dataset(rng, 24, 8)
         grid = [ResampleSpec("none"), ResampleSpec("rus", {"ratio": 0.0})]
-        got = inner_scores(features, np.zeros(32, dtype=np.int64), grid, "knn", seed=6)
+        got = inner_one(features, np.zeros(32, dtype=np.int64), grid, "knn", seed=6)
         np.testing.assert_array_equal(got, np.zeros((2, 6)))
 
 
@@ -335,6 +355,34 @@ class TestSharedFoldWork:
                     apply_resample_detail(task, spec, seed=i, shared=shared),
                     apply_resample_detail(task, spec, seed=i),
                 )
+
+    def test_deterministic_undersamplers_run_once_per_arguments(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        specs = [ResampleSpec("enn", {"k": k}) for k in (1, 3)]
+        specs += [ResampleSpec("renn", {"k": k}) for k in (1, 3)]
+        specs += [ResampleSpec("near_miss", {"k": k, "ratio": r}) for k in (1, 3)
+                  for r in (0.5, 1.0)]
+        names = ("enn_kept_indices", "renn_kept_indices", "near_miss_kept_indices")
+        for task in (random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)):
+            want = [apply_resample_detail(task, spec, seed=i) for i, spec in enumerate(specs)]
+            calls = []
+            for name in names:
+                original = getattr(baselines, name)
+
+                def counted(t, *args, _name=name, _original=original, **kwargs):
+                    if t is task:  # not RENN's own passes
+                        calls.append(_name)
+                    return _original(t, *args, **kwargs)
+
+                monkeypatch.setattr(baselines, name, counted)
+            shared = {}
+            for _ in range(2):  # the second round reuses every result
+                for i, spec in enumerate(specs):
+                    assert_same_outcome(
+                        apply_resample_detail(task, spec, seed=i, shared=shared), want[i]
+                    )
+            assert len(calls) == len(specs)
+            monkeypatch.undo()
 
     def test_later_stages_do_not_share_the_first_stage_task(self):
         # Stage 1 resamples stage 0's output; results it kept in the fold's
@@ -479,6 +527,192 @@ class TestRunExperiment:
         )
         assert report.leakage_checks == 10
         assert all(r["metrics"] is not None for r in report.runs)
+
+
+class TestSweepUnits:
+    """Each (dataset, outer fold) is one unit that selects every cell's
+    parameters in one ``select_params`` call."""
+
+    def _dataset(self, seed, n_majority=36, n_minority=12):
+        return imbalanced_dataset(np.random.default_rng(seed), n_majority, n_minority, m=3,
+                                  gap=1.5)
+
+    def _unit(self, features, labels, seed=8):
+        """The payload of outer fold 0 with the knn and gnb paper-final cells."""
+        plan = make_folds(labels, 1, derive_seed(seed, "d", "folds"))
+        cells = [(c, name, grid) for c in ("knn", "gnb")
+                 for name, grid in preset_grids("paper-final").items()]
+        return ("d", features, labels, 0, plan.folds[0], cells, seed, 3, "per-fold")
+
+    def _expected_rows(self, datasets, classifiers, seed, repeats):
+        """Every cell fold by fold, selection by ``naive_select_params``."""
+        rows = {}
+        for name, (features, labels) in datasets.items():
+            plan = make_folds(labels, repeats, derive_seed(seed, name, "folds"))
+            for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
+                scaler = evaluation.fit_standardizer(features[train_idx])
+                train_x, test_x = scaler.transform(features[train_idx]), scaler.transform(
+                    features[test_idx]
+                )
+                train_y, test_y = labels[train_idx], labels[test_idx]
+                for classifier in classifiers:
+                    for method, grid in preset_grids("paper-final").items():
+                        unit_seed = derive_seed(seed, name, classifier, method, fold_idx)
+                        best = grid[0]
+                        if len(grid) > 1:
+                            best, _ = naive_select_params(
+                                train_x, train_y, grid, classifier, unit_seed,
+                                plan_seed=derive_seed(seed, name, "inner", fold_idx),
+                            )
+                        task = binary_task_from_labels(train_x, train_y)
+                        fit_x, fit_y = _stack_task(
+                            apply_resample(task, best, seed=derive_seed(unit_seed, "final"))
+                        )
+                        model = make_classifier(classifier).fit(fit_x, fit_y)
+                        scores = model.score_samples(test_x)
+                        metrics = compute_metrics(test_y, (scores > 0.5).astype(int), scores)
+                        rows[(name, classifier, method, fold_idx)] = (
+                            best.label, metrics.as_dict()
+                        )
+        return rows
+
+    @pytest.fixture(scope="class")
+    def oracle_case(self):
+        datasets = {f"r{i}": self._dataset([66, i], 32, 14) for i in range(2)}
+        return datasets, self._expected_rows(datasets, ["knn", "gnb"], seed=21, repeats=1)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_paper_final_matches_per_cell_oracle(self, oracle_case, jobs):
+        datasets, expected = oracle_case
+        report = run_experiment(
+            {name: as_dataset(*data) for name, data in datasets.items()},
+            preset_grids("paper-final"), ["knn", "gnb"], seed=21, repeats=1, jobs=jobs,
+        )
+        assert len(report.runs) == len(expected) == 2 * 2 * 11 * 2
+        for row in report.runs:
+            key = (row["dataset"], row["classifier"], row["method"], row["fold"])
+            assert (row["spec"], row["metrics"]) == expected[key], key
+
+    def test_runner_error_fails_only_its_own_cells(self, monkeypatch):
+        features, labels = self._dataset(67)
+        methods = preset_grids("paper-final")
+        without = {name: grid for name, grid in methods.items() if name != "rus"}
+        clean = run_experiment({"d": as_dataset(features, labels)}, without, ["knn", "gnb"],
+                               seed=4, repeats=1)
+
+        selecting, fold_tasks = [], []
+        original_select = evaluation.select_params
+        original_rus = baselines.rus_kept_indices
+
+        def select(*args, **kwargs):
+            selecting.append(True)
+            fold_tasks.clear()
+            try:
+                return original_select(*args, **kwargs)
+            finally:
+                selecting.pop()
+
+        def rus(task, ratio, seed):
+            # Raise on the second inner fold of every selection, alone.
+            if selecting:
+                if not any(task is t for t in fold_tasks):
+                    fold_tasks.append(task)
+                if task is fold_tasks[-1] and len(fold_tasks) == 2:
+                    raise RuntimeError("rus broke on one inner fold")
+            return original_rus(task, ratio, seed)
+
+        monkeypatch.setattr(evaluation, "select_params", select)
+        monkeypatch.setattr(baselines, "rus_kept_indices", rus)
+        report = run_experiment({"d": as_dataset(features, labels)}, methods, ["knn", "gnb"],
+                                seed=4, repeats=1)
+        rus_rows = [r for r in report.runs if r["method"] == "rus"]
+        assert len(rus_rows) == 2 * 2
+        for row in rus_rows:
+            assert row["spec"] is None and row["metrics"] is None
+            assert row["error"] == "RuntimeError: rus broke on one inner fold"
+        others = [r for r in report.runs if r["method"] != "rus"]
+        assert others == clean.runs
+
+    def test_dataset_too_small_for_the_inner_plan(self):
+        # Five minority rows per outer half; the inner plan needs six.
+        features, labels = self._dataset(68, 30, 10)
+        methods = preset_grids("paper-final")
+        report = run_experiment({"d": as_dataset(features, labels)}, methods, ["knn", "gnb"],
+                                seed=4, repeats=1)
+        assert len(report.runs) == 2 * 11 * 2
+        for row in report.runs:
+            if len(methods[row["method"]]) == 1:
+                assert row["metrics"] is not None, row
+            else:
+                assert row["metrics"] is None
+                assert row["error"] == (
+                    "ParameterError: smallest class has 5 members, need at least 6"
+                )
+        assert {r["method"] for r in report.runs if r["metrics"]} == {"none", "tomek"}
+
+    def test_one_unit_shares_inner_work_across_cells(self, monkeypatch):
+        features, labels = self._dataset(69, 40, 20)
+        selections, fold_tasks, counts = [], [], {}
+        inside = []
+
+        def wrap(module, name, record):
+            original = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                result = original(*args, **kwargs)
+                if inside:
+                    record(name, args, kwargs, result)
+                return result
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        def count(name, args, kwargs, result):
+            counts[name] = counts.get(name, 0) + 1
+
+        def fold_task(name, args, kwargs, result):
+            fold_tasks.append(result)
+
+        def smote_search(name, args, kwargs, result):
+            queries, points = args[0], args[1]
+            if queries is points and any(queries is t.minority for t in fold_tasks):
+                count("smote search", args, kwargs, result)
+
+        def undersampler(name, args, kwargs, result):
+            task = args[0]
+            for fold_idx, t in enumerate(fold_tasks):
+                if task is t:
+                    key = (name, fold_idx, *sorted(kwargs.items()))
+                    counts[key] = counts.get(key, 0) + 1
+
+        original_select = evaluation.select_params
+
+        def select(*args, **kwargs):
+            selections.append(args[2])
+            inside.append(True)
+            try:
+                return original_select(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(evaluation, "select_params", select)
+        wrap(evaluation, "binary_task_from_labels", fold_task)
+        wrap(evaluation, "compute_metrics", count)
+        wrap(radial, "rbu_removal_order", count)
+        wrap(baselines, "nearest_neighbors", smote_search)
+        for name in ("enn_kept_indices", "renn_kept_indices", "near_miss_kept_indices"):
+            wrap(baselines, name, undersampler)
+
+        rows, checks = evaluation._evaluate_unit(self._unit(features, labels))
+        assert checks == len(rows) == 2 * 11
+        assert all(r["metrics"] is not None for r in rows)
+        assert len(selections) == 1 and len(selections[0]) == 2 * 11
+        assert len(fold_tasks) == 6
+        assert counts.pop("compute_metrics") == 6
+        assert counts.pop("rbu_removal_order") == 4 * 6  # gammas x inner folds
+        assert counts.pop("smote search") == 6
+        # Four ks each for ENN and RENN, four (k, ratio) pairs for NearMiss.
+        assert len(counts) == 6 * 12
+        assert set(counts.values()) == {1}
 
 
 class TestRanks:
