@@ -172,9 +172,9 @@ def enn_kept_indices(task: BinaryTask, k: int) -> np.ndarray:
     return np.flatnonzero(minority_votes * 2 <= k)
 
 
-def renn_kept_indices(task: BinaryTask, k: int, max_passes: int = RENN_MAX_PASSES) -> np.ndarray:
+def renn_kept_indices(task: BinaryTask, k: int) -> np.ndarray:
     kept = np.arange(task.n_majority)
-    for pass_no in range(max_passes):
+    for pass_no in range(RENN_MAX_PASSES):
         if pass_no > 0 and len(kept) + task.n_minority - 1 < k:
             break  # too few points left for another editing pass
         current = BinaryTask(task.majority[kept], task.minority)

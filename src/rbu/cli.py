@@ -31,10 +31,11 @@ from .dataio import (
     split_binary,
 )
 from .errors import FormatError, ParameterError
-from .evaluation import run_experiment
+from .evaluation import STANDARDIZE_MODES, run_experiment
 from .grids import FINAL_PRESET, PRELIM_PRESET, load_grid_file, preset_grids
 from .minority import CATEGORIES, categorize_minority, dataset_stats
-from .potential import TIE_SEEDED_RANDOM, potential_grid
+from .modeling import CLASSIFIERS
+from .potential import TIE_LOWEST_INDEX, TIE_RULES, TIE_SEEDED_RANDOM, potential_grid
 
 DEFAULT_SEED = 1729
 
@@ -54,7 +55,6 @@ METHOD_CHOICES = tuple(
     METHOD_ALIASES.get(m, m) for m in METHODS if m != "pipeline"
 ) + tuple(PIPELINES)
 DEFAULT_CLEAN_K = METHODS["enn"].params["k"]
-CLASSIFIER_CHOICES = ("knn", "gnb")
 
 
 def handle_errors(fn):
@@ -181,25 +181,15 @@ def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, outcome) -> Da
     duplicates = np.repeat(task.minority_indices, np.maximum(copies - 1, 0))
     source = np.concatenate([np.flatnonzero(keep), duplicates])
 
-    rows = [list(raw.features[i]) for i in source]
-    labels = [raw.labels[i] for i in source]
     synthetic = outcome.synthetic[picks[picks >= task.n_minority] - task.n_minority]
-    if len(synthetic):
-        for values in scaler.inverse_transform(synthetic):
-            rows.append(_decode_synthetic_row(values, encoded.feature_meta))
-            labels.append(task.minority_label)
-
-    if raw.is_encoded and not any(
-        isinstance(cell, str) for row in rows for cell in row
-    ):
-        matrix = np.array(rows, dtype=np.float64).reshape(len(rows), raw.m)
-    else:
-        matrix = np.empty((len(rows), raw.m), dtype=object)
-        for i, row in enumerate(rows):
-            matrix[i, :] = row
+    # A float raw matrix holds numeric columns only, which decode to floats.
+    decoded = np.empty((len(synthetic), raw.m), dtype=raw.features.dtype)
+    for i, values in enumerate(scaler.inverse_transform(synthetic)):
+        decoded[i, :] = _decode_synthetic_row(values, encoded.feature_meta)
+    new_labels = np.full(len(synthetic), task.minority_label, dtype=object)
     return Dataset(
-        features=matrix,
-        labels=np.array(labels, dtype=object),
+        features=np.vstack([raw.features[source], decoded]),
+        labels=np.concatenate([raw.labels[source], new_labels]),
         feature_meta=raw.feature_meta,
         label_name=raw.label_name,
     )
@@ -213,8 +203,8 @@ def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, outcome) -> Da
 @click.option("--k", type=int, default=None, help="Neighborhood size (smote/enn/renn/nm/stl/senn).")
 @click.option("--clean-k", type=int, default=DEFAULT_CLEAN_K, show_default=True,
               help="ENN neighborhood for the senn cleaning stage.")
-@click.option("--tie-rule", type=click.Choice(["lowest-index", "seeded-random"]),
-              default="lowest-index", show_default=True)
+@click.option("--tie-rule", type=click.Choice(TIE_RULES),
+              default=TIE_LOWEST_INDEX, show_default=True)
 @click.option("--output", "-o", type=click.Path(dir_okay=False), default=None,
               help="Output file (default: dataset to stdout, summary to stderr).")
 @seed_option
@@ -309,13 +299,10 @@ def _parse_bounds(text, task):
         points = np.vstack([task.majority, task.minority])
         lo = points.min(axis=0)
         hi = points.max(axis=0)
-        # A span or padded bound past the float range is refused, not warned about.
+        # potential_grid refuses a span or padded bound past the float range.
         with np.errstate(over="ignore"):
             pad = np.where(hi > lo, 0.05 * (hi - lo), 1.0)
-            bounds = ((lo[0] - pad[0], hi[0] + pad[0]), (lo[1] - pad[1], hi[1] + pad[1]))
-        if not np.isfinite(bounds).all():
-            raise ParameterError("bounds and their cell widths must be finite")
-        return bounds
+            return tuple(zip(lo - pad, hi + pad))
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ParameterError("bounds must be 'auto' or 'xlo,xhi,ylo,yhi'")
@@ -446,13 +433,13 @@ def _run_eval(datasets, grids, classifiers, seed, repeats, jobs, standardize,
 
 eval_shared = [
     click.option("--classifier", "classifiers", multiple=True,
-                 type=click.Choice(CLASSIFIER_CHOICES), default=CLASSIFIER_CHOICES,
+                 type=click.Choice(tuple(CLASSIFIERS)), default=tuple(CLASSIFIERS),
                  show_default=True),
     click.option("--repeats", type=int, default=5, show_default=True,
                  help="Outer 50/50 repetitions (folds = 2x this)."),
     click.option("--jobs", type=int, default=1, show_default=True),
-    click.option("--standardize", type=click.Choice(["per-fold", "global"]),
-                 default="per-fold", show_default=True),
+    click.option("--standardize", type=click.Choice(STANDARDIZE_MODES),
+                 default=STANDARDIZE_MODES[0], show_default=True),
     click.option("--output", "-o", default="report", show_default=True,
                  help="Report base path; writes <base>.json and <base>.csv."),
 ]

@@ -13,19 +13,24 @@ from __future__ import annotations
 import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .baselines import ResampleSpec, apply_resample
 from .dataio import BinaryTask, encode_categoricals, fit_standardizer, split_binary
 from .errors import LeakageError, ParameterError
-from .minority import categorize_minority
+from .minority import dataset_stats
+# Unused here, but perfbench/tracing.py patches this name; --trace 1 fails without it.
+from .minority import categorize_minority  # noqa: F401
 from .modeling import METRIC_NAMES, compute_metrics, make_classifier, midranks
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
 SELECTION_METRICS = ("f_measure", "auc", "g_mean")
+STANDARDIZE_MODES = ("per-fold", "global")
+# Repetitions of the inner 50/50 split that selects each cell's parameters.
+INNER_REPEATS = 3
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,7 @@ def _stack_task(task: BinaryTask):
     return features, labels
 
 
-def select_params(features, labels, cells, plan_seed, inner_repeats: int = 3) -> list:
+def select_params(features, labels, cells, plan_seed) -> list:
     """For each cell ``(grid, classifier, seed)``, the grid point maximizing
     the inner-CV mean of (F + AUC + G-mean)/3, or the exception that failed
     the cell.
@@ -127,9 +132,7 @@ def select_params(features, labels, cells, plan_seed, inner_repeats: int = 3) ->
     if not scored:
         return chosen
     try:
-        scores = inner_scores(
-            features, labels, [cells[i] for i in scored], plan_seed, inner_repeats
-        )
+        scores = inner_scores(features, labels, [cells[i] for i in scored], plan_seed)
     except Exception as exc:
         scores = [exc] * len(scored)
     for i, cell_scores in zip(scored, scores):
@@ -144,7 +147,7 @@ def select_params(features, labels, cells, plan_seed, inner_repeats: int = 3) ->
     return chosen
 
 
-def inner_scores(features, labels, cells, plan_seed, inner_repeats: int = 3) -> list:
+def inner_scores(features, labels, cells, plan_seed) -> list:
     """For each cell ``(grid, classifier, seed)``, its grid x inner-fold array
     of combined scores, or the exception that failed it: ``select_params``'
     inputs.
@@ -161,7 +164,7 @@ def inner_scores(features, labels, cells, plan_seed, inner_repeats: int = 3) -> 
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    plan = make_folds(labels, inner_repeats, plan_seed)
+    plan = make_folds(labels, INNER_REPEATS, plan_seed)
 
     results = [np.zeros((len(grid), len(plan))) for grid, _, _ in cells]
     for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
@@ -231,7 +234,6 @@ def _evaluate_unit(payload):
         (train_idx, test_idx),
         cells,
         master_seed,
-        inner_repeats,
         standardize,
     ) = payload
 
@@ -258,7 +260,6 @@ def _evaluate_unit(payload):
             train_y,
             [(grid, classifier, seed) for (classifier, _, grid), seed in zip(cells, seeds)],
             derive_seed(master_seed, dataset_name, "inner", fold_idx),
-            inner_repeats,
         )
         task = binary_task_from_labels(train_x, train_y)
     except Exception as exc:  # recorded for every cell, not fatal to the sweep
@@ -368,7 +369,6 @@ def run_experiment(
     classifiers,
     seed,
     repeats: int = 5,
-    inner_repeats: int = 3,
     jobs: int = 1,
     standardize: str = "per-fold",
     minority_labels=None,
@@ -380,7 +380,7 @@ def run_experiment(
     name -> parameter grid (list of ResampleSpec, declared order).  Cells
     that fail are recorded as failed runs; the sweep continues.
     """
-    if standardize not in ("per-fold", "global"):
+    if standardize not in STANDARDIZE_MODES:
         raise ParameterError(f"unknown standardize mode {standardize!r}")
     if not datasets:
         raise ParameterError("no datasets given")
@@ -392,7 +392,8 @@ def run_experiment(
     stats_rows = []
     for name, ds in datasets.items():
         encoded = encode_categoricals(ds)
-        task = split_binary(encoded, minority_labels.get(name, "auto"))
+        minority_label = minority_labels.get(name, "auto")
+        task = split_binary(encoded, minority_label)
         labels01 = np.zeros(encoded.n, dtype=np.int64)
         labels01[task.minority_indices] = 1
         features = encoded.features
@@ -401,19 +402,8 @@ def run_experiment(
         plan = make_folds(labels01, repeats, derive_seed(seed, name, "folds"))
         prepared.append((name, features, labels01, plan))
         if with_dataset_stats:
-            scaled = fit_standardizer(encoded.features).transform(encoded.features)
-            report = categorize_minority(
-                binary_task_from_labels(scaled, labels01), k=5, p=2.0
-            )
-            stats_rows.append(
-                {
-                    "dataset": name,
-                    "ir": task.n_majority / task.n_minority,
-                    "samples": encoded.n,
-                    "features": encoded.m,
-                    "type_proportions": report.proportions,
-                }
-            )
+            stats = dataset_stats(encoded, minority_label=minority_label)
+            stats_rows.append({"dataset": name, **asdict(stats)})
 
     cells = [
         (classifier, method_name, list(grid))
@@ -421,7 +411,7 @@ def run_experiment(
         for method_name, grid in methods.items()
     ]
     units = [
-        (name, features, labels01, fold_idx, fold, cells, seed, inner_repeats, standardize)
+        (name, features, labels01, fold_idx, fold, cells, seed, standardize)
         for (name, features, labels01, plan) in prepared
         for fold_idx, fold in enumerate(plan.folds)
     ]

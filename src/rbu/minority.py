@@ -75,15 +75,16 @@ def categorize_minority(task: BinaryTask, k: int = 5, p: float = 2.0) -> Minorit
     return MinorityTypeReport(categories=categories, proportions=proportions, k=k, p=p)
 
 
-def dataset_stats(d: Dataset, k: int = 5, p: float = 2.0, minority_label="auto") -> DatasetStats:
+def dataset_stats(d: Dataset, minority_label="auto") -> DatasetStats:
     """Summary row: imbalance ratio, sizes, and minority-type percentages.
 
-    Typing runs on the encoded and globally standardized feature matrix.
+    Typing runs on the encoded and globally standardized feature matrix,
+    with ``categorize_minority``'s default k and p.
     """
     encoded = encode_categoricals(d)
     standardized = apply_standardizer(fit_standardizer(encoded), encoded)
     task = split_binary(standardized, minority_label=minority_label)
-    report = categorize_minority(task, k=k, p=p)
+    report = categorize_minority(task)
     return DatasetStats(
         ir=task.n_majority / task.n_minority,
         samples=d.n,

@@ -76,9 +76,7 @@ class KnnClassifier:
 class GaussianNbClassifier:
     """Gaussian naive Bayes with empirical priors and smoothed variances."""
 
-    def __init__(self, var_smoothing: float = VARIANCE_SMOOTHING):
-        self.var_smoothing = var_smoothing
-        self._fitted = False
+    _fitted = False
 
     def fit(self, features: np.ndarray, labels: np.ndarray):
         features = np.asarray(features, dtype=np.float64)
@@ -89,9 +87,9 @@ class GaussianNbClassifier:
             raise ParameterError("training data must contain both classes")
         # Floor relative to the widest feature; absolute fallback keeps the
         # posterior strictly inside (0, 1) even for all-constant features.
-        epsilon = self.var_smoothing * float(_mean_var(features)[1].max())
+        epsilon = VARIANCE_SMOOTHING * float(_mean_var(features)[1].max())
         if epsilon == 0.0:
-            epsilon = self.var_smoothing
+            epsilon = VARIANCE_SMOOTHING
         mean0, var0 = _mean_var(features[~minority])
         mean1, var1 = _mean_var(features[minority])
         self._priors = np.array([(n - n_minority) / n, n_minority / n])
@@ -121,12 +119,13 @@ class GaussianNbClassifier:
         return (self.score_samples(features) > 0.5).astype(np.int64)
 
 
+CLASSIFIERS = {"knn": KnnClassifier, "gnb": GaussianNbClassifier}
+
+
 def make_classifier(name: str, **kwargs):
-    if name == "knn":
-        return KnnClassifier(**kwargs)
-    if name == "gnb":
-        return GaussianNbClassifier(**kwargs)
-    raise ParameterError(f"unknown classifier {name!r}")
+    if name not in CLASSIFIERS:
+        raise ParameterError(f"unknown classifier {name!r}")
+    return CLASSIFIERS[name](**kwargs)
 
 
 # ---------------------------------------------------------------------------

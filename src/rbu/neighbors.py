@@ -77,19 +77,16 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
     for start, dist in distance_blocks(queries, points, metric, **metric_kw):
         own = None if self_offset is None else self_offset + start
         rows = slice(start, start + len(dist))
-        out[rows] = _nearest_block(dist, queries[rows], points, k, own, metric, metric_kw)
+        out[rows] = _nearest_block(dist, k, own)
     return out
 
 
-def _nearest_block(dist, queries, points, k, own, metric, metric_kw):
+def _nearest_block(dist, k, own):
     """:func:`nearest_neighbors` for one block; query i is point ``own + i``."""
-    if k == 1 or (len(points) > _SORT_COLUMNS and k <= _MAX_ROUNDS):
-        picked, exact = _argmin_rounds(dist, k, own)
-        if exact:
+    if k == 1 or (dist.shape[1] > _SORT_COLUMNS and k <= _MAX_ROUNDS):
+        picked = _argmin_rounds(dist, k, own)
+        if picked is not None:
             return picked
-        # Fewer than k finite distances in some row: the masks may have tied
-        # with distances that overflowed to infinity.
-        dist = cdist(queries, points, metric, **metric_kw)
     return _stable_first(dist, k, own)
 
 
@@ -100,19 +97,28 @@ def _mask_own(dist, own, value):
 
 
 def _argmin_rounds(dist, k, own):
-    """k rounds of argmin, masking each pick with infinity; overwrites ``dist``.
+    """Rows x k picks by rounds of argmin, masking each with infinity; overwrites ``dist``.
 
-    Also returns whether every pick had a finite distance, which is when the
-    masks cannot have changed the answer.
+    Returns None, with the masks undone, when some row has fewer than k
+    finite distances: the masks may then have tied with distances that
+    overflowed to infinity.
     """
     _mask_own(dist, own, np.inf)
-    rows = np.arange(len(dist))
-    picked = np.empty((len(dist), k), dtype=np.intp)
-    picked[:, 0] = dist.argmin(axis=1)
-    for r in range(1, k):
-        dist[rows, picked[:, r - 1]] = np.inf
-        picked[:, r] = dist.argmin(axis=1)
-    return picked, bool(np.isfinite(dist[rows, picked[:, -1]]).all())
+    cells = dist.reshape(-1)
+    row_starts = np.arange(0, dist.size, dist.shape[1])
+    picked = np.empty((k, len(dist)), dtype=np.intp)
+    picked_dist = np.empty((k, len(dist)))
+    for r in range(k):
+        picked[r] = dist.argmin(axis=1)
+        flat = row_starts + picked[r]
+        picked_dist[r] = cells[flat]
+        cells[flat] = np.inf
+    if np.isfinite(picked_dist[-1]).all():
+        return picked.T
+    # A column picked twice was recorded masked the second time; the first wins.
+    for r in reversed(range(k)):
+        cells[row_starts + picked[r]] = picked_dist[r]
+    return None
 
 
 def _stable_first(dist, k, own):

@@ -26,6 +26,21 @@ _EXP_FLOOR = -745.2
 
 TIE_LOWEST_INDEX = "lowest-index"
 TIE_SEEDED_RANDOM = "seeded-random"
+TIE_RULES = (TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM)
+
+
+def check_gamma(gamma) -> float:
+    """``1 / gamma**2``, the scale of every RBF of spread ``gamma``.
+
+    Raises ParameterError unless that scale is a finite positive float, so
+    gamma must be > 0 and its square must neither underflow nor overflow.
+    """
+    if not gamma > 0:
+        raise ParameterError(f"gamma must be > 0, got {gamma}")
+    square = float(gamma) * float(gamma)
+    if not (0 < square < math.inf and 1.0 / square < math.inf):
+        raise ParameterError(f"gamma must have a finite, nonzero 1/gamma^2, got {gamma}")
+    return 1.0 / square
 
 
 @dataclass(frozen=True)
@@ -35,17 +50,18 @@ class RbfParams:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError(f"gamma must be > 0, got {self.gamma}")
+        check_gamma(self.gamma)
 
 
 def rbf_value(distance: float, gamma: float) -> float:
-    """Single RBF contribution exp(-(distance/gamma)^2); lies in (0, 1]."""
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
-    if distance < 0:
+    """Single RBF contribution exp(-(distance/gamma)^2); lies in [0, 1]."""
+    check_gamma(gamma)
+    if not distance >= 0:
         raise ParameterError(f"distance must be >= 0, got {distance}")
-    return math.exp(-((distance / gamma) ** 2))
+    try:
+        return math.exp(-((float(distance) / float(gamma)) ** 2))
+    except OverflowError:  # (distance/gamma)^2 past the float range: exp underflows to 0
+        return 0.0
 
 
 def _exp_in_place(arg: np.ndarray) -> np.ndarray:
@@ -66,19 +82,22 @@ def _exp_in_place(arg: np.ndarray) -> np.ndarray:
     return arg
 
 
-def _rbf_sums(queries: np.ndarray, points: np.ndarray, gamma: float) -> np.ndarray:
-    """Sum of RBF contributions of ``points`` at each query, in blocks."""
-    scale = -1.0 / (gamma * gamma)
+def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float) -> np.ndarray:
+    """Sum of RBF contributions of ``points`` at each query, in blocks;
+    ``inv_g2`` is ``check_gamma(gamma)``."""
+    scale = -inv_g2
     out = np.empty(len(queries))
-    for start, arg in distance_blocks(queries, points, "sqeuclidean"):
-        arg *= scale
-        out[start : start + len(arg)] = _exp_in_place(arg).sum(axis=1)
+    # A d^2 / gamma^2 past the float range becomes -inf, its exact limit.
+    with np.errstate(over="ignore"):
+        for start, arg in distance_blocks(queries, points, "sqeuclidean"):
+            arg *= scale
+            out[start : start + len(arg)] = _exp_in_place(arg).sum(axis=1)
     return out
 
 
-def _potential(queries, majority, minority, gamma: float) -> np.ndarray:
+def _potential(queries, majority, minority, inv_g2: float) -> np.ndarray:
     """Mutual class potential at each query: majority minus minority RBF sums."""
-    return _rbf_sums(queries, majority, gamma) - _rbf_sums(queries, minority, gamma)
+    return _rbf_sums(queries, majority, inv_g2) - _rbf_sums(queries, minority, inv_g2)
 
 
 def mutual_potential(x, task: BinaryTask, gamma: float) -> float:
@@ -86,12 +105,11 @@ def mutual_potential(x, task: BinaryTask, gamma: float) -> float:
 
     Raises ParameterError for NaN or infinite coordinates.
     """
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
+    inv_g2 = check_gamma(gamma)
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (task.m,):
         raise ParameterError(f"point has shape {x.shape}, task dimensionality is {task.m}")
-    return float(_potential(x[None, :], task.majority, task.minority, gamma)[0])
+    return float(_potential(x[None, :], task.majority, task.minority, inv_g2)[0])
 
 
 class PotentialField:
@@ -110,13 +128,13 @@ class PotentialField:
     """
 
     def __init__(self, points: np.ndarray, phi: np.ndarray, gamma: float):
+        self._inv_g2 = check_gamma(gamma)
         if not np.isfinite(phi).all():
             raise ParameterError("potentials must be finite")
         self._points = points
         self._phi = phi
         self._centre = _mean(points)
         centred = points - self._centre
-        self._inv_g2 = 1.0 / (gamma * gamma)
         self._scaled_t = np.ascontiguousarray(centred.T * (2.0 * self._inv_g2))
         self._scaled_sq = self._inv_g2 * np.einsum("ij,ij->i", centred, centred)
         self._reach = math.sqrt(self._scaled_sq.max(initial=0.0))
@@ -200,23 +218,23 @@ def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     """Potential of every majority point against the full original task.
 
     Raises ParameterError for NaN or infinite coordinates and for points so
-    far from the majority mean that their centred squared norm overflows.
+    far from the majority mean, in units of gamma, that the field's scaled
+    squared norms overflow.
     """
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
+    inv_g2 = check_gamma(gamma)
     majority = task.majority.astype(np.float64, copy=True)
     check_finite(majority, task.minority)
     with np.errstate(over="ignore", invalid="ignore"):
         centre = _mean(majority)
-        centred_majority = majority - centre
-        centred_minority = task.minority - centre
-        norms_finite = all(
-            np.isfinite(np.einsum("ij,ij->i", c, c)).all()
-            for c in (centred_majority, centred_minority)
-        )
-    if not norms_finite:
+        centred = (majority - centre, task.minority - centre)
+        largest = np.max([np.einsum("ij,ij->i", c, c).max(initial=0.0) for c in centred])
+        # PotentialField.subtract works with coordinates times 2/gamma^2 and
+        # with dot-product terms of up to 4 max|p|^2 / gamma^2.
+        headroom = 4.0 * inv_g2 * np.maximum(largest, 0.5)
+    if not np.isfinite(headroom):
         raise ParameterError("coordinates too large: centred squared norms overflow")
-    phi = _potential(centred_majority, centred_majority, centred_minority, gamma)
+    # The centred majority against the centred majority and minority.
+    phi = _potential(centred[0], *centred, inv_g2)
     return PotentialField(majority, phi, gamma)
 
 
@@ -273,8 +291,7 @@ def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> P
         raise ParameterError(f"potential grids are defined for 2-D data, got m={task.m}")
     if resolution < 2:
         raise ParameterError(f"resolution must be >= 2, got {resolution}")
-    if not gamma > 0:
-        raise ParameterError(f"gamma must be > 0, got {gamma}")
+    inv_g2 = check_gamma(gamma)
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ParameterError("bounds must satisfy lo < hi on both axes")
@@ -285,7 +302,7 @@ def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> P
     xs = x_lo + (np.arange(resolution) + 0.5) * step_x
     ys = y_lo + (np.arange(resolution) + 0.5) * step_y
     cells = np.stack([np.repeat(xs, resolution), np.tile(ys, resolution)], axis=1)
-    phi = _potential(cells, task.majority, task.minority, gamma)
+    phi = _potential(cells, task.majority, task.minority, inv_g2)
     return PotentialGrid(
         bounds=((float(x_lo), float(x_hi)), (float(y_lo), float(y_hi))),
         resolution=int(resolution),

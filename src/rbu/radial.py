@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import BinaryTask
 from .errors import ParameterError
-from .potential import TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM, init_field
+from .potential import TIE_LOWEST_INDEX, TIE_RULES, TIE_SEEDED_RANDOM, check_gamma, init_field
 
 
 @dataclass(frozen=True)
@@ -29,11 +29,10 @@ class RbuParams:
     tie_seed: int | None = None
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ParameterError(f"gamma must be > 0, got {self.gamma}")
+        check_gamma(self.gamma)
         if not 0.0 <= self.ratio <= 1.0:
             raise ParameterError(f"ratio must lie in [0, 1], got {self.ratio}")
-        if self.tie_rule not in (TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM):
+        if self.tie_rule not in TIE_RULES:
             raise ParameterError(f"unknown tie rule {self.tie_rule!r}")
         if self.tie_rule == TIE_SEEDED_RANDOM and self.tie_seed is None:
             raise ParameterError("seeded-random tie rule requires tie_seed")

@@ -335,8 +335,8 @@ class TestPotentialGrid:
         assert not out.exists()
 
     def test_auto_bounds_past_float_range_exit_2_quietly(self, runner, tmp_path):
-        # The x span -1e308..1e308 overflows; it is refused before any padding
-        # arithmetic can warn.
+        # The x span -1e308..1e308 overflows; the padding arithmetic stays
+        # quiet and potential_grid refuses the bounds.
         path = tmp_path / "huge.dat"
         path.write_text(
             KEEL_IMBALANCED_HEADER
@@ -355,6 +355,12 @@ class TestPotentialGrid:
         path.write_text("a,b,c,class\n1,2,3,x\n4,5,6,y\n7,8,9,x\n")
         result = runner.invoke(main, ["potential-grid", str(path), "--gamma", "1.0"])
         assert result.exit_code == 2
+        # One feature: auto bounds span one axis; refused before they are read.
+        path = tmp_path / "d1.csv"
+        path.write_text("a,class\n1,x\n4,y\n7,x\n")
+        result = runner.invoke(main, ["potential-grid", str(path), "--gamma", "1.0"])
+        assert result.exit_code == 2
+        assert result.stderr == "parameter error: potential grids are defined for 2-D data, got m=1\n"
 
     def test_class_swap_negates_cells(self, runner, tmp_path):
         data = keel_blob_file(tmp_path, n_majority=10, n_minority=10, seed=9)
@@ -381,6 +387,22 @@ class TestPotentialGrid:
         doc = json.loads(out.read_text())
         assert doc["resolution"] == 4
         assert len(doc["values"]) == 4
+
+
+@pytest.mark.parametrize(
+    "command, gamma",
+    [("resample", "1e-300"), ("resample", "1e200"), ("potential-grid", "1e-200"),
+     ("potential-grid", "nan")],
+)
+def test_gamma_without_finite_scale_exits_2(runner, tmp_path, command, gamma):
+    data = keel_blob_file(tmp_path)
+    args = [command, str(data), "--gamma", gamma]
+    if command == "resample":
+        args += ["--method", "rbu"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.startswith("parameter error: gamma must")
+    assert result.stderr.count("\n") == 1
 
 
 class TestEvaluateAndSweep:

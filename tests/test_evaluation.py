@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rbu import (
     ParameterError,
     ResampleSpec,
     average_ranks,
+    dataset_stats,
     friedman_statistic,
     make_folds,
     parse_csv,
@@ -519,6 +521,23 @@ class TestRunExperiment:
         csv_text = report.to_csv()
         assert csv_text.count("\n") == 1 + 40
 
+    def test_dataset_stats_rows_are_dataset_stats(self):
+        datasets = self._datasets(n=2)
+        rng = np.random.default_rng(4)
+        colours = rng.choice(["red", "green", "blue"], size=48)
+        datasets["mixed"] = parse_csv(
+            "x,colour,class\n"
+            + "".join(f"{rng.normal():.6f},{c},{'pos' if i < 16 else 'neg'}\n"
+                      for i, c in enumerate(colours))
+        )
+        labels = {"synth0": "pos", "synth1": "pos", "mixed": "pos"}
+        report = run_experiment(datasets, {"none": [ResampleSpec("none")]}, ["gnb"], seed=13,
+                                minority_labels=labels, with_dataset_stats=True)
+        assert report.dataset_stats == [
+            {"dataset": name, **asdict(dataset_stats(ds, minority_label=labels[name]))}
+            for name, ds in datasets.items()
+        ]
+
     def test_resampling_never_touches_test_half(self):
         # training-side resampling cannot shrink or grow the test fold
         datasets = self._datasets(n=1)
@@ -542,7 +561,7 @@ class TestSweepUnits:
         plan = make_folds(labels, 1, derive_seed(seed, "d", "folds"))
         cells = [(c, name, grid) for c in ("knn", "gnb")
                  for name, grid in preset_grids("paper-final").items()]
-        return ("d", features, labels, 0, plan.folds[0], cells, seed, 3, "per-fold")
+        return ("d", features, labels, 0, plan.folds[0], cells, seed, "per-fold")
 
     def _expected_rows(self, datasets, classifiers, seed, repeats):
         """Every cell fold by fold, selection by ``naive_select_params``."""

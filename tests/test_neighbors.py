@@ -30,6 +30,18 @@ def grid_points(rng, n, m, scale=1.0):
     return rng.integers(0, 4, size=(n, m)) * scale
 
 
+def count_cdist_calls(monkeypatch):
+    """Patch ``neighbors.cdist`` to record the query rows of each call."""
+    calls = []
+
+    def counting_cdist(queries, *args, **kwargs):
+        calls.append(len(queries))
+        return cdist(queries, *args, **kwargs)
+
+    monkeypatch.setattr(neighbors, "cdist", counting_cdist)
+    return calls
+
+
 # Point counts on both sides of neighbors._SORT_COLUMNS, so that both the
 # sort and the argmin rounds run.
 SIZES = [(7, 3), (30, 2), (90, 3)]
@@ -84,9 +96,11 @@ class TestMatchesStableArgsort:
                 np.testing.assert_array_equal(got, expected)
 
     @pytest.mark.parametrize("n_points, m", SIZES)
-    def test_overflowing_distances(self, n_points, m):
+    def test_overflowing_distances(self, n_points, m, monkeypatch):
         # Coordinates 0 or 1e200 apart: most distances overflow to infinity
-        # and tie there, and the masks must not tie with them.
+        # and tie there, and the masks must not tie with them.  Undoing the
+        # masks takes no second distance computation.
+        calls = count_cdist_calls(monkeypatch)
         rng = np.random.default_rng(n_points + 2)
         points = grid_points(rng, n_points, m, scale=1e200)
         points[: n_points // 2] = grid_points(rng, n_points // 2, m)
@@ -98,6 +112,31 @@ class TestMatchesStableArgsort:
                 nearest_neighbors(points, points, k, self_offset=0),
                 argsort_oracle(points, points, k, self_offset=0),
             )
+        assert len(calls) == 2 * (n_points + 1)  # one block per search
+
+    def test_masks_undone_before_the_sort(self, monkeypatch):
+        # Queries 0-2 have three finite distances, to points 0-2; every other
+        # distance overflows.  Round four of argmin picks masked point 0
+        # again, and its first recorded distance must win.
+        calls = count_cdist_calls(monkeypatch)
+        points = np.concatenate([[0.0, 1.0, 2.0], 1e200 * np.arange(1.0, 48.0)])[:, None]
+        assert len(points) > neighbors._SORT_COLUMNS
+        got = nearest_neighbors(points[:3], points, 5)
+        np.testing.assert_array_equal(got, argsort_oracle(points[:3], points, 5))
+        assert got[0].tolist() == [0, 1, 2, 3, 4] and calls == [3]
+
+    @pytest.mark.parametrize("n_points, m", SIZES)
+    def test_one_cdist_call_per_block(self, n_points, m, monkeypatch):
+        calls = count_cdist_calls(monkeypatch)
+        monkeypatch.setattr(neighbors, "_BLOCK", 3 * n_points)  # 3 rows per block
+        rng = np.random.default_rng(n_points + 3)
+        points = grid_points(rng, n_points, m, scale=1e200)
+        points[::2] = grid_points(rng, len(points[::2]), m)
+        for k in (1, 2, 5, n_points):
+            del calls[:]
+            got = nearest_neighbors(points, points, k, self_offset=0)
+            np.testing.assert_array_equal(got, argsort_oracle(points, points, k, self_offset=0))
+            assert calls == [len(points[start : start + 3]) for start in range(0, n_points, 3)]
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_minkowski_metric(self, p):

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +18,62 @@ from rbu import (
     neighbors,
     rbf_value,
 )
+from rbu.potential import check_gamma
+from rbu.radial import RbuParams
 
 from oracles import make_task, naive_potential, random_task
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 point2 = st.tuples(finite_coord, finite_coord)
+
+
+GAMMA_TASK = make_task([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5]])
+
+# Every public entry that takes a spread, called with a valid everything else.
+GAMMA_ENTRIES = {
+    "RbfParams": lambda gamma: RbfParams(gamma),
+    "rbf_value": lambda gamma: rbf_value(1.0, gamma),
+    "mutual_potential": lambda gamma: mutual_potential([0.2, 0.3], GAMMA_TASK, gamma),
+    "init_field": lambda gamma: init_field(GAMMA_TASK, gamma),
+    "PotentialField": lambda gamma: PotentialField(GAMMA_TASK.majority, np.zeros(3), gamma),
+    "potential_grid": lambda gamma: potential_grid(GAMMA_TASK, gamma, ((0, 1), (0, 1)), 3),
+    "RbuParams": lambda gamma: RbuParams(gamma, 1.0),
+}
+
+
+class TestGammaRule:
+    """One rule for the spread: 1/gamma^2 must be a finite positive float."""
+
+    @pytest.mark.parametrize("entry", GAMMA_ENTRIES)
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf, 1e-160, 1e-300, 1e160])
+    @pytest.mark.parametrize("as_numpy", [False, True])
+    def test_refused_without_warning(self, entry, gamma, as_numpy):
+        gamma = np.float64(gamma) if as_numpy else gamma
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="gamma must"):
+                GAMMA_ENTRIES[entry](gamma)
+
+    @pytest.mark.parametrize("entry", GAMMA_ENTRIES)
+    @pytest.mark.parametrize("gamma", [1e-150, 1e150])
+    def test_extreme_finite_scales_accepted(self, entry, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            GAMMA_ENTRIES[entry](gamma)
+
+    def test_returns_the_scale(self):
+        assert check_gamma(0.5) == 4.0
+        assert check_gamma(np.float64(0.3)) == 1.0 / (0.3 * 0.3)
+
+    def test_potentials_at_extreme_scales(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # Every other point is so far that its d^2/gamma^2 overflows: only
+            # the point itself counts.
+            assert mutual_potential([0.0, 0.0], GAMMA_TASK, 1e-150) == 1.0
+            assert init_field(GAMMA_TASK, 1e-150).phi.tolist() == [1.0, 1.0, 1.0]
+            # Every RBF is 1 up to rounding: three majority minus one minority.
+            assert mutual_potential([0.0, 0.0], GAMMA_TASK, 1e150) == 2.0
 
 
 class TestRbfValue:
@@ -43,6 +95,23 @@ class TestRbfValue:
     def test_negative_distance(self):
         with pytest.raises(ParameterError):
             rbf_value(-0.1, 1.0)
+
+    def test_nan_distance_refused(self):
+        with pytest.raises(ParameterError, match="distance"):
+            rbf_value(float("nan"), 1.0)
+
+    @pytest.mark.parametrize(
+        "distance, gamma",
+        [(1e200, 1.0), (1e10, 1e-150), (math.inf, 1.0), (np.float64(1e200), np.float64(1.0))],
+    )
+    def test_ratio_past_float_range_gives_zero(self, distance, gamma):
+        assert rbf_value(distance, gamma) == 0.0
+
+    def test_squares_the_ratio_with_pow(self):
+        # 2.759 * 2.759 and 2.759 ** 2 differ in the last bit, and so do
+        # their exp(-x); the value keeps ** 2.
+        assert 2.759 * 2.759 != 2.759**2
+        assert rbf_value(2.759, 1.0) == math.exp(-(2.759**2))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -178,6 +247,16 @@ class TestInitField:
         task = make_task([[0.0, 0.0], [1e200, 0.0], [2.0, 0.0]], [[0.5, 0.5]])
         with pytest.raises(ParameterError, match="overflow"):
             init_field(task, 1.0)
+
+    def test_overflowing_scaled_norm_refused(self):
+        # Centred squared norms near 1e303 are finite, but not once divided
+        # by gamma^2 = 1e-6.  Accepted, they would give the greedy loop NaN
+        # potentials and a removal order that repeats indices.
+        rng = np.random.default_rng(0)
+        task = make_task(rng.normal(size=(6, 2)) * 3e151, rng.normal(size=(2, 2)) * 3e151)
+        with pytest.raises(ParameterError, match="coordinates too large"):
+            init_field(task, 1e-3)
+        assert mutual_potential(task.majority[0], task, 1e-3) == 1.0
 
     def test_matches_mutual_potential_per_point(self):
         rng = np.random.default_rng(11)

@@ -177,6 +177,21 @@ class TestOracleEquivalence:
             assert got.tolist() == expected
 
 
+class TestExtremeScales:
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e150, 3e151, 1e152, 1e153, 1e154])
+    @pytest.mark.parametrize("gamma", [1e-150, 1e-3, 1.0, 1e3, 1e150])
+    def test_order_never_repeats_an_index(self, scale, gamma):
+        rng = np.random.default_rng(0)
+        for m in (1, 2, 3):
+            task = make_task(rng.normal(size=(6, m)) * scale, rng.normal(size=(2, m)) * scale)
+            try:
+                order = rbu_removal_order(task, RbuParams(gamma=gamma, ratio=1.0))
+            except ParameterError as exc:
+                assert "coordinates too large" in str(exc)
+                continue
+            assert len(order) == 4 and len(set(order.tolist())) == 4
+
+
 class TestExactTies:
     # At gamma 0.1 points 10 apart contribute exp(-1e4) == 0.0 to each other,
     # so every majority point's potential is exactly its self-contribution.
