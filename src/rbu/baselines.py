@@ -21,7 +21,7 @@ import numpy as np
 from . import radial
 from .dataio import BinaryTask
 from .errors import ParameterError
-from .neighbors import distance_blocks, nearest_neighbors
+from .neighbors import for_each_block, nearest_neighbors
 from .potential import TIE_LOWEST_INDEX
 from .radial import RbuParams, rbu_kept_indices, removal_count
 from .seeding import derive_seed
@@ -206,11 +206,14 @@ def near_miss_kept_indices(task: BinaryTask, k: int, ratio: float) -> np.ndarray
     k_eff = min(k, task.n_minority)
     n_keep = task.n_majority - removal_count(task.n_majority, task.n_minority, ratio)
     mean_dist = np.empty(task.n_majority)
-    for start, dist in distance_blocks(task.majority, task.minority):
+
+    def body(start, dist):
         # The k smallest distances in ascending order, as a full sort gives
         # them, so the mean is summed in the same order.
         nearest = np.sort(np.partition(dist, k_eff - 1, axis=1)[:, :k_eff], axis=1)
         mean_dist[start : start + len(dist)] = nearest.mean(axis=1)
+
+    for_each_block(task.majority, task.minority, body)
     order = np.argsort(mean_dist, kind="stable")
     return np.sort(order[:n_keep])
 

@@ -24,6 +24,7 @@ from .minority import dataset_stats
 # Unused here, but perfbench/tracing.py patches this name; --trace 1 fails without it.
 from .minority import categorize_minority  # noqa: F401
 from .modeling import METRIC_NAMES, compute_metrics, make_classifier, midranks
+from .neighbors import single_thread_blocks
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
@@ -417,7 +418,9 @@ def run_experiment(
     ]
 
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Workers run distance blocks on one thread, so jobs processes never
+        # start jobs x CPUs threads.
+        with ProcessPoolExecutor(max_workers=jobs, initializer=single_thread_blocks) as pool:
             results = list(pool.map(_evaluate_unit, units))
     else:
         results = [_evaluate_unit(unit) for unit in units]

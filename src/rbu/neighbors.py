@@ -3,11 +3,15 @@
 ``nearest_neighbors`` returns, for each query, the indices of its k nearest
 points, nearest first, with distance ties going to the lowest index: the
 first k columns of a stable argsort of the distance row.  All distances,
-RBF potentials included, come from ``distance_blocks`` in blocks of query
-rows, so memory stays near one block whatever the number of queries.
+RBF potentials included, come from ``for_each_block`` in blocks of query
+rows, so memory stays near one block whatever the number of queries.  The
+blocks of one call are shared by one thread per CPU.
 """
 
 from __future__ import annotations
+
+import os
+from threading import Lock, Thread
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -16,8 +20,12 @@ from .errors import ParameterError
 
 # Entries per block of pairwise distances: 1 MiB of float64, small enough to
 # stay in cache.  A block holds at least one query row, so peak memory is
-# about max(_BLOCK, n) * 8 bytes.
+# about max(_BLOCK, n) * 8 bytes.  Threads split this budget between them.
 _BLOCK = 1 << 17
+
+# True in a sweep's pool workers (see ``single_thread_blocks``), so that N
+# worker processes never start N x CPUs threads.
+_single_thread = False
 
 # Up to this many columns a stable argsort of the whole row is cheaper than
 # more than one round of argmin (measured with numpy 2.4 on x86-64); beyond
@@ -35,18 +43,73 @@ def check_finite(*arrays) -> None:
             raise ParameterError("coordinates must be finite (no NaN or infinity)")
 
 
-def distance_blocks(queries, points, metric="euclidean", **metric_kw):
-    """Yield ``(start, cdist(queries[start:start + rows], points, metric, **metric_kw))``
-    for blocks of about ``_BLOCK`` entries, each overwriting the last in one
-    buffer that stays in cache.  Raises ParameterError for NaN or infinite
-    coordinates.
+def single_thread_blocks() -> None:
+    """Run every later ``for_each_block`` call on the calling thread alone;
+    a process pool's initializer."""
+    global _single_thread
+    _single_thread = True
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (``taskset`` narrows them)."""
+    return len(os.sched_getaffinity(0))
+
+
+def for_each_block(queries, points, body, metric="euclidean", **metric_kw) -> None:
+    """Call ``body(start, cdist(queries[start:start + rows], points, metric, **metric_kw))``
+    for blocks of query rows that tile ``queries``.
+
+    A call that fits one block of about ``_BLOCK`` entries runs on the
+    calling thread.  Otherwise one thread per CPU, the caller's included,
+    takes blocks of ``1 / threads`` of that size until none is left, so
+    ``body`` must write only the rows of its own block and set any
+    ``np.errstate`` itself.  Each thread overwrites its blocks in one buffer.
+    Every thread has finished when the call returns; the first exception
+    raised in any of them is raised again here.  Raises ParameterError for
+    NaN or infinite coordinates.
     """
     check_finite(queries, points)
     rows = max(1, _BLOCK // max(1, len(points)))
+    threads = 1 if len(queries) <= rows or _single_thread else _cpu_count()
+    if threads == 1:
+        _run_blocks(range(0, len(queries), rows), rows, queries, points, body, metric, metric_kw)
+        return
+    rows = max(1, rows // threads)
+    shared = iter(range(0, len(queries), rows))
+    lock = Lock()
+    errors = []
+
+    def starts():
+        while not errors:
+            with lock:
+                start = next(shared, None)
+            if start is None:
+                return
+            yield start
+
+    def work():
+        try:
+            _run_blocks(starts(), rows, queries, points, body, metric, metric_kw)
+        except BaseException as error:  # raised again by the caller
+            errors.append(error)
+
+    blocks = -(-len(queries) // rows)
+    workers = [Thread(target=work) for _ in range(min(threads, blocks) - 1)]
+    for worker in workers:
+        worker.start()
+    work()
+    for worker in workers:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _run_blocks(starts, rows, queries, points, body, metric, metric_kw) -> None:
+    """``body`` over the blocks at ``starts``, each written into one buffer."""
     buffer = np.empty((min(rows, len(queries)), len(points)))
-    for start in range(0, len(queries), rows):
+    for start in starts:
         block = queries[start : start + rows]
-        yield start, cdist(block, points, metric, out=buffer[: len(block)], **metric_kw)
+        body(start, cdist(block, points, metric, out=buffer[: len(block)], **metric_kw))
 
 
 def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean", **metric_kw):
@@ -74,10 +137,12 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
     if k == 0:
         return np.empty((len(queries), 0), dtype=np.intp)
     out = np.empty((len(queries), k), dtype=np.intp)
-    for start, dist in distance_blocks(queries, points, metric, **metric_kw):
+
+    def body(start, dist):
         own = None if self_offset is None else self_offset + start
-        rows = slice(start, start + len(dist))
-        out[rows] = _nearest_block(dist, k, own)
+        out[start : start + len(dist)] = _nearest_block(dist, k, own)
+
+    for_each_block(queries, points, body, metric, **metric_kw)
     return out
 
 

@@ -18,11 +18,14 @@ import numpy as np
 
 from .dataio import BinaryTask
 from .errors import ParameterError
-from .neighbors import check_finite, distance_blocks
+from .neighbors import check_finite, for_each_block
 
 # exp(x) is exactly 0.0 for every x below this, but numpy reaches that zero
 # on a path about 8x slower than the ordinary one.
 _EXP_FLOOR = -745.2
+
+# A scaled distance |p - x| / gamma beyond this has an RBF of exactly 0.0.
+_EXP_REACH = math.sqrt(-_EXP_FLOOR)
 
 TIE_LOWEST_INDEX = "lowest-index"
 TIE_SEEDED_RANDOM = "seeded-random"
@@ -87,11 +90,14 @@ def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float) -> np.ndar
     ``inv_g2`` is ``check_gamma(gamma)``."""
     scale = -inv_g2
     out = np.empty(len(queries))
-    # A d^2 / gamma^2 past the float range becomes -inf, its exact limit.
-    with np.errstate(over="ignore"):
-        for start, arg in distance_blocks(queries, points, "sqeuclidean"):
+
+    def body(start, arg):
+        # A d^2 / gamma^2 past the float range becomes -inf, its exact limit.
+        with np.errstate(over="ignore"):
             arg *= scale
-            out[start : start + len(arg)] = _exp_in_place(arg).sum(axis=1)
+        out[start : start + len(arg)] = _exp_in_place(arg).sum(axis=1)
+
+    for_each_block(queries, points, body, "sqeuclidean")
     return out
 
 
@@ -123,6 +129,7 @@ class PotentialField:
 
     Distances are taken between points centred on their mean; :meth:`pop_max`,
     :meth:`subtract` and :attr:`points` use the caller's coordinates.
+    :meth:`pop_greedy` runs the whole greedy removal in one call.
 
     Mutable; owned by one logical thread at a time.
     """
@@ -134,10 +141,12 @@ class PotentialField:
         self._points = points
         self._phi = phi
         self._centre = _mean(points)
-        centred = points - self._centre
-        self._scaled_t = np.ascontiguousarray(centred.T * (2.0 * self._inv_g2))
-        self._scaled_sq = self._inv_g2 * np.einsum("ij,ij->i", centred, centred)
+        self._centred = points - self._centre
+        self._scaled_t = np.ascontiguousarray(self._centred.T * (2.0 * self._inv_g2))
+        self._scaled_sq = self._inv_g2 * np.einsum("ij,ij->i", self._centred, self._centred)
         self._reach = math.sqrt(self._scaled_sq.max(initial=0.0))
+        self._arg = np.empty(len(phi))
+        self._zeros = np.zeros(len(phi))
         self.gamma = gamma
         self.removed_count = 0
 
@@ -163,51 +172,105 @@ class PotentialField:
         """Original indices of the remaining points, ascending."""
         return np.flatnonzero(self._alive)
 
+    def _picker(self, tie_rule, rng):
+        """Function giving the index of a maximal potential under ``tie_rule``:
+        the lowest, or a uniformly random one drawn from ``rng``."""
+        if tie_rule == TIE_LOWEST_INDEX:
+            return self._phi.argmax
+        if tie_rule == TIE_SEEDED_RANDOM:
+            if rng is None:
+                raise ParameterError("seeded-random tie rule requires an rng")
+            phi = self._phi
+
+            def pick():
+                top = np.flatnonzero(phi == phi.max())
+                # Choosing from one candidate draws nothing from rng.
+                return top[0] if len(top) == 1 else rng.choice(top)
+
+            return pick
+        raise ParameterError(f"unknown tie rule {tie_rule!r}")
+
+    def _check_pop(self, count: int) -> None:
+        if count > len(self):
+            raise ParameterError("cannot pop from an empty potential field")
+
     def pop_max(self, tie_rule=TIE_LOWEST_INDEX, rng=None):
         """Remove and return ``(point, original_index)`` with maximal potential.
 
         Ties are broken by the lowest original index, or uniformly at random
         when ``tie_rule`` is ``"seeded-random"`` (then ``rng`` is required).
         """
-        if self.removed_count == len(self._phi):
-            raise ParameterError("cannot pop from an empty potential field")
-        if tie_rule == TIE_LOWEST_INDEX:
-            index = int(self._phi.argmax())
-        elif tie_rule == TIE_SEEDED_RANDOM:
-            if rng is None:
-                raise ParameterError("seeded-random tie rule requires an rng")
-            candidates = np.flatnonzero(self._phi == self._phi.max())
-            index = int(rng.choice(candidates))
-        else:
-            raise ParameterError(f"unknown tie rule {tie_rule!r}")
+        self._check_pop(1)
+        index = int(self._picker(tie_rule, rng)())
         self._phi[index] = -np.inf
         self.removed_count += 1
         return self._points[index].copy(), index
 
+    def pop_greedy(self, count: int, tie_rule=TIE_LOWEST_INDEX, rng=None) -> np.ndarray:
+        """Original indices of ``count`` points removed one by one, each with
+        maximal potential and its contribution subtracted before the next.
+
+        Bit for bit the same as ``count`` rounds of :meth:`pop_max` and
+        :meth:`subtract`.
+        """
+        if count < 0:
+            raise ParameterError(f"count must be >= 0, got {count}")
+        self._check_pop(count)
+        pick = self._picker(tie_rule, rng)
+        phi, centred, inv_g2, subtract = self._phi, self._centred, self._inv_g2, self._subtract
+        removed = []
+        for _ in range(count):
+            index = pick()
+            removed.append(index)
+            phi[index] = -math.inf
+            x = centred[index]
+            subtract(x, inv_g2 * float(x.dot(x)))
+        self.removed_count += count
+        return np.array(removed, dtype=np.intp)
+
     def subtract(self, removed: np.ndarray) -> None:
-        """Subtract one removed point's RBF contribution from every remaining potential."""
+        """Subtract one removed point's RBF contribution from every remaining potential.
+
+        Raises ParameterError for a point of the wrong dimensionality or with
+        NaN or infinite coordinates.
+        """
         removed = np.asarray(removed, dtype=np.float64)
         if removed.shape != (self._points.shape[1],):
             raise ParameterError(
                 f"point has shape {removed.shape}, field dimensionality is "
                 f"{self._points.shape[1]}"
             )
+        check_finite(removed)
         x = removed - self._centre
-        x_sq = self._inv_g2 * float(x @ x)
+        with np.errstate(over="ignore"):  # an overflow to inf is far enough
+            x_sq = self._inv_g2 * float(x.dot(x))
+        # |p - x| >= |x| - |p| and reach is the largest |p| / gamma, so a
+        # point this far out lies more than reach + 2 * _EXP_REACH from every
+        # point in units of gamma, far beyond any rounding: it contributes
+        # exactly 0.  Nearer points keep every term of the update within the
+        # headroom that init_field checks.
+        if math.sqrt(x_sq) > 2.0 * (self._reach + _EXP_REACH):
+            return
+        self._subtract(x, x_sq)
+
+    def _subtract(self, x: np.ndarray, x_sq: float) -> None:
+        """Subtract the RBF contribution of centred point ``x``, whose scaled
+        squared norm is ``x_sq``, from every potential."""
         # -||p - x||^2 / gamma^2 by the dot-product identity.  Centred norms
         # stay near the distances themselves, so little is lost to
         # cancellation; clamp the tiny positives it can leave.
-        arg = x @ self._scaled_t
+        arg = np.matmul(x, self._scaled_t, out=self._arg)
         arg -= self._scaled_sq
         arg -= x_sq
-        np.minimum(arg, 0.0, out=arg)
-        # |p - x| <= |p| + |x| and reach is the largest |p| / gamma, so no
-        # argument is below -(reach + |x| / gamma)^2.
-        if (self._reach + math.sqrt(x_sq)) ** 2 < -_EXP_FLOOR:
-            np.exp(arg, out=arg)
+        np.minimum(arg, self._zeros, out=arg)
+        # No argument is below -(reach + |x| / gamma)^2.  Those at or below
+        # _EXP_FLOOR have an RBF of exactly 0 and leave their potential as it
+        # is, so only the others are exponentiated and subtracted.
+        if self._reach + math.sqrt(x_sq) < _EXP_REACH or arg.min() > _EXP_FLOOR:
+            self._phi -= np.exp(arg, out=arg)
         else:
-            _exp_in_place(arg)
-        self._phi -= arg
+            live = np.flatnonzero(arg > _EXP_FLOOR)
+            self._phi[live] -= np.exp(arg[live])
 
 
 def _mean(points: np.ndarray) -> np.ndarray:

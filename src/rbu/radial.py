@@ -56,13 +56,7 @@ def rbu_removal_order(task: BinaryTask, params: RbuParams) -> np.ndarray:
     rng = None
     if params.tie_rule == TIE_SEEDED_RANDOM:
         rng = np.random.default_rng(params.tie_seed)
-    field = init_field(task, params.gamma)
-    removed = np.empty(n_remove, dtype=np.intp)
-    for step in range(n_remove):
-        point, index = field.pop_max(tie_rule=params.tie_rule, rng=rng)
-        removed[step] = index
-        field.subtract(point)
-    return removed
+    return init_field(task, params.gamma).pop_greedy(n_remove, params.tie_rule, rng)
 
 
 def rbu_kept_indices(task: BinaryTask, params: RbuParams) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import os
 from dataclasses import asdict
 
 import numpy as np
@@ -18,7 +19,7 @@ from rbu import (
     run_experiment,
     select_params,
 )
-from rbu import baselines, evaluation, radial
+from rbu import baselines, evaluation, neighbors, radial
 from rbu.evaluation import (
     _stack_task,
     binary_task_from_labels,
@@ -461,6 +462,34 @@ class TestRunExperiment:
         sequential = run_experiment(datasets, methods, ["gnb"], seed=11, jobs=1)
         parallel = run_experiment(datasets, methods, ["gnb"], seed=11, jobs=4)
         assert sequential.to_json() == parallel.to_json()
+
+    def test_jobs_identical_when_neighbour_calls_span_blocks(self, monkeypatch):
+        # Tiny blocks make every distance call of the sweep span several,
+        # which this process shares between two threads.  Pool workers must
+        # run their blocks on one thread: asking for the CPU count fails there.
+        parent, threaded = os.getpid(), []
+
+        def cpu_count():
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker asked for block threads")
+            threaded.append(1)
+            return 2
+
+        datasets = self._datasets(n=2)
+        methods = {
+            "rbu": [ResampleSpec("rbu", {"gamma": g, "ratio": 1.0}) for g in (0.5, 2.0)],
+            "enn": [ResampleSpec("enn", {"k": 3})],
+            "near_miss": [ResampleSpec("near_miss", {"k": 3, "ratio": 1.0})],
+            "smote": [ResampleSpec("smote", {"k": 3, "ratio": 1.0})],
+        }
+        serial = run_experiment(datasets, methods, ["knn", "gnb"], seed=12, repeats=1, jobs=1)
+        monkeypatch.setattr(neighbors, "_cpu_count", cpu_count)
+        monkeypatch.setattr(neighbors, "_BLOCK", 40)
+        sequential = run_experiment(datasets, methods, ["knn", "gnb"], seed=12, repeats=1, jobs=1)
+        assert threaded
+        parallel = run_experiment(datasets, methods, ["knn", "gnb"], seed=12, repeats=1, jobs=2)
+        assert all(row["metrics"] is not None for row in parallel.runs)
+        assert sequential.to_json() == parallel.to_json() == serial.to_json()
 
     def test_failed_cells_are_recorded_not_fatal(self):
         datasets = self._datasets(n=1)

@@ -1,3 +1,7 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -10,9 +14,10 @@ from rbu.baselines import (
     smote_synthetic,
     tomek_kept_indices,
 )
-from rbu.neighbors import distance_blocks, nearest_neighbors
+from rbu.neighbors import for_each_block, nearest_neighbors
+from rbu.potential import _rbf_sums, check_gamma, init_field
 
-from oracles import make_task
+from oracles import make_task, random_task
 
 
 def argsort_oracle(queries, points, k, self_offset=None, **metric):
@@ -42,6 +47,34 @@ def count_cdist_calls(monkeypatch):
     return calls
 
 
+def set_cpus(monkeypatch, count):
+    """Have ``for_each_block`` run on ``count`` CPUs."""
+    monkeypatch.setattr(neighbors, "_cpu_count", lambda: count)
+
+
+def count_threads(monkeypatch):
+    """Patch ``neighbors.Thread`` to record each thread it starts."""
+    started = []
+
+    class CountingThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(neighbors, "Thread", CountingThread)
+    return started
+
+
+def blocks_of(queries, points, *args, **kwargs):
+    """``(start, distances)`` of every block ``for_each_block`` makes, by start."""
+    blocks = []
+    # Each block overwrites the last in its thread's buffer.
+    for_each_block(
+        queries, points, lambda start, dist: blocks.append((start, dist.copy())), *args, **kwargs
+    )
+    return sorted(blocks, key=lambda block: block[0])
+
+
 # Point counts on both sides of neighbors._SORT_COLUMNS, so that both the
 # sort and the argmin rounds run.
 SIZES = [(7, 3), (30, 2), (90, 3)]
@@ -50,22 +83,176 @@ SIZES = [(7, 3), (30, 2), (90, 3)]
 class TestDistanceBlocks:
     @pytest.mark.parametrize("block, rows", [(None, 25), (1, 1), (3 * 7, 3), (10 * 7 - 1, 9)])
     def test_blocks_tile_the_distance_matrix(self, block, rows, monkeypatch):
+        set_cpus(monkeypatch, 1)
         rng = np.random.default_rng(3)
         queries, points = rng.normal(size=(25, 2)), rng.normal(size=(7, 2))
         if block is not None:
             monkeypatch.setattr(neighbors, "_BLOCK", block)
-        blocks = [
-            (start, dist.copy())  # each block overwrites the last
-            for start, dist in distance_blocks(queries, points, "minkowski", p=3.0)
-        ]
+        blocks = blocks_of(queries, points, "minkowski", p=3.0)
         assert [start for start, _ in blocks] == list(range(0, 25, rows))
         np.testing.assert_array_equal(
             np.vstack([dist for _, dist in blocks]), cdist(queries, points, "minkowski", p=3.0)
         )
 
     def test_no_points_gives_empty_rows(self):
-        ((start, dist),) = distance_blocks(np.zeros((4, 2)), np.empty((0, 2)))
+        ((start, dist),) = blocks_of(np.zeros((4, 2)), np.empty((0, 2)))
         assert start == 0 and dist.shape == (4, 0)
+
+
+class TestThreadedBlocks:
+    # (block, rows per thread for 1, 2 and 3 threads) with 7 points and 25
+    # queries; one thread per block when there are fewer blocks than threads.
+    @pytest.mark.parametrize(
+        "block, rows",
+        [(None, (25, 25, 25)), (1, (1, 1, 1)), (6 * 7, (6, 3, 2)), (7 * 7, (7, 3, 2))],
+    )
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_threads_tile_the_distance_matrix(self, cpus, block, rows, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        started = count_threads(monkeypatch)
+        rng = np.random.default_rng(4)
+        queries, points = rng.normal(size=(25, 2)), rng.normal(size=(7, 2))
+        if block is not None:
+            monkeypatch.setattr(neighbors, "_BLOCK", block)
+        blocks = blocks_of(queries, points, "minkowski", p=3.0)
+        step = rows[cpus - 1]
+        assert [start for start, _ in blocks] == list(range(0, 25, step))
+        np.testing.assert_array_equal(
+            np.vstack([dist for _, dist in blocks]), cdist(queries, points, "minkowski", p=3.0)
+        )
+        # The caller takes a share; a call of one block starts no thread.
+        assert len(started) == min(cpus, len(blocks)) - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_fewer_blocks_than_threads(self, cpus, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        started = count_threads(monkeypatch)
+        monkeypatch.setattr(neighbors, "_BLOCK", 1)
+        queries, points = np.array([[0.0], [1.0]]), np.array([[0.5], [2.0]])
+        blocks = blocks_of(queries, points)
+        assert [start for start, _ in blocks] == [0, 1] and len(started) == 1
+        np.testing.assert_array_equal(np.vstack([d for _, d in blocks]), cdist(queries, points))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_empty_queries(self, cpus, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(neighbors, "_BLOCK", 1)
+        assert blocks_of(np.empty((0, 2)), np.zeros((3, 2))) == []
+        assert nearest_neighbors(np.empty((0, 2)), np.zeros((3, 2)), 2).shape == (0, 2)
+
+    def test_single_thread_blocks_starts_no_thread(self, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        started = count_threads(monkeypatch)
+        monkeypatch.setattr(neighbors, "_BLOCK", 1)
+        monkeypatch.setattr(neighbors, "_single_thread", False)
+        neighbors.single_thread_blocks()
+        blocks = blocks_of(np.zeros((5, 1)), np.zeros((2, 1)))
+        assert [start for start, _ in blocks] == [0, 1, 2, 3, 4] and started == []
+
+    def test_every_block_runs_once_under_stress(self, monkeypatch):
+        # More threads than cores, switching as often as the interpreter
+        # allows: a start handed out twice or lost would show.
+        set_cpus(monkeypatch, 8)
+        monkeypatch.setattr(neighbors, "_BLOCK", 8 * 3)
+        rng = np.random.default_rng(5)
+        queries, points = rng.normal(size=(500, 2)), rng.normal(size=(3, 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                blocks = blocks_of(queries, points)
+                assert [start for start, _ in blocks] == list(range(500))
+                np.testing.assert_array_equal(
+                    np.vstack([dist for _, dist in blocks]), cdist(queries, points)
+                )
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("raiser", ["worker", "caller"])
+    def test_exception_reaches_the_caller(self, raiser, monkeypatch):
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(neighbors, "_BLOCK", 1)
+        ran = {"caller": threading.Event(), "worker": threading.Event()}
+        on_caller = threading.current_thread()
+
+        def body(start, dist):
+            side, other = "caller", "worker"
+            if threading.current_thread() is not on_caller:
+                side, other = other, side
+            ran[side].set()
+            ran[other].wait(timeout=10)  # both sides take a block before either raises
+            if side == raiser:
+                raise ValueError(f"{side} block failed")
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"{raiser} block failed"):
+            for_each_block(np.zeros((40, 1)), np.zeros((1, 1)), body)
+        assert ran["caller"].is_set() and ran["worker"].is_set()
+        assert threading.active_count() == before  # no thread outlives the call
+
+    def test_rbf_sums_overflow_stays_quiet_on_threads(self, monkeypatch):
+        # d^2 / gamma^2 past the float range on every thread: np.errstate is
+        # per thread, so the block body must set it.
+        set_cpus(monkeypatch, 3)
+        monkeypatch.setattr(neighbors, "_BLOCK", 2)
+        queries = np.array([[0.0], [1e154], [2.0], [-1e154], [1.0], [3.0]])
+        points = np.array([[0.0], [1.5e154]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = _rbf_sums(queries, points, check_gamma(1e-3))
+        np.testing.assert_array_equal(sums, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
+class TestThreadsMatchSerial:
+    """Every block body writes only its own rows, so any thread count and
+    block size gives the serial, unblocked result bit for bit."""
+
+    CASES = [(cpus, block) for cpus in (1, 2, 3) for block in ("one row", "three rows")]
+
+    @staticmethod
+    def threaded(monkeypatch, cpus, block, row_entries):
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(neighbors, "_BLOCK", 1 if block == "one row" else 3 * row_entries)
+
+    @pytest.mark.parametrize("cpus, block", CASES)
+    def test_rbf_sums_and_init_field(self, cpus, block, monkeypatch):
+        rng = np.random.default_rng(40)
+        task = random_task(rng, 45, 14, 3)
+        queries = rng.normal(size=(20, 3))
+        inv_g2 = check_gamma(0.7)
+        whole = (_rbf_sums(queries, task.majority, inv_g2), init_field(task, 0.7).phi)
+        self.threaded(monkeypatch, cpus, block, task.n_majority)
+        got = (_rbf_sums(queries, task.majority, inv_g2), init_field(task, 0.7).phi)
+        for threaded, serial in zip(got, whole):
+            np.testing.assert_array_equal(threaded, serial)
+
+    @pytest.mark.parametrize("cpus, block", CASES)
+    def test_nearest_neighbors(self, cpus, block, monkeypatch):
+        rng = np.random.default_rng(41)
+        points = grid_points(rng, 60, 2)  # many ties
+        points[::3] = grid_points(rng, 20, 2, scale=1e200)  # overflowing distances
+        queries = grid_points(rng, 17, 2)
+        calls = [
+            (queries, points, 1, {}),
+            (queries, points, 7, {}),
+            (points, points, 5, {"self_offset": 0}),
+            (points[10:40], points, 60, {"self_offset": 10}),
+            (points[10:], points, 4, {"self_offset": 10, "metric": "minkowski", "p": 3.0}),
+        ]
+        whole = [nearest_neighbors(q, p, k, **kw) for q, p, k, kw in calls]
+        self.threaded(monkeypatch, cpus, block, len(points))
+        for (q, p, k, kw), serial in zip(calls, whole):
+            np.testing.assert_array_equal(nearest_neighbors(q, p, k, **kw), serial)
+
+    @pytest.mark.parametrize("cpus, block", CASES)
+    def test_near_miss(self, cpus, block, monkeypatch):
+        rng = np.random.default_rng(42)
+        task = make_task(grid_points(rng, 50, 2), grid_points(rng, 9, 2))
+        settings = [(k, ratio) for k in (1, 3, 20) for ratio in (0.5, 1.0)]
+        whole = [near_miss_kept_indices(task, k, ratio) for k, ratio in settings]
+        self.threaded(monkeypatch, cpus, block, task.n_minority)
+        for (k, ratio), serial in zip(settings, whole):
+            np.testing.assert_array_equal(near_miss_kept_indices(task, k, ratio), serial)
 
 
 class TestMatchesStableArgsort:
@@ -128,6 +315,7 @@ class TestMatchesStableArgsort:
     @pytest.mark.parametrize("n_points, m", SIZES)
     def test_one_cdist_call_per_block(self, n_points, m, monkeypatch):
         calls = count_cdist_calls(monkeypatch)
+        set_cpus(monkeypatch, 1)  # threads split blocks further
         monkeypatch.setattr(neighbors, "_BLOCK", 3 * n_points)  # 3 rows per block
         rng = np.random.default_rng(n_points + 3)
         points = grid_points(rng, n_points, m, scale=1e200)

@@ -21,7 +21,7 @@ from rbu import (
 from rbu.potential import check_gamma
 from rbu.radial import RbuParams
 
-from oracles import make_task, naive_potential, random_task
+from oracles import make_task, naive_potential, random_task, random_task_for_gamma
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 point2 = st.tuples(finite_coord, finite_coord)
@@ -357,6 +357,114 @@ class TestSubtract:
             reduced = make_task(task.majority[alive], task.minority)
             fresh = init_field(reduced, gamma)
             np.testing.assert_allclose(field.phi, fresh.phi, rtol=0, atol=1e-9)
+
+
+class TestFarPoints:
+    """A subtracted point far outside the field contributes exactly 0."""
+
+    FIELD = make_task([[0.0, 0.0], [6e153, 0.0]], [])
+
+    @pytest.mark.parametrize("point", [[-1.3e154, 0.0], [1.6e154, 0.0], [1.7e308, -1.7e308]])
+    def test_leaves_potentials_unchanged_without_warning(self, point):
+        field = init_field(self.FIELD, 1.0)
+        before = field.phi.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field.subtract(np.array(point))
+        np.testing.assert_array_equal(field.phi, before)
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.0])
+    def test_points_beyond_the_exp_floor_match_the_oracle(self, gamma):
+        # The field spans a few gamma; x goes from inside it to past the
+        # exp floor (27.3 gamma) and past twice the field's reach plus that.
+        rng = np.random.default_rng(51)
+        task = random_task_for_gamma(rng, 12, 1, 2, gamma)
+        for distance in (0.5, 5.0, 20.0, 28.0, 40.0, 80.0, 300.0):
+            field = init_field(task, gamma)
+            before = field.phi.copy()
+            x = np.array([distance * gamma, 0.0]) + task.majority.mean(axis=0)
+            field.subtract(x)
+            rbf = [rbf_value(float(np.linalg.norm(p - x)), gamma) for p in task.majority]
+            np.testing.assert_allclose(field.phi, before - rbf, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_refused(self, value):
+        field = init_field(make_task([[0.0, 0.0]], []), 1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            field.subtract(np.array([value, 0.0]))
+
+
+def dense_reference_order(task, gamma, count, tie_rule, seed):
+    """Greedy removal order and final potentials, with every update taken over
+    the whole field and a seeded-random pick that always calls ``rng.choice``."""
+    inv_g2 = check_gamma(gamma)
+    phi = init_field(task, gamma).phi.copy()
+    centred = task.majority - task.majority.mean(axis=0)
+    scaled_t = np.ascontiguousarray(centred.T * (2.0 * inv_g2))
+    scaled_sq = inv_g2 * np.einsum("ij,ij->i", centred, centred)
+    rng = np.random.default_rng(seed)
+    order = []
+    for _ in range(count):
+        if tie_rule == "lowest-index":
+            index = int(phi.argmax())
+        else:
+            index = int(rng.choice(np.flatnonzero(phi == phi.max())))
+        order.append(index)
+        phi[index] = -np.inf
+        x = centred[index]
+        arg = x @ scaled_t
+        arg -= scaled_sq
+        arg -= inv_g2 * float(x @ x)
+        phi -= np.exp(np.minimum(arg, 0.0))
+    return order, phi
+
+
+class TestPopGreedy:
+    @pytest.mark.parametrize("tie_rule", ["lowest-index", "seeded-random"])
+    @pytest.mark.parametrize("gamma", [0.3, 1.0, 4.0])
+    def test_matches_dense_reference_bit_for_bit(self, gamma, tie_rule):
+        # Integer coordinates make exact ties; at gamma 0.3 most pairs lie
+        # beyond the exp floor, so the update skips most of the field.
+        rng = np.random.default_rng(52)
+        task = make_task(rng.integers(0, 6, size=(40, 3)), rng.integers(0, 6, size=(9, 3)))
+        field = init_field(task, gamma)
+        order = field.pop_greedy(40, tie_rule, np.random.default_rng(7))
+        expected, phi = dense_reference_order(task, gamma, 40, tie_rule, 7)
+        assert order.tolist() == expected
+        np.testing.assert_array_equal(field._phi, phi)
+        assert len(field) == 0 and field.removed_count == 40
+
+    @pytest.mark.parametrize("tie_rule", ["lowest-index", "seeded-random"])
+    def test_matches_pop_max_and_subtract(self, tie_rule):
+        rng = np.random.default_rng(53)
+        task = random_task(rng, 30, 10, 4)
+        greedy = init_field(task, 0.9)
+        order = greedy.pop_greedy(12, tie_rule, np.random.default_rng(3))
+        stepwise, steps_rng = init_field(task, 0.9), np.random.default_rng(3)
+        for index in order:
+            point, popped = stepwise.pop_max(tie_rule, steps_rng)
+            stepwise.subtract(point)
+            assert popped == index
+        np.testing.assert_array_equal(greedy.phi, stepwise.phi)
+        np.testing.assert_array_equal(greedy.alive_indices, stepwise.alive_indices)
+
+    def test_count_checked_against_remaining_points(self):
+        field = init_field(make_task([[0.0], [1.0], [2.0]], []), 1.0)
+        assert field.pop_greedy(0).tolist() == []
+        with pytest.raises(ParameterError, match="empty"):
+            field.pop_greedy(4)
+        with pytest.raises(ParameterError, match=">= 0"):
+            field.pop_greedy(-1)
+        assert field.pop_greedy(3).tolist() == [1, 0, 2]
+        with pytest.raises(ParameterError, match="empty"):
+            field.pop_greedy(1)
+
+    def test_tie_rule_checked(self):
+        field = init_field(make_task([[0.0], [1.0]], []), 1.0)
+        with pytest.raises(ParameterError, match="rng"):
+            field.pop_greedy(1, "seeded-random")
+        with pytest.raises(ParameterError, match="tie rule"):
+            field.pop_greedy(1, "coin-flip")
 
 
 class TestPotentialGrid:
