@@ -364,6 +364,12 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+def _worker_pool(jobs: int) -> ProcessPoolExecutor:
+    """Process pool of ``jobs`` workers whose distance blocks run on one
+    thread, so jobs processes never start jobs x CPUs threads."""
+    return ProcessPoolExecutor(max_workers=jobs, initializer=single_thread_blocks)
+
+
 def run_experiment(
     datasets,
     methods,
@@ -418,9 +424,7 @@ def run_experiment(
     ]
 
     if jobs > 1:
-        # Workers run distance blocks on one thread, so jobs processes never
-        # start jobs x CPUs threads.
-        with ProcessPoolExecutor(max_workers=jobs, initializer=single_thread_blocks) as pool:
+        with _worker_pool(jobs) as pool:
             results = list(pool.map(_evaluate_unit, units))
     else:
         results = [_evaluate_unit(unit) for unit in units]

@@ -20,8 +20,15 @@ from .errors import ParameterError
 
 # Entries per block of pairwise distances: 1 MiB of float64, small enough to
 # stay in cache.  A block holds at least one query row, so peak memory is
-# about max(_BLOCK, n) * 8 bytes.  Threads split this budget between them.
+# about max(_BLOCK, n) * 8 bytes, times threads / _MAX_SPLIT beyond
+# _MAX_SPLIT threads.
 _BLOCK = 1 << 17
+
+# Threads split the _BLOCK budget in at most this many parts.  Each block
+# pays a cdist call and its body's numpy calls on the GIL: serially at
+# n=8000 in 8-D, quarter blocks cost 4-10% more than whole ones and
+# one-row blocks 27-44% more (numpy 2.4, x86-64).
+_MAX_SPLIT = 4
 
 # True in a sweep's pool workers (see ``single_thread_blocks``), so that N
 # worker processes never start N x CPUs threads.
@@ -61,35 +68,31 @@ def for_each_block(queries, points, body, metric="euclidean", **metric_kw) -> No
 
     A call that fits one block of about ``_BLOCK`` entries runs on the
     calling thread.  Otherwise one thread per CPU, the caller's included,
-    takes blocks of ``1 / threads`` of that size until none is left, so
-    ``body`` must write only the rows of its own block and set any
-    ``np.errstate`` itself.  Each thread overwrites its blocks in one buffer.
-    Every thread has finished when the call returns; the first exception
-    raised in any of them is raised again here.  Raises ParameterError for
-    NaN or infinite coordinates.
+    takes blocks of ``1 / threads`` of that size (never less than
+    ``1 / _MAX_SPLIT``) until none is left, so ``body`` must write only the
+    rows of its own block and set any ``np.errstate`` itself.  Each thread
+    overwrites its blocks in one buffer.  Every thread has finished when the
+    call returns; the first exception raised in any of them is raised again
+    here.  Raises ParameterError for NaN or infinite coordinates.
     """
     check_finite(queries, points)
     rows = max(1, _BLOCK // max(1, len(points)))
     threads = 1 if len(queries) <= rows or _single_thread else _cpu_count()
-    if threads == 1:
-        _run_blocks(range(0, len(queries), rows), rows, queries, points, body, metric, metric_kw)
-        return
-    rows = max(1, rows // threads)
-    shared = iter(range(0, len(queries), rows))
+    rows = max(1, rows // min(threads, _MAX_SPLIT))
+    starts = iter(range(0, len(queries), rows))
     lock = Lock()
     errors = []
 
-    def starts():
-        while not errors:
-            with lock:
-                start = next(shared, None)
-            if start is None:
-                return
-            yield start
-
     def work():
+        buffer = np.empty((min(rows, len(queries)), len(points)))
         try:
-            _run_blocks(starts(), rows, queries, points, body, metric, metric_kw)
+            while not errors:
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                block = queries[start : start + rows]
+                body(start, cdist(block, points, metric, out=buffer[: len(block)], **metric_kw))
         except BaseException as error:  # raised again by the caller
             errors.append(error)
 
@@ -102,14 +105,6 @@ def for_each_block(queries, points, body, metric="euclidean", **metric_kw) -> No
         worker.join()
     if errors:
         raise errors[0]
-
-
-def _run_blocks(starts, rows, queries, points, body, metric, metric_kw) -> None:
-    """``body`` over the blocks at ``starts``, each written into one buffer."""
-    buffer = np.empty((min(rows, len(queries)), len(points)))
-    for start in starts:
-        block = queries[start : start + rows]
-        body(start, cdist(block, points, metric, out=buffer[: len(block)], **metric_kw))
 
 
 def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean", **metric_kw):

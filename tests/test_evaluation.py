@@ -1,5 +1,4 @@
 import json
-import os
 from dataclasses import asdict
 
 import numpy as np
@@ -35,6 +34,11 @@ from rbu.seeding import derive_seed
 from rbu.baselines import apply_resample, apply_resample_detail, senn_spec, stl_spec
 
 from oracles import make_task, naive_pipeline, naive_select_params, random_task
+
+
+def _blocks_on_one_thread(_):
+    """In a pool worker: whether its distance blocks run on one thread."""
+    return neighbors._single_thread
 
 
 def imbalanced_dataset(rng, n_majority, n_minority, m=2, gap=2.5):
@@ -465,13 +469,12 @@ class TestRunExperiment:
 
     def test_jobs_identical_when_neighbour_calls_span_blocks(self, monkeypatch):
         # Tiny blocks make every distance call of the sweep span several,
-        # which this process shares between two threads.  Pool workers must
-        # run their blocks on one thread: asking for the CPU count fails there.
-        parent, threaded = os.getpid(), []
+        # which this process shares between two threads.  Pool workers
+        # started by fork inherit the tiny blocks; they run them on one
+        # thread (see test_pool_workers_run_blocks_on_one_thread).
+        threaded = []
 
         def cpu_count():
-            if os.getpid() != parent:
-                raise AssertionError("a pool worker asked for block threads")
             threaded.append(1)
             return 2
 
@@ -490,6 +493,12 @@ class TestRunExperiment:
         parallel = run_experiment(datasets, methods, ["knn", "gnb"], seed=12, repeats=1, jobs=2)
         assert all(row["metrics"] is not None for row in parallel.runs)
         assert sequential.to_json() == parallel.to_json() == serial.to_json()
+
+    def test_pool_workers_run_blocks_on_one_thread(self):
+        # Checked in the workers themselves, whatever the start method.
+        assert not neighbors._single_thread
+        with evaluation._worker_pool(2) as pool:
+            assert list(pool.map(_blocks_on_one_thread, range(4))) == [True] * 4
 
     def test_failed_cells_are_recorded_not_fatal(self):
         datasets = self._datasets(n=1)

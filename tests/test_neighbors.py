@@ -123,6 +123,21 @@ class TestThreadedBlocks:
         # The caller takes a share; a call of one block starts no thread.
         assert len(started) == min(cpus, len(blocks)) - 1
 
+    @pytest.mark.parametrize("cpus", [4, 5, 16])
+    def test_blocks_split_in_at_most_max_split_parts(self, cpus, monkeypatch):
+        # Many CPUs would leave each thread one-row blocks; the blocks stay
+        # at a quarter of the budget instead, and every CPU still gets a thread.
+        assert neighbors._MAX_SPLIT == 4
+        set_cpus(monkeypatch, cpus)
+        started = count_threads(monkeypatch)
+        monkeypatch.setattr(neighbors, "_BLOCK", 16 * 3)  # 16 rows of 3 points
+        rng = np.random.default_rng(6)
+        queries, points = rng.normal(size=(100, 2)), rng.normal(size=(3, 2))
+        blocks = blocks_of(queries, points)
+        assert [start for start, _ in blocks] == list(range(0, 100, 4))
+        np.testing.assert_array_equal(np.vstack([d for _, d in blocks]), cdist(queries, points))
+        assert len(started) == cpus - 1
+
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_fewer_blocks_than_threads(self, cpus, monkeypatch):
         set_cpus(monkeypatch, cpus)
@@ -153,7 +168,7 @@ class TestThreadedBlocks:
         # More threads than cores, switching as often as the interpreter
         # allows: a start handed out twice or lost would show.
         set_cpus(monkeypatch, 8)
-        monkeypatch.setattr(neighbors, "_BLOCK", 8 * 3)
+        monkeypatch.setattr(neighbors, "_BLOCK", neighbors._MAX_SPLIT * 3)  # one-row blocks
         rng = np.random.default_rng(5)
         queries, points = rng.normal(size=(500, 2)), rng.normal(size=(3, 2))
         interval = sys.getswitchinterval()
