@@ -4,16 +4,8 @@ and an imbalance-aware cross-validation benchmark harness."""
 from .baselines import (
     ResampleSpec,
     apply_resample,
-    enn,
-    near_miss,
-    pipeline,
-    renn,
-    ros,
-    rus,
     senn_spec,
-    smote,
     stl_spec,
-    tomek,
 )
 from .dataio import (
     BinaryTask,
@@ -33,7 +25,6 @@ from .errors import FormatError, LeakageError, ParameterError
 from .evaluation import (
     EvalReport,
     FoldPlan,
-    average_ranks,
     friedman_statistic,
     make_folds,
     run_experiment,
@@ -52,11 +43,9 @@ from .modeling import (
 from .potential import (
     PotentialField,
     PotentialGrid,
-    RbfParams,
     init_field,
     mutual_potential,
     potential_grid,
-    rbf_value,
 )
 from .radial import RbuParams, rbu_kept_indices, rbu_removal_order, rbu_undersample
 
@@ -77,45 +66,34 @@ __all__ = [
     "ParameterError",
     "PotentialField",
     "PotentialGrid",
-    "RbfParams",
     "RbuParams",
     "ResampleSpec",
     "Standardizer",
     "apply_resample",
     "apply_standardizer",
     "auc_score",
-    "average_ranks",
     "categorize_minority",
     "compute_metrics",
     "confusion",
     "dataset_stats",
     "encode_categoricals",
-    "enn",
     "fit_standardizer",
     "friedman_statistic",
     "init_field",
     "make_classifier",
     "make_folds",
     "mutual_potential",
-    "near_miss",
     "parse_csv",
     "parse_keel",
-    "pipeline",
     "potential_grid",
-    "rbf_value",
     "rbu_kept_indices",
     "rbu_removal_order",
     "rbu_undersample",
-    "renn",
-    "ros",
     "run_experiment",
-    "rus",
     "select_params",
     "senn_spec",
     "serialize_csv",
     "serialize_keel",
-    "smote",
     "split_binary",
     "stl_spec",
-    "tomek",
 ]

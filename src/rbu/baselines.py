@@ -1,6 +1,11 @@
 """Reference resamplers: random under/oversampling, SMOTE, neighborhood
 cleaners, NearMiss-1, and pipeline composition for the combined methods.
 
+Every method, RBU included, runs through one entry,
+``apply_resample(task, ResampleSpec(method, params), seed)``: the index
+functions decide which rows survive or are added, and the method table
+builds the resampled task from them.
+
 Undersamplers only ever select a subset of the majority set; oversamplers
 only ever extend the minority set.  Every stochastic method is a pure
 function of (task, params, seed).
@@ -216,48 +221,6 @@ def near_miss_kept_indices(task: BinaryTask, k: int, ratio: float) -> np.ndarray
     for_each_block(task.majority, task.minority, body)
     order = np.argsort(mean_dist, kind="stable")
     return np.sort(order[:n_keep])
-
-
-# ---------------------------------------------------------------------------
-# Point-level operations
-
-
-def rus(task: BinaryTask, ratio: float, seed) -> np.ndarray:
-    """Uniformly remove a fraction of the majority excess."""
-    return task.majority[rus_kept_indices(task, ratio, seed)]
-
-
-def ros(task: BinaryTask, ratio: float, seed) -> np.ndarray:
-    """Duplicate uniformly drawn minority points; returns the augmented set."""
-    picks = ros_picked_indices(task, ratio, seed)
-    return np.vstack([task.minority, task.minority[picks]])
-
-
-def smote(task: BinaryTask, k: int, ratio: float, seed) -> np.ndarray:
-    """Augmented minority set: originals plus interpolated synthetics."""
-    return np.vstack([task.minority, smote_synthetic(task, k, ratio, seed)])
-
-
-def enn(task: BinaryTask, k: int) -> np.ndarray:
-    return task.majority[enn_kept_indices(task, k)]
-
-
-def renn(task: BinaryTask, k: int) -> np.ndarray:
-    return task.majority[renn_kept_indices(task, k)]
-
-
-def tomek(task: BinaryTask) -> np.ndarray:
-    return task.majority[tomek_kept_indices(task)]
-
-
-def near_miss(task: BinaryTask, k: int, ratio: float) -> np.ndarray:
-    return task.majority[near_miss_kept_indices(task, k, ratio)]
-
-
-def pipeline(task: BinaryTask, stages, seed=None) -> BinaryTask:
-    """Apply stages left to right, each to the previous stage's output."""
-    spec = ResampleSpec("pipeline", stages=tuple(stages))
-    return apply_resample(task, spec, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import LeakageError, ParameterError
 from .minority import dataset_stats
 # Unused here, but perfbench/tracing.py patches this name; --trace 1 fails without it.
 from .minority import categorize_minority  # noqa: F401
-from .modeling import METRIC_NAMES, compute_metrics, make_classifier, midranks
+from .modeling import METRIC_NAMES, compute_metrics, make_classifier, midranks, predict_labels
 from .neighbors import single_thread_blocks
 from .seeding import derive_seed
 
@@ -98,11 +98,9 @@ def binary_task_from_labels(features: np.ndarray, labels01: np.ndarray) -> Binar
 
 
 def _fit_and_score(classifier, train_features, train_labels, test_features):
-    model = make_classifier(classifier)
-    model.fit(train_features, train_labels)
+    model = make_classifier(classifier).fit(train_features, train_labels)
     scores = model.score_samples(test_features)
-    preds = (scores > 0.5).astype(np.int64)
-    return preds, scores
+    return predict_labels(scores), scores
 
 
 def _stack_task(task: BinaryTask):
@@ -301,16 +299,6 @@ class EvalReport:
     dataset_stats: list = field(default_factory=list)
     leakage_checks: int = 0
 
-    def aggregate_metrics(self, dataset, method, classifier):
-        for row in self.aggregates:
-            if (
-                row["dataset"] == dataset
-                and row["method"] == method
-                and row["classifier"] == classifier
-            ):
-                return row["metrics"]
-        return None
-
     def to_json_dict(self) -> dict:
         def round6(value):
             if isinstance(value, dict):
@@ -508,14 +496,6 @@ def means_by_dataset(report: EvalReport, metric: str, classifier: str) -> dict:
             None if metrics is None else metrics[metric]
         )
     return means
-
-
-def average_ranks(report: EvalReport, metric: str, classifier: str):
-    """Per-method mean rank for one metric/classifier pair of a finished report."""
-    if metric not in METRIC_NAMES:
-        raise ParameterError(f"unknown metric {metric!r}")
-    average, _, _ = rank_methods(means_by_dataset(report, metric, classifier), report.methods)
-    return average
 
 
 def friedman_statistic(ranks) -> tuple[float, int]:

@@ -2,8 +2,7 @@
 
 Labels are integers with 1 for the positive (minority) class and 0 for the
 negative (majority) class.  Both classifiers expose a positive-class score
-in [0, 1]; the prediction threshold is exactly 0.5 with ties going to the
-majority class.
+in [0, 1], which ``predict_labels`` turns into labels.
 """
 
 from __future__ import annotations
@@ -69,9 +68,6 @@ class KnnClassifier:
         neighbors = nearest_neighbors(features, self._train, self.k)
         return self._labels[neighbors].mean(axis=1)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return (self.score_samples(features) > 0.5).astype(np.int64)
-
 
 class GaussianNbClassifier:
     """Gaussian naive Bayes with empirical priors and smoothed variances."""
@@ -115,8 +111,10 @@ class GaussianNbClassifier:
         # when the likelihood ratio underflows double precision.
         return np.clip(posterior, 1e-300, 1.0 - 1e-16)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return (self.score_samples(features) > 0.5).astype(np.int64)
+
+def predict_labels(scores) -> np.ndarray:
+    """Labels of positive-class scores: 1 above 0.5, else 0 (a tie goes to the majority)."""
+    return (np.asarray(scores) > 0.5).astype(np.int64)
 
 
 CLASSIFIERS = {"knn": KnnClassifier, "gnb": GaussianNbClassifier}

@@ -3,9 +3,9 @@
 The potential at a point is the sum of Gaussian RBF contributions from the
 majority points minus the contributions from the minority points, with a
 single spread parameter gamma shared by every RBF.  A PotentialField caches
-the potential of every majority point and supports cheap subtraction of one
-point's contribution, which is what makes greedy undersampling quadratic
-instead of cubic.
+the potential of every majority point and runs the greedy removal by
+subtracting each removed point's contribution, which is what makes greedy
+undersampling quadratic instead of cubic.
 """
 
 from __future__ import annotations
@@ -44,27 +44,6 @@ def check_gamma(gamma) -> float:
     if not (0 < square < math.inf and 1.0 / square < math.inf):
         raise ParameterError(f"gamma must have a finite, nonzero 1/gamma^2, got {gamma}")
     return 1.0 / square
-
-
-@dataclass(frozen=True)
-class RbfParams:
-    """Spread of a single radial basis function."""
-
-    gamma: float
-
-    def __post_init__(self):
-        check_gamma(self.gamma)
-
-
-def rbf_value(distance: float, gamma: float) -> float:
-    """Single RBF contribution exp(-(distance/gamma)^2); lies in [0, 1]."""
-    check_gamma(gamma)
-    if not distance >= 0:
-        raise ParameterError(f"distance must be >= 0, got {distance}")
-    try:
-        return math.exp(-((float(distance) / float(gamma)) ** 2))
-    except OverflowError:  # (distance/gamma)^2 past the float range: exp underflows to 0
-        return 0.0
 
 
 def _exp_in_place(arg: np.ndarray) -> np.ndarray:
@@ -119,58 +98,42 @@ def mutual_potential(x, task: BinaryTask, gamma: float) -> float:
 
 
 class PotentialField:
-    """Per-majority-point potentials with incremental subtraction.
+    """Per-majority-point potentials for the greedy removal loop.
 
     The field is initialized against the full original majority set (each
     point therefore includes its own unit self-contribution) and the full
-    minority set.  Removing a point never recomputes anything: remaining
-    potentials only ever shrink by that point's RBF contribution.  Removed
-    points keep ``-inf`` as their potential.
-
-    Distances are taken between points centred on their mean; :meth:`pop_max`,
-    :meth:`subtract` and :attr:`points` use the caller's coordinates.
-    :meth:`pop_greedy` runs the whole greedy removal in one call.
+    minority set.  :meth:`pop_greedy` removes points without recomputing
+    anything: the others only shrink by each removed point's RBF
+    contribution, taken on distances between points centred on their mean.
+    Removed points keep ``-inf``; :attr:`phi` reads the remaining potentials.
 
     Mutable; owned by one logical thread at a time.
     """
 
     def __init__(self, points: np.ndarray, phi: np.ndarray, gamma: float):
+        """Raises ParameterError unless ``points`` is a 2-D array with one row
+        per entry of the finite potentials ``phi``, and for coordinates that
+        ``init_field`` refuses."""
         self._inv_g2 = check_gamma(gamma)
+        points = np.asarray(points, dtype=np.float64)
+        phi = np.asarray(phi, dtype=np.float64)
+        if points.ndim != 2 or phi.shape != (len(points),):
+            raise ParameterError(
+                f"need 2-D points with one row per potential, got {points.shape} and {phi.shape}"
+            )
         if not np.isfinite(phi).all():
             raise ParameterError("potentials must be finite")
-        self._points = points
         self._phi = phi
-        self._centre = _mean(points)
-        self._centred = points - self._centre
-        self._scaled_t = np.ascontiguousarray(self._centred.T * (2.0 * self._inv_g2))
-        self._scaled_sq = self._inv_g2 * np.einsum("ij,ij->i", self._centred, self._centred)
-        self._reach = math.sqrt(self._scaled_sq.max(initial=0.0))
-        self._arg = np.empty(len(phi))
-        self._zeros = np.zeros(len(phi))
-        self.gamma = gamma
+        self._centred = _centred(self._inv_g2, points)[0]
         self.removed_count = 0
 
     def __len__(self) -> int:
         return len(self._phi) - self.removed_count
 
     @property
-    def _alive(self) -> np.ndarray:
-        return self._phi > -np.inf
-
-    @property
-    def points(self) -> np.ndarray:
-        """Remaining points, original order."""
-        return self._points[self._alive]
-
-    @property
     def phi(self) -> np.ndarray:
-        """Potentials of the remaining points, aligned with :attr:`points`."""
-        return self._phi[self._alive]
-
-    @property
-    def alive_indices(self) -> np.ndarray:
-        """Original indices of the remaining points, ascending."""
-        return np.flatnonzero(self._alive)
+        """Potentials of the remaining points, in original order."""
+        return self._phi[self._phi > -np.inf]
 
     def _picker(self, tie_rule, rng):
         """Function giving the index of a maximal potential under ``tie_rule``:
@@ -190,91 +153,69 @@ class PotentialField:
             return pick
         raise ParameterError(f"unknown tie rule {tie_rule!r}")
 
-    def _check_pop(self, count: int) -> None:
-        if count > len(self):
-            raise ParameterError("cannot pop from an empty potential field")
-
-    def pop_max(self, tie_rule=TIE_LOWEST_INDEX, rng=None):
-        """Remove and return ``(point, original_index)`` with maximal potential.
+    def pop_greedy(self, count: int, tie_rule=TIE_LOWEST_INDEX, rng=None) -> np.ndarray:
+        """Original indices of ``count`` points removed one by one, each with
+        maximal potential and its RBF contribution subtracted from every
+        potential before the next pick.
 
         Ties are broken by the lowest original index, or uniformly at random
         when ``tie_rule`` is ``"seeded-random"`` (then ``rng`` is required).
-        """
-        self._check_pop(1)
-        index = int(self._picker(tie_rule, rng)())
-        self._phi[index] = -np.inf
-        self.removed_count += 1
-        return self._points[index].copy(), index
-
-    def pop_greedy(self, count: int, tie_rule=TIE_LOWEST_INDEX, rng=None) -> np.ndarray:
-        """Original indices of ``count`` points removed one by one, each with
-        maximal potential and its contribution subtracted before the next.
-
-        Bit for bit the same as ``count`` rounds of :meth:`pop_max` and
-        :meth:`subtract`.
+        ``count`` calls with a count of 1 remove the same points, and leave the
+        same potentials, bit for bit, as one call with ``count``.
         """
         if count < 0:
             raise ParameterError(f"count must be >= 0, got {count}")
-        self._check_pop(count)
+        if count > len(self):
+            raise ParameterError("cannot pop from an empty potential field")
         pick = self._picker(tie_rule, rng)
-        phi, centred, inv_g2, subtract = self._phi, self._centred, self._inv_g2, self._subtract
+        phi, centred, inv_g2 = self._phi, self._centred, self._inv_g2
+        scaled_t = np.ascontiguousarray(centred.T * (2.0 * inv_g2))
+        scaled_sq = inv_g2 * np.einsum("ij,ij->i", centred, centred)
+        reach = math.sqrt(scaled_sq.max(initial=0.0))
+        arg, zeros = np.empty(len(phi)), np.zeros(len(phi))
         removed = []
         for _ in range(count):
             index = pick()
             removed.append(index)
             phi[index] = -math.inf
             x = centred[index]
-            subtract(x, inv_g2 * float(x.dot(x)))
+            x_sq = inv_g2 * float(x.dot(x))
+            # -||p - x||^2 / gamma^2 by the dot-product identity.  Centred
+            # norms stay near the distances themselves, so little is lost to
+            # cancellation; clamp the tiny positives it can leave.
+            np.matmul(x, scaled_t, out=arg)
+            arg -= scaled_sq
+            arg -= x_sq
+            np.minimum(arg, zeros, out=arg)
+            # No argument is below -(reach + |x| / gamma)^2.  Those at or
+            # below _EXP_FLOOR have an RBF of exactly 0 and leave their
+            # potential as it is, so only the others are exponentiated.
+            if reach + math.sqrt(x_sq) < _EXP_REACH or arg.min() > _EXP_FLOOR:
+                phi -= np.exp(arg, out=arg)
+            else:
+                live = np.flatnonzero(arg > _EXP_FLOOR)
+                phi[live] -= np.exp(arg[live])
         self.removed_count += count
         return np.array(removed, dtype=np.intp)
 
-    def subtract(self, removed: np.ndarray) -> None:
-        """Subtract one removed point's RBF contribution from every remaining potential.
 
-        Raises ParameterError for a point of the wrong dimensionality or with
-        NaN or infinite coordinates.
-        """
-        removed = np.asarray(removed, dtype=np.float64)
-        if removed.shape != (self._points.shape[1],):
-            raise ParameterError(
-                f"point has shape {removed.shape}, field dimensionality is "
-                f"{self._points.shape[1]}"
-            )
-        check_finite(removed)
-        x = removed - self._centre
-        with np.errstate(over="ignore"):  # an overflow to inf is far enough
-            x_sq = self._inv_g2 * float(x.dot(x))
-        # |p - x| >= |x| - |p| and reach is the largest |p| / gamma, so a
-        # point this far out lies more than reach + 2 * _EXP_REACH from every
-        # point in units of gamma, far beyond any rounding: it contributes
-        # exactly 0.  Nearer points keep every term of the update within the
-        # headroom that init_field checks.
-        if math.sqrt(x_sq) > 2.0 * (self._reach + _EXP_REACH):
-            return
-        self._subtract(x, x_sq)
+def _centred(inv_g2: float, majority: np.ndarray, *others: np.ndarray) -> list:
+    """``majority`` and ``others`` minus the majority mean.
 
-    def _subtract(self, x: np.ndarray, x_sq: float) -> None:
-        """Subtract the RBF contribution of centred point ``x``, whose scaled
-        squared norm is ``x_sq``, from every potential."""
-        # -||p - x||^2 / gamma^2 by the dot-product identity.  Centred norms
-        # stay near the distances themselves, so little is lost to
-        # cancellation; clamp the tiny positives it can leave.
-        arg = np.matmul(x, self._scaled_t, out=self._arg)
-        arg -= self._scaled_sq
-        arg -= x_sq
-        np.minimum(arg, self._zeros, out=arg)
-        # No argument is below -(reach + |x| / gamma)^2.  Those at or below
-        # _EXP_FLOOR have an RBF of exactly 0 and leave their potential as it
-        # is, so only the others are exponentiated and subtracted.
-        if self._reach + math.sqrt(x_sq) < _EXP_REACH or arg.min() > _EXP_FLOOR:
-            self._phi -= np.exp(arg, out=arg)
-        else:
-            live = np.flatnonzero(arg > _EXP_FLOOR)
-            self._phi[live] -= np.exp(arg[live])
-
-
-def _mean(points: np.ndarray) -> np.ndarray:
-    return points.mean(axis=0) if len(points) else np.zeros(points.shape[1])
+    Raises ParameterError for NaN or infinite coordinates and for points so
+    far from that mean, in units of gamma, that the greedy loop would
+    overflow: it works with coordinates times 2/gamma^2 and with dot-product
+    terms of up to 4 max|p|^2 / gamma^2.
+    """
+    check_finite(majority, *others)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centre = majority.mean(axis=0) if len(majority) else np.zeros(majority.shape[1])
+        centred = [points - centre for points in (majority, *others)]
+        largest = np.max([np.einsum("ij,ij->i", c, c).max(initial=0.0) for c in centred])
+        headroom = 4.0 * inv_g2 * np.maximum(largest, 0.5)
+    if not np.isfinite(headroom):
+        raise ParameterError("coordinates too large: centred squared norms overflow")
+    return centred
 
 
 def init_field(task: BinaryTask, gamma: float) -> PotentialField:
@@ -285,19 +226,9 @@ def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     squared norms overflow.
     """
     inv_g2 = check_gamma(gamma)
-    majority = task.majority.astype(np.float64, copy=True)
-    check_finite(majority, task.minority)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centre = _mean(majority)
-        centred = (majority - centre, task.minority - centre)
-        largest = np.max([np.einsum("ij,ij->i", c, c).max(initial=0.0) for c in centred])
-        # PotentialField.subtract works with coordinates times 2/gamma^2 and
-        # with dot-product terms of up to 4 max|p|^2 / gamma^2.
-        headroom = 4.0 * inv_g2 * np.maximum(largest, 0.5)
-    if not np.isfinite(headroom):
-        raise ParameterError("coordinates too large: centred squared norms overflow")
-    # The centred majority against the centred majority and minority.
-    phi = _potential(centred[0], *centred, inv_g2)
+    majority = np.asarray(task.majority, dtype=np.float64)
+    centred, minority = _centred(inv_g2, majority, task.minority)
+    phi = _potential(centred, centred, minority, inv_g2)
     return PotentialField(majority, phi, gamma)
 
 

@@ -12,23 +12,18 @@ from rbu import (
     RbuParams,
     ResampleSpec,
     apply_resample,
-    enn,
-    near_miss,
-    pipeline,
     rbu_undersample,
-    renn,
-    ros,
-    rus,
     senn_spec,
-    smote,
     stl_spec,
-    tomek,
 )
 from rbu import baselines, neighbors
 from rbu.baselines import (
     apply_resample_detail,
     enn_kept_indices,
     near_miss_kept_indices,
+    renn_kept_indices,
+    ros_picked_indices,
+    rus_kept_indices,
     smote_synthetic,
     tomek_kept_indices,
 )
@@ -40,6 +35,11 @@ from oracles import (
     naive_tomek_kept,
     random_task,
 )
+
+
+def resample(task, method, seed=None, **params):
+    """``task`` resampled by a spec of ``method`` with ``params``."""
+    return apply_resample(task, ResampleSpec(method, params), seed=seed)
 
 
 def brute_force_knn_vote(points, labels, query_index, k):
@@ -58,25 +58,26 @@ class TestRus:
     def test_ratio_one_balances(self):
         rng = np.random.default_rng(0)
         task = random_task(rng, 23, 7, 3)
-        assert len(rus(task, 1.0, seed=5)) == task.n_minority
+        assert len(resample(task, "rus", ratio=1.0, seed=5).majority) == task.n_minority
 
     def test_ratio_zero_noop(self):
         task = make_task([[0.0], [1.0], [2.0]], [[9.0]])
-        np.testing.assert_array_equal(rus(task, 0.0, seed=5), task.majority)
+        out = resample(task, "rus", ratio=0.0, seed=5).majority
+        np.testing.assert_array_equal(out, task.majority)
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(1)
         task = random_task(rng, 30, 10, 2)
-        a = rus(task, 0.5, seed=7)
-        b = rus(task, 0.5, seed=7)
+        a = resample(task, "rus", ratio=0.5, seed=7).majority
+        b = resample(task, "rus", ratio=0.5, seed=7).majority
         assert a.tobytes() == b.tobytes()
-        c = rus(task, 0.5, seed=8)
+        c = resample(task, "rus", ratio=0.5, seed=8).majority
         assert a.shape == c.shape
 
     def test_subset_of_input(self):
         rng = np.random.default_rng(2)
         task = random_task(rng, 20, 5, 2)
-        out = rus(task, 0.6, seed=3)
+        out = resample(task, "rus", ratio=0.6, seed=3).majority
         rows = {tuple(r) for r in task.majority}
         assert all(tuple(r) in rows for r in out)
 
@@ -85,16 +86,17 @@ class TestRos:
     def test_ratio_one_balances(self):
         rng = np.random.default_rng(3)
         task = random_task(rng, 19, 6, 2)
-        assert len(ros(task, 1.0, seed=1)) == task.n_majority
+        assert len(resample(task, "ros", ratio=1.0, seed=1).minority) == task.n_majority
 
     def test_ratio_zero_noop(self):
         task = make_task([[0.0], [1.0]], [[9.0]])
-        np.testing.assert_array_equal(ros(task, 0.0, seed=1), task.minority)
+        out = resample(task, "ros", ratio=0.0, seed=1).minority
+        np.testing.assert_array_equal(out, task.minority)
 
     def test_only_duplicates(self):
         rng = np.random.default_rng(4)
         task = random_task(rng, 15, 4, 3)
-        out = ros(task, 1.0, seed=2)
+        out = resample(task, "ros", ratio=1.0, seed=2).minority
         originals = {tuple(r) for r in task.minority}
         assert all(tuple(r) in originals for r in out)
         np.testing.assert_array_equal(out[: task.n_minority], task.minority)
@@ -104,13 +106,13 @@ class TestSmote:
     def test_needs_two_minority_points(self):
         task = make_task([[0.0], [1.0], [2.0]], [[9.0]])
         with pytest.raises(ParameterError, match="2 minority"):
-            smote(task, k=1, ratio=1.0, seed=0)
+            resample(task, "smote", k=1, ratio=1.0, seed=0)
 
     def test_collinear_segment(self):
         task = make_task(
             [[float(i), 5.0] for i in range(8)], [[0.0, 0.0], [1.0, 0.0]]
         )
-        out = smote(task, k=1, ratio=1.0, seed=11)
+        out = resample(task, "smote", k=1, ratio=1.0, seed=11).minority
         synth = out[task.n_minority :]
         assert len(synth) == 6
         assert np.all(synth[:, 1] == 0.0)
@@ -141,7 +143,7 @@ class TestSmote:
 
     def test_k_capped_at_minority_minus_one(self):
         task = make_task([[0.0], [1.0], [2.0], [3.0]], [[10.0], [11.0]])
-        out = smote(task, k=50, ratio=1.0, seed=0)
+        out = resample(task, "smote", k=50, ratio=1.0, seed=0).minority
         assert len(out) == task.n_majority
 
     @pytest.mark.parametrize("k", [1, 3, 5, 9])
@@ -158,8 +160,8 @@ class TestSmote:
     def test_determinism(self):
         rng = np.random.default_rng(8)
         task = random_task(rng, 12, 5, 2)
-        a = smote(task, 3, 0.5, seed=21)
-        b = smote(task, 3, 0.5, seed=21)
+        a = resample(task, "smote", k=3, ratio=0.5, seed=21).minority
+        b = resample(task, "smote", k=3, ratio=0.5, seed=21).minority
         assert a.tobytes() == b.tobytes()
 
 
@@ -169,14 +171,14 @@ class TestEnn:
             [[0.0, 0.0], [10.0, 10.0], [10.0, 11.0], [11.0, 10.0]],
             [[0.1, 0.0], [0.0, 0.1], [-0.1, 0.0]],
         )
-        out = enn(task, k=3)
+        out = resample(task, "enn", k=3).majority
         assert not any(np.array_equal(r, [0.0, 0.0]) for r in out)
 
     def test_pure_cluster_kept(self):
         task = make_task(
             [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1]], [[10.0, 10.0], [10.0, 10.1]]
         )
-        out = enn(task, k=2)
+        out = resample(task, "enn", k=2).majority
         assert len(out) == 3
 
     def test_matches_brute_force_vote_on_crafted_instance(self):
@@ -205,23 +207,23 @@ class TestEnn:
     def test_too_few_points(self):
         task = make_task([[0.0]], [[1.0]])
         with pytest.raises(ParameterError, match="other points"):
-            enn(task, k=5)
+            resample(task, "enn", k=5)
 
 
 class TestRenn:
     def test_stable_instance_equals_single_pass(self):
         rng = np.random.default_rng(10)
         task = random_task(rng, 15, 5, 2, spread=1.0)
-        once = enn(task, k=3)
+        once = resample(task, "enn", k=3).majority
         stable_task = make_task(once, task.minority)
-        if len(enn(stable_task, k=3)) == len(once):  # one pass is stable
-            np.testing.assert_array_equal(renn(task, k=3), once)
+        if len(resample(stable_task, "enn", k=3).majority) == len(once):  # one pass is stable
+            np.testing.assert_array_equal(resample(task, "renn", k=3).majority, once)
 
     def test_no_minority_influence_means_no_removal(self):
         task = make_task(
             [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1]], [[50.0, 50.0], [50.1, 50.0]]
         )
-        np.testing.assert_array_equal(renn(task, k=3), task.majority)
+        np.testing.assert_array_equal(resample(task, "renn", k=3).majority, task.majority)
 
     def test_chained_removal_goes_beyond_one_pass(self):
         # Majority chain toward a minority cluster: the first pass removes the
@@ -229,12 +231,13 @@ class TestRenn:
         majority = np.array([[0.0], [1.0], [2.0], [30.0], [31.0], [32.0], [33.0]])
         minority = np.array([[-1.0], [-0.5], [0.5]])
         task = make_task(majority, minority)
-        one_pass = enn(task, k=3)
-        repeated = renn(task, k=3)
+        one_pass = resample(task, "enn", k=3).majority
+        repeated = resample(task, "renn", k=3).majority
         assert len(repeated) < len(one_pass)
         # second-pass result matches manually re-applying enn to the first pass
+        second_pass = resample(make_task(one_pass, minority), "enn", k=3).majority
         np.testing.assert_array_equal(
-            renn(task, k=3), enn(make_task(enn(make_task(one_pass, minority), 3), minority), 3)
+            repeated, resample(make_task(second_pass, minority), "enn", k=3).majority
         )
 
 
@@ -243,7 +246,7 @@ class TestTomek:
         task = make_task(
             [[0.0, 0.0], [10.0, 10.0], [10.5, 10.0]], [[0.4, 0.0]]
         )
-        out = tomek(task)
+        out = resample(task, "tomek").majority
         assert not any(np.array_equal(r, [0.0, 0.0]) for r in out)
         assert len(out) == 2
 
@@ -251,7 +254,7 @@ class TestTomek:
         task = make_task(
             [[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]], [[10.0, 10.0], [10.3, 10.0]]
         )
-        np.testing.assert_array_equal(tomek(task), task.majority)
+        np.testing.assert_array_equal(resample(task, "tomek").majority, task.majority)
 
     def test_two_links_on_crafted_instance(self):
         majority = np.array(
@@ -280,7 +283,7 @@ class TestNearMiss:
         majority = np.array([[0.0, 0.0], [50.0, 50.0], [60.0, 60.0]])
         minority = np.array([[0.5, 0.0], [0.0, 0.5]])
         task = make_task(majority, minority)
-        out = near_miss(task, k=2, ratio=1.0)
+        out = resample(task, "near_miss", k=2, ratio=1.0).majority
         assert len(out) == 2
         assert any(np.array_equal(r, [0.0, 0.0]) for r in out)
 
@@ -288,7 +291,7 @@ class TestNearMiss:
         majority = np.array([[0.0], [1.0], [2.0], [100.0]])
         minority = np.array([[0.5], [1.5]])
         task = make_task(majority, minority)
-        out = near_miss(task, k=2, ratio=0.5)  # remove ceil(0.5*2)=1
+        out = resample(task, "near_miss", k=2, ratio=0.5).majority  # remove ceil(0.5*2)=1
         assert not any(np.array_equal(r, [100.0]) for r in out)
 
     def test_matches_sorted_mean_distance_oracle(self):
@@ -307,18 +310,18 @@ class TestNearMiss:
 
     def test_k_capped_at_minority_size(self):
         task = make_task([[0.0], [1.0], [2.0]], [[0.5]])
-        out = near_miss(task, k=10, ratio=1.0)
+        out = resample(task, "near_miss", k=10, ratio=1.0).majority
         assert len(out) == 1
 
     def test_needs_a_minority_point(self):
         task = make_task([[0.0], [1.0]], [])
         with pytest.raises(ParameterError, match="1 minority"):
-            near_miss(task, k=3, ratio=0.5)
+            resample(task, "near_miss", k=3, ratio=0.5)
 
     def test_ratio_zero_rejected(self):
         task = make_task([[0.0], [1.0]], [[0.5]])
         with pytest.raises(ParameterError):
-            near_miss(task, k=1, ratio=0.0)
+            resample(task, "near_miss", k=1, ratio=0.0)
 
     def test_row_blocks_match_unblocked_reference(self, monkeypatch):
         # Integer coordinates make many mean distances tie exactly.
@@ -373,8 +376,8 @@ class TestPipeline:
         rng = np.random.default_rng(13)
         task = random_task(rng, 14, 5, 2)
         spec = ResampleSpec("smote", {"k": 2, "ratio": 1.0, "seed": 3})
-        direct = smote(task, 2, 1.0, seed=3)
-        piped = pipeline(task, [spec])
+        direct = np.vstack([task.minority, smote_synthetic(task, 2, 1.0, seed=3)])
+        piped = apply_resample(task, ResampleSpec("pipeline", stages=(spec,)))
         np.testing.assert_array_equal(piped.minority, direct)
         np.testing.assert_array_equal(piped.majority, task.majority)
 
@@ -395,16 +398,16 @@ class TestPipeline:
         # manual: smote with the pipeline's stage-0 derived seed, then enn
         from rbu.seeding import derive_seed
 
-        grown = smote(task, 3, 1.0, seed=derive_seed(41, 0))
+        grown = np.vstack([task.minority, smote_synthetic(task, 3, 1.0, seed=derive_seed(41, 0))])
         mid_task = make_task(task.majority, grown)
-        cleaned = enn(mid_task, 3)
+        cleaned = mid_task.majority[enn_kept_indices(mid_task, 3)]
         np.testing.assert_array_equal(combined.majority, cleaned)
         np.testing.assert_array_equal(combined.minority, grown)
 
     def test_empty_pipeline_rejected(self):
         task = make_task([[0.0], [1.0]], [[0.5]])
         with pytest.raises(ParameterError):
-            pipeline(task, [])
+            apply_resample(task, ResampleSpec("pipeline", stages=()))
 
 
 INDEX_FUNCTION_SPECS = {
@@ -452,18 +455,34 @@ class TestSpecDispatch:
         assert spec.label == "smote(k=5.0, ratio=1.0)"
         task = random_task(np.random.default_rng(19), 14, 5, 2)
         out = apply_resample(task, spec, seed=2)
-        np.testing.assert_array_equal(out.minority, smote(task, 5, 1.0, seed=2))
+        synthetic = smote_synthetic(task, 5, 1.0, seed=2)
+        np.testing.assert_array_equal(out.minority, np.vstack([task.minority, synthetic]))
 
     @pytest.mark.parametrize(
         "spec,expected",
         [
-            (ResampleSpec("rus", {"ratio": 0.5}), lambda t: (rus(t, 0.5, 3), t.minority)),
-            (ResampleSpec("ros", {"ratio": 1.0}), lambda t: (t.majority, ros(t, 1.0, 3))),
-            (ResampleSpec("smote", {"ratio": 1.0}), lambda t: (t.majority, smote(t, 5, 1.0, 3))),
-            (ResampleSpec("enn"), lambda t: (enn(t, 3), t.minority)),
-            (ResampleSpec("renn"), lambda t: (renn(t, 3), t.minority)),
-            (ResampleSpec("tomek"), lambda t: (tomek(t), t.minority)),
-            (ResampleSpec("near_miss"), lambda t: (near_miss(t, 3, 1.0), t.minority)),
+            (
+                ResampleSpec("rus", {"ratio": 0.5}),
+                lambda t: (t.majority[rus_kept_indices(t, 0.5, 3)], t.minority),
+            ),
+            (
+                ResampleSpec("ros", {"ratio": 1.0}),
+                lambda t: (
+                    t.majority,
+                    np.vstack([t.minority, t.minority[ros_picked_indices(t, 1.0, 3)]]),
+                ),
+            ),
+            (
+                ResampleSpec("smote", {"ratio": 1.0}),
+                lambda t: (t.majority, np.vstack([t.minority, smote_synthetic(t, 5, 1.0, 3)])),
+            ),
+            (ResampleSpec("enn"), lambda t: (t.majority[enn_kept_indices(t, 3)], t.minority)),
+            (ResampleSpec("renn"), lambda t: (t.majority[renn_kept_indices(t, 3)], t.minority)),
+            (ResampleSpec("tomek"), lambda t: (t.majority[tomek_kept_indices(t)], t.minority)),
+            (
+                ResampleSpec("near_miss"),
+                lambda t: (t.majority[near_miss_kept_indices(t, 3, 1.0)], t.minority),
+            ),
             (
                 ResampleSpec("rbu", {"gamma": 0.5, "ratio": 1.0}),
                 lambda t: (rbu_undersample(t, RbuParams(0.5, 1.0)), t.minority),
@@ -512,7 +531,7 @@ class TestSpecDispatch:
         rng = np.random.default_rng(17)
         task = random_task(rng, 16, 5, 2)
         pinned = apply_resample(task, ResampleSpec("rus", {"ratio": 1.0, "seed": 4}), seed=99)
-        direct = rus(task, 1.0, seed=4)
+        direct = task.majority[rus_kept_indices(task, 1.0, seed=4)]
         np.testing.assert_array_equal(pinned.majority, direct)
 
 

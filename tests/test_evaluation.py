@@ -10,7 +10,6 @@ from rbu import (
     LeakageError,
     ParameterError,
     ResampleSpec,
-    average_ranks,
     dataset_stats,
     friedman_statistic,
     make_folds,
@@ -24,6 +23,7 @@ from rbu.evaluation import (
     binary_task_from_labels,
     check_no_leakage,
     inner_scores,
+    means_by_dataset,
     rank_methods,
 )
 from rbu.grids import preset_grids
@@ -454,7 +454,11 @@ class TestRunExperiment:
         )
         assert len(report.runs) == 40  # 1 dataset x 2 methods x 2 classifiers x 10 folds
         assert {r["classifier"] for r in report.runs} == {"knn", "gnb"}
-        metrics = report.aggregate_metrics("synth0", "rus", "knn")
+        [metrics] = [
+            row["metrics"]
+            for row in report.aggregates
+            if (row["dataset"], row["method"], row["classifier"]) == ("synth0", "rus", "knn")
+        ]
         assert 0.0 <= metrics["g_mean"] <= 1.0
 
     def test_jobs_parallel_identical_report(self):
@@ -837,7 +841,7 @@ class TestRanks:
             ["gnb"],
             seed=5,
         )
-        ranks = average_ranks(report, "g_mean", "gnb")
+        ranks, _, _ = rank_methods(means_by_dataset(report, "g_mean", "gnb"), report.methods)
         assert set(ranks) == {"none", "rus"}
         assert sum(ranks.values()) == pytest.approx(3.0)
 

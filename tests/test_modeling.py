@@ -26,6 +26,7 @@ from rbu.modeling import (
     g_mean_score,
     midranks,
     precision_score,
+    predict_labels,
     recall_score,
 )
 
@@ -38,7 +39,7 @@ class TestKnn:
         y = np.array([0, 1])
         model = KnnClassifier(k=1).fit(X, y)
         assert model.score_samples(X).tolist() == [0.0, 1.0]
-        assert model.predict(X).tolist() == [0, 1]
+        assert predict_labels(model.score_samples(X)).tolist() == [0, 1]
 
     def test_all_minority_neighbors(self):
         X = np.array([[0.0], [0.1], [0.2]])
@@ -51,13 +52,14 @@ class TestKnn:
         model = KnnClassifier(k=5).fit(X, y)
         score = model.score_samples(np.array([[0.05]]))[0]
         assert score == pytest.approx(0.4)
-        assert model.predict(np.array([[0.05]]))[0] == 0
+        assert predict_labels([score])[0] == 0
 
     def test_exact_half_score_predicts_majority(self):
         X = np.array([[0.0], [1.0]])
         model = KnnClassifier(k=2).fit(X, np.array([0, 1]))
-        assert model.score_samples(np.array([[0.5]]))[0] == 0.5
-        assert model.predict(np.array([[0.5]]))[0] == 0
+        score = model.score_samples(np.array([[0.5]]))[0]
+        assert score == 0.5
+        assert predict_labels([score])[0] == 0
 
     def test_k_exceeds_training_size(self):
         with pytest.raises(ParameterError, match="exceeds"):
@@ -88,8 +90,9 @@ class TestGaussianNb:
         X = np.array([[-1.0], [1.0]])
         y = np.array([0, 1])
         model = GaussianNbClassifier().fit(X, y)
-        assert model.score_samples(np.array([[0.0]]))[0] == pytest.approx(0.5, abs=1e-12)
-        assert model.predict(np.array([[0.0]]))[0] == 0  # tie goes to majority
+        score = model.score_samples(np.array([[0.0]]))[0]
+        assert score == pytest.approx(0.5, abs=1e-12)
+        assert predict_labels([score])[0] == 0  # tie goes to majority
 
     def test_at_minority_mean(self):
         rng = np.random.default_rng(31)

@@ -11,12 +11,10 @@ from scipy.spatial.distance import cdist
 from rbu import (
     ParameterError,
     PotentialField,
-    RbfParams,
     init_field,
     mutual_potential,
     potential_grid,
     neighbors,
-    rbf_value,
 )
 from rbu.potential import check_gamma
 from rbu.radial import RbuParams
@@ -31,8 +29,6 @@ GAMMA_TASK = make_task([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0.5, 0.5]])
 
 # Every public entry that takes a spread, called with a valid everything else.
 GAMMA_ENTRIES = {
-    "RbfParams": lambda gamma: RbfParams(gamma),
-    "rbf_value": lambda gamma: rbf_value(1.0, gamma),
     "mutual_potential": lambda gamma: mutual_potential([0.2, 0.3], GAMMA_TASK, gamma),
     "init_field": lambda gamma: init_field(GAMMA_TASK, gamma),
     "PotentialField": lambda gamma: PotentialField(GAMMA_TASK.majority, np.zeros(3), gamma),
@@ -77,41 +73,36 @@ class TestGammaRule:
 
 
 class TestRbfValue:
+    """One RBF contribution exp(-(d / gamma)^2), read as the potential at
+    distance d from a majority of one point."""
+
+    @staticmethod
+    def rbf(distance, gamma):
+        return mutual_potential([distance, 0.0], make_task([[0.0, 0.0]], []), gamma)
+
     def test_zero_distance(self):
-        assert rbf_value(0.0, 0.37) == 1.0
+        assert self.rbf(0.0, 0.37) == 1.0
 
     def test_unit_values(self):
-        assert rbf_value(1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
-        assert rbf_value(2.0, 1.0) == pytest.approx(math.exp(-4), rel=1e-12)
+        assert self.rbf(1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+        assert self.rbf(2.0, 1.0) == pytest.approx(math.exp(-4), rel=1e-12)
 
     def test_invalid_gamma(self):
         with pytest.raises(ParameterError):
-            rbf_value(1.0, 0.0)
+            self.rbf(1.0, 0.0)
         with pytest.raises(ParameterError):
-            rbf_value(1.0, -2.0)
-        with pytest.raises(ParameterError):
-            RbfParams(gamma=0.0)
-
-    def test_negative_distance(self):
-        with pytest.raises(ParameterError):
-            rbf_value(-0.1, 1.0)
+            self.rbf(1.0, -2.0)
 
     def test_nan_distance_refused(self):
-        with pytest.raises(ParameterError, match="distance"):
-            rbf_value(float("nan"), 1.0)
+        with pytest.raises(ParameterError, match="finite"):
+            self.rbf(float("nan"), 1.0)
 
     @pytest.mark.parametrize(
         "distance, gamma",
-        [(1e200, 1.0), (1e10, 1e-150), (math.inf, 1.0), (np.float64(1e200), np.float64(1.0))],
+        [(1e200, 1.0), (1e10, 1e-150), (np.float64(1e200), np.float64(1.0))],
     )
     def test_ratio_past_float_range_gives_zero(self, distance, gamma):
-        assert rbf_value(distance, gamma) == 0.0
-
-    def test_squares_the_ratio_with_pow(self):
-        # 2.759 * 2.759 and 2.759 ** 2 differ in the last bit, and so do
-        # their exp(-x); the value keeps ** 2.
-        assert 2.759 * 2.759 != 2.759**2
-        assert rbf_value(2.759, 1.0) == math.exp(-(2.759**2))
+        assert self.rbf(distance, gamma) == 0.0
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -123,7 +114,7 @@ class TestRbfValue:
         lo, hi = sorted((g1, g2))
         assume(hi >= 1.01 * lo)
         assume((distance / lo) ** 2 < 700)  # keep exp() away from underflow
-        assert rbf_value(distance, hi) > rbf_value(distance, lo)
+        assert self.rbf(distance, hi) > self.rbf(distance, lo)
 
 
 class TestMutualPotential:
@@ -269,27 +260,27 @@ class TestInitField:
 
 
 class TestPopMax:
+    """``pop_greedy(1)``: one removal of a maximal potential."""
+
     def _field(self, phi):
         points = np.arange(len(phi), dtype=float)[:, None]
         return PotentialField(points, np.array(phi, dtype=float), gamma=1.0)
 
     def test_picks_max(self):
         field = self._field([0.2, 0.9, 0.5])
-        point, index = field.pop_max()
-        assert index == 1 and point[0] == 1.0
+        assert field.pop_greedy(1).tolist() == [1]
         assert len(field) == 2
         assert field.removed_count == 1
 
     def test_tie_goes_to_lowest_index(self):
         field = self._field([0.7, 0.7])
-        _, index = field.pop_max()
-        assert index == 0
+        assert field.pop_greedy(1).tolist() == [0]
 
     def test_indices_stay_original_after_removals(self):
         field = self._field([0.3, 0.9, 0.8])
-        assert field.pop_max()[1] == 1
-        assert field.pop_max()[1] == 2
-        assert field.pop_max()[1] == 0
+        assert field.pop_greedy(1).tolist() == [1]
+        assert field.pop_greedy(1).tolist() == [2]
+        assert field.pop_greedy(1).tolist() == [0]
 
     def test_non_finite_potentials_refused(self):
         with pytest.raises(ParameterError, match="finite"):
@@ -297,101 +288,105 @@ class TestPopMax:
 
     def test_single_element_then_empty(self):
         field = self._field([0.4])
-        _, index = field.pop_max()
-        assert index == 0 and len(field) == 0
+        assert field.pop_greedy(1).tolist() == [0] and len(field) == 0
         with pytest.raises(ParameterError):
-            field.pop_max()
+            field.pop_greedy(1)
 
     def test_seeded_random_tie_rule(self):
         picks = set()
         for seed in range(10):
             field = self._field([0.5, 0.5, 0.1])
             rng = np.random.default_rng(seed)
-            _, index = field.pop_max(tie_rule="seeded-random", rng=rng)
-            picks.add(index)
+            picks.add(int(field.pop_greedy(1, tie_rule="seeded-random", rng=rng)[0]))
         assert picks <= {0, 1}  # only tied entries are candidates
         assert len(picks) == 2  # both get chosen across seeds
 
     def test_seeded_random_requires_rng(self):
         with pytest.raises(ParameterError):
-            self._field([0.1]).pop_max(tie_rule="seeded-random")
+            self._field([0.1]).pop_greedy(1, tie_rule="seeded-random")
 
     def test_unknown_tie_rule(self):
         with pytest.raises(ParameterError):
-            self._field([0.1]).pop_max(tie_rule="coin-flip")
+            self._field([0.1]).pop_greedy(1, tie_rule="coin-flip")
+
+
+class TestFieldConstruction:
+    """The constructor refuses what the greedy loop cannot use."""
+
+    def test_rows_must_match_potentials(self):
+        with pytest.raises(ParameterError, match="one row per potential"):
+            PotentialField(np.zeros((3, 2)), np.zeros(2), 1.0)
+
+    def test_points_must_be_2d(self):
+        with pytest.raises(ParameterError, match="2-D points"):
+            PotentialField(np.zeros(3), np.zeros(3), 1.0)
+
+    def test_overflowing_points_refused(self):
+        # Accepted, the greedy loop's dot products overflow and the field
+        # keeps a potential the removed point should have lowered.
+        points = np.array([[0.0, 0.0], [1e300, 0.0], [1.0, 0.0]])
+        with pytest.raises(ParameterError, match="coordinates too large"):
+            PotentialField(points, np.array([1.0, 3.0, 2.0]), 1.0)
 
 
 class TestSubtract:
+    """Each removal subtracts the removed point's RBF from the rest."""
+
     def test_distance_zero_subtracts_one(self):
         task = make_task([[0.0, 0.0], [1.0, 1.0]], [])
         field = init_field(task, 1.0)
         before = field.phi.copy()
-        point, _ = field.pop_max()
-        field.subtract(point)
+        field.pop_greedy(1)
         remaining = field.phi[0]
         # the removed point sat at distance sqrt(2) from the survivor
         assert before[1] - remaining == pytest.approx(math.exp(-2.0), rel=1e-12)
-        field2 = init_field(make_task([[5.0, 5.0]], []), 1.0)
-        field2.subtract(np.array([5.0, 5.0]))
-        assert field2.phi[0] == pytest.approx(0.0, abs=1e-15)
+        field2 = init_field(make_task([[5.0, 5.0], [5.0, 5.0]], []), 1.0)
+        field2.pop_greedy(1)
+        assert field2.phi[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_far_point_changes_nothing_measurable(self):
-        field = init_field(make_task([[0.0, 0.0]], []), 1.0)
-        field.subtract(np.array([1e6, 1e6]))
+        field = init_field(make_task([[0.0, 0.0], [1e6, 1e6]], []), 1.0)
+        assert field.pop_greedy(1).tolist() == [0]
         assert field.phi[0] == pytest.approx(1.0, abs=1e-300)
-
-    def test_dimension_mismatch(self):
-        field = init_field(make_task([[0.0, 0.0]], []), 1.0)
-        with pytest.raises(ParameterError):
-            field.subtract(np.array([1.0, 2.0, 3.0]))
 
     def test_subtractions_match_naive_recomputation(self):
         rng = np.random.default_rng(42)
         task = random_task(rng, 60, 20, 6)
         gamma = 0.8
         field = init_field(task, gamma)
+        removed = []
         for _ in range(25):
-            point, _ = field.pop_max()
-            field.subtract(point)
-            alive = field.alive_indices
+            removed.extend(field.pop_greedy(1))
+            alive = np.delete(np.arange(task.n_majority), removed)
             reduced = make_task(task.majority[alive], task.minority)
             fresh = init_field(reduced, gamma)
             np.testing.assert_allclose(field.phi, fresh.phi, rtol=0, atol=1e-9)
 
 
 class TestFarPoints:
-    """A subtracted point far outside the field contributes exactly 0."""
-
-    FIELD = make_task([[0.0, 0.0], [6e153, 0.0]], [])
-
-    @pytest.mark.parametrize("point", [[-1.3e154, 0.0], [1.6e154, 0.0], [1.7e308, -1.7e308]])
-    def test_leaves_potentials_unchanged_without_warning(self, point):
-        field = init_field(self.FIELD, 1.0)
-        before = field.phi.copy()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            field.subtract(np.array(point))
-        np.testing.assert_array_equal(field.phi, before)
+    """A removed point far from every other contributes exactly 0."""
 
     @pytest.mark.parametrize("gamma", [0.1, 1.0, 3.0])
     def test_points_beyond_the_exp_floor_match_the_oracle(self, gamma):
-        # The field spans a few gamma; x goes from inside it to past the
-        # exp floor (27.3 gamma) and past twice the field's reach plus that.
+        # The task spans a few gamma; x, the point removed, goes from inside
+        # it to far past the exp floor (27.3 gamma).
         rng = np.random.default_rng(51)
         task = random_task_for_gamma(rng, 12, 1, 2, gamma)
         for distance in (0.5, 5.0, 20.0, 28.0, 40.0, 80.0, 300.0):
-            field = init_field(task, gamma)
-            before = field.phi.copy()
+            before = init_field(task, gamma).phi
             x = np.array([distance * gamma, 0.0]) + task.majority.mean(axis=0)
-            field.subtract(x)
-            rbf = [rbf_value(float(np.linalg.norm(p - x)), gamma) for p in task.majority]
+            # x's potential is the highest, so the greedy loop removes it first.
+            phi = np.append(before, task.n_majority + 1.0)
+            field = PotentialField(np.vstack([task.majority, x]), phi, gamma)
+            assert field.pop_greedy(1).tolist() == [task.n_majority]
+            rbf = [math.exp(-((float(np.linalg.norm(p - x)) / gamma) ** 2)) for p in task.majority]
             np.testing.assert_allclose(field.phi, before - rbf, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_point_refused(self, value):
-        field = init_field(make_task([[0.0, 0.0]], []), 1.0)
+        # Accepted, a NaN point let the greedy loop return an order with no error.
         with pytest.raises(ParameterError, match="finite"):
-            field.subtract(np.array([value, 0.0]))
+            PotentialField(np.array([[0.0, 0.0], [value, 0.0]]), np.array([1.0, 2.0]), 1.0)
 
 
 def dense_reference_order(task, gamma, count, tie_rule, seed):
@@ -435,18 +430,16 @@ class TestPopGreedy:
         assert len(field) == 0 and field.removed_count == 40
 
     @pytest.mark.parametrize("tie_rule", ["lowest-index", "seeded-random"])
-    def test_matches_pop_max_and_subtract(self, tie_rule):
+    def test_single_steps_match_one_call(self, tie_rule):
         rng = np.random.default_rng(53)
         task = random_task(rng, 30, 10, 4)
         greedy = init_field(task, 0.9)
         order = greedy.pop_greedy(12, tie_rule, np.random.default_rng(3))
         stepwise, steps_rng = init_field(task, 0.9), np.random.default_rng(3)
         for index in order:
-            point, popped = stepwise.pop_max(tie_rule, steps_rng)
-            stepwise.subtract(point)
-            assert popped == index
-        np.testing.assert_array_equal(greedy.phi, stepwise.phi)
-        np.testing.assert_array_equal(greedy.alive_indices, stepwise.alive_indices)
+            assert stepwise.pop_greedy(1, tie_rule, steps_rng).tolist() == [index]
+        np.testing.assert_array_equal(greedy._phi, stepwise._phi)
+        assert len(greedy) == len(stepwise) == 18
 
     def test_count_checked_against_remaining_points(self):
         field = init_field(make_task([[0.0], [1.0], [2.0]], []), 1.0)

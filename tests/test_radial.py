@@ -48,9 +48,7 @@ class TestUndersample:
         np.testing.assert_allclose(out, [[2.0, 0.0]])
 
         field = init_field(task, 1.0)
-        point, first = field.pop_max()
-        field.subtract(point)
-        assert first == 1
+        assert field.pop_greedy(1).tolist() == [1]
         np.testing.assert_allclose(
             field.phi, [1.0061604605588192, 0.0282658051395661], atol=1e-9
         )
@@ -156,8 +154,7 @@ class TestOracleEquivalence:
                 np.testing.assert_allclose(
                     field.phi, phi_expected, rtol=0, atol=1e-9
                 )
-                point, _ = field.pop_max()
-                field.subtract(point)
+                field.pop_greedy(1)
 
     @pytest.mark.parametrize("offset", [1e5, 1e7])
     def test_offset_instances_match_naive_recomputation(self, offset):
@@ -213,12 +210,10 @@ class TestExactTies:
         rng = np.random.default_rng(4)
         popped = []
         for _ in range(len(self.MAJORITY)):
-            point, index = field.pop_max(tie_rule=tie_rule, rng=rng)
-            field.subtract(point)
-            popped.append(index)
+            popped.extend(field.pop_greedy(1, tie_rule=tie_rule, rng=rng).tolist())
         assert sorted(popped) == list(range(len(self.MAJORITY)))
         if tie_rule == "lowest-index":
             assert popped == sorted(popped)
         assert len(field) == 0
         with pytest.raises(ParameterError):
-            field.pop_max(tie_rule=tie_rule, rng=rng)
+            field.pop_greedy(1, tie_rule=tie_rule, rng=rng)
