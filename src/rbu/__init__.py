@@ -24,7 +24,6 @@ from .dataio import (
 from .errors import FormatError, LeakageError, ParameterError
 from .evaluation import (
     EvalReport,
-    FoldPlan,
     friedman_statistic,
     make_folds,
     run_experiment,
@@ -56,7 +55,6 @@ __all__ = [
     "Dataset",
     "DatasetStats",
     "EvalReport",
-    "FoldPlan",
     "FormatError",
     "GaussianNbClassifier",
     "KnnClassifier",

@@ -10,10 +10,11 @@ work is one (dataset, outer fold), whose cells share their inner selection.
 
 from __future__ import annotations
 
+import itertools
 import json
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,26 +33,14 @@ SELECTION_METRICS = ("f_measure", "auc", "g_mean")
 STANDARDIZE_MODES = ("per-fold", "global")
 # Repetitions of the inner 50/50 split that selects each cell's parameters.
 INNER_REPEATS = 3
+# The fields of a run that name its cell; a cell's runs differ in "fold" only.
+CELL_FIELDS = ("dataset", "classifier", "method")
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    """Index lists for repeated stratified 50/50 splits.
-
-    Each repeat contributes two folds: (half A trains, half B tests) and the
-    swap.  ``folds[2r]`` and ``folds[2r + 1]`` belong to repeat ``r``.
-    """
-
-    repeats: int
-    seed: int
-    folds: tuple
-
-    def __len__(self):
-        return len(self.folds)
-
-
-def make_folds(labels, repeats: int, seed) -> FoldPlan:
-    """Seeded stratified half-and-half splits, both halves serving as train once."""
+def make_folds(labels, repeats: int, seed) -> tuple:
+    """Seeded stratified half-and-half splits, as ``(train, test)`` index
+    pairs.  Each repeat contributes two folds, (half A trains, half B tests)
+    and the swap, so folds ``2r`` and ``2r + 1`` belong to repeat ``r``."""
     if repeats < 1:
         raise ParameterError(f"repeats must be at least 1, got {repeats}")
     labels = np.asarray(labels)
@@ -77,7 +66,7 @@ def make_folds(labels, repeats: int, seed) -> FoldPlan:
         b = np.sort(np.concatenate(half_b))
         folds.append((a, b))
         folds.append((b, a))
-    return FoldPlan(repeats=repeats, seed=seed, folds=tuple(folds))
+    return tuple(folds)
 
 
 def check_no_leakage(train_idx, test_idx) -> None:
@@ -166,7 +155,7 @@ def inner_scores(features, labels, cells, plan_seed) -> list:
     plan = make_folds(labels, INNER_REPEATS, plan_seed)
 
     results = [np.zeros((len(grid), len(plan))) for grid, _, _ in cells]
-    for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
+    for fold_idx, (train_idx, test_idx) in enumerate(plan):
         task = binary_task_from_labels(features[train_idx], labels[train_idx])
         test_x, test_y = features[test_idx], labels[test_idx]
         shared = {}
@@ -309,20 +298,7 @@ class EvalReport:
                 return round(value, 6)
             return value
 
-        return {
-            "schema": SCHEMA_VERSION,
-            "seed": self.seed,
-            "repeats": self.repeats,
-            "datasets": list(self.datasets),
-            "methods": list(self.methods),
-            "classifiers": list(self.classifiers),
-            "runs": round6(self.runs),
-            "aggregates": round6(self.aggregates),
-            "ranks": round6(self.ranks),
-            "friedman": round6(self.friedman),
-            "dataset_stats": round6(self.dataset_stats),
-            "leakage_checks": self.leakage_checks,
-        }
+        return {"schema": SCHEMA_VERSION, **round6(asdict(self))}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
@@ -408,7 +384,7 @@ def run_experiment(
     units = [
         (name, features, labels01, fold_idx, fold, cells, seed, standardize)
         for (name, features, labels01, plan) in prepared
-        for fold_idx, fold in enumerate(plan.folds)
+        for fold_idx, fold in enumerate(plan)
     ]
 
     if jobs > 1:
@@ -428,74 +404,71 @@ def run_experiment(
     for rows, checks in results:
         report.runs.extend(rows)
         report.leakage_checks += checks
-    report.runs.sort(key=lambda r: (r["dataset"], r["classifier"], r["method"], r["fold"]))
+    report.runs.sort(key=itemgetter(*CELL_FIELDS, "fold"))
 
-    _aggregate(report)
-    _rank_and_test(report)
+    _summarize(report)
     return report
 
 
-def _aggregate(report: EvalReport) -> None:
-    groups = {}
-    for row in report.runs:
-        key = (row["dataset"], row["classifier"], row["method"])
-        groups.setdefault(key, []).append(row)
-    for (dataset, classifier, method), rows in sorted(groups.items()):
-        failed = [r for r in rows if r.get("metrics") is None]
-        entry = {
-            "dataset": dataset,
-            "classifier": classifier,
-            "method": method,
-            "folds": len(rows),
-            "failed_folds": len(failed),
-        }
-        if failed:
-            entry["metrics"] = None
-        else:
-            entry["metrics"] = {
-                m: float(np.mean([r["metrics"][m] for r in rows])) for m in METRIC_NAMES
-            }
-        report.aggregates.append(entry)
+def _summarize(report: EvalReport) -> None:
+    """Fill the report's aggregates, ranks and Friedman rows from its runs,
+    which are sorted by (dataset, classifier, method, fold).
 
-
-def rank_methods(means_by_dataset, methods):
-    """Average ranks (best = 1, ties averaged) over datasets with complete cells.
-
-    Returns (average ranks per method, per-dataset ranks, ranked datasets).
+    A cell's aggregate holds its fold means, or None if any fold failed.  A
+    dataset is ranked for a classifier only when every method's cell has
+    means; those datasets are ranked in one ``midranks`` call per classifier
+    (best mean = 1, ties averaged), every metric at once.
     """
-    methods = list(methods)
-    if len(methods) < 2:
-        raise ParameterError("ranking needs at least 2 methods")
-    per_dataset = {}
-    for dataset, means in means_by_dataset.items():
-        values = [means.get(m) for m in methods]
-        if any(v is None for v in values):
-            warnings.warn(
-                f"dataset {dataset!r} has missing cells and is excluded from ranking"
-            )
-            continue
-        ranks = midranks([-v for v in values])
-        per_dataset[dataset] = {m: float(r) for m, r in zip(methods, ranks)}
-    if not per_dataset:
-        raise ParameterError("no dataset has complete cells for ranking")
-    average = {
-        m: float(np.mean([per_dataset[d][m] for d in per_dataset])) for m in methods
-    }
-    return average, per_dataset, sorted(per_dataset)
-
-
-def means_by_dataset(report: EvalReport, metric: str, classifier: str) -> dict:
-    """Fold-mean ``metric`` per dataset and method for one classifier; None
-    for a cell with failed folds."""
     means = {}
-    for row in report.aggregates:
-        if row["classifier"] != classifier:
-            continue
-        metrics = row["metrics"]
-        means.setdefault(row["dataset"], {})[row["method"]] = (
-            None if metrics is None else metrics[metric]
+    for cell, group in itertools.groupby(report.runs, key=itemgetter(*CELL_FIELDS)):
+        rows = list(group)
+        failed = sum(row["metrics"] is None for row in rows)
+        means[cell] = None if failed else {
+            m: float(np.mean([row["metrics"][m] for row in rows])) for m in METRIC_NAMES
+        }
+        report.aggregates.append(
+            dict(zip(CELL_FIELDS, cell), folds=len(rows), failed_folds=failed, metrics=means[cell])
         )
-    return means
+    if len(report.methods) < 2:
+        return
+    for classifier in report.classifiers:
+        used = [
+            dataset
+            for dataset in sorted(report.datasets)
+            if all(means.get((dataset, classifier, m)) is not None for m in report.methods)
+        ]
+        if not used:
+            continue
+        # metrics x datasets x methods, negated so the best mean ranks 1.
+        ranks = midranks(
+            [
+                [[-means[d, classifier, m][metric] for m in report.methods] for d in used]
+                for metric in METRIC_NAMES
+            ]
+        )
+        for metric, table in zip(METRIC_NAMES, ranks):
+            report.ranks.append(
+                {
+                    "classifier": classifier,
+                    "metric": metric,
+                    "average": dict(zip(report.methods, table.mean(axis=0).tolist())),
+                    "per_dataset": {
+                        d: dict(zip(report.methods, row.tolist())) for d, row in zip(used, table)
+                    },
+                    "datasets": used,
+                }
+            )
+            if len(used) >= 2:
+                chi2, df = friedman_statistic(table)
+                report.friedman.append(
+                    {
+                        "classifier": classifier,
+                        "metric": metric,
+                        "chi_square": chi2,
+                        "df": df,
+                        "datasets": len(used),
+                    }
+                )
 
 
 def friedman_statistic(ranks) -> tuple[float, int]:
@@ -510,39 +483,3 @@ def friedman_statistic(ranks) -> tuple[float, int]:
     mean_ranks = ranks.mean(axis=0)
     chi2 = 12.0 * n / (k * (k + 1)) * (float((mean_ranks**2).sum()) - k * (k + 1) ** 2 / 4.0)
     return chi2, k - 1
-
-
-def _rank_and_test(report: EvalReport) -> None:
-    if len(report.methods) < 2:
-        return
-    for classifier in report.classifiers:
-        for metric in METRIC_NAMES:
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    average, per_dataset, used = rank_methods(
-                        means_by_dataset(report, metric, classifier), report.methods
-                    )
-            except ParameterError:
-                continue
-            report.ranks.append(
-                {
-                    "classifier": classifier,
-                    "metric": metric,
-                    "average": average,
-                    "per_dataset": per_dataset,
-                    "datasets": used,
-                }
-            )
-            if len(used) >= 2:
-                matrix = [[per_dataset[d][m] for m in report.methods] for d in used]
-                chi2, df = friedman_statistic(matrix)
-                report.friedman.append(
-                    {
-                        "classifier": classifier,
-                        "metric": metric,
-                        "chi_square": chi2,
-                        "df": df,
-                        "datasets": len(used),
-                    }
-                )

@@ -8,7 +8,7 @@ in [0, 1], which ``predict_labels`` turns into labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -152,17 +152,10 @@ class MetricSet:
     balanced_accuracy: float
 
     def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_measure": self.f_measure,
-            "auc": self.auc,
-            "g_mean": self.g_mean,
-            "balanced_accuracy": self.balanced_accuracy,
-        }
+        return asdict(self)
 
 
-METRIC_NAMES = ("precision", "recall", "f_measure", "auc", "g_mean", "balanced_accuracy")
+METRIC_NAMES = tuple(f.name for f in fields(MetricSet))
 
 
 def _plain(value):

@@ -18,7 +18,7 @@ from rbu.evaluation import (
     binary_task_from_labels,
     make_folds,
 )
-from rbu.modeling import VARIANCE_SMOOTHING, make_classifier
+from rbu.modeling import METRIC_NAMES, VARIANCE_SMOOTHING, make_classifier
 from rbu.seeding import derive_seed
 
 
@@ -182,7 +182,7 @@ def naive_select_params(features, labels, grid, classifier, seed, inner_repeats=
     best_spec, best_score, means = None, -np.inf, []
     for grid_idx, spec in enumerate(grid):
         fold_scores = []
-        for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
+        for fold_idx, (train_idx, test_idx) in enumerate(plan):
             try:
                 task = binary_task_from_labels(features[train_idx], labels[train_idx])
                 resampled = apply_resample(
@@ -207,6 +207,63 @@ def naive_select_params(features, labels, grid, classifier, seed, inner_repeats=
         if score > best_score:
             best_spec, best_score = spec, score
     return best_spec, means
+
+
+def naive_report_ranks(report):
+    """A sweep report's rank and Friedman rows, recomputed one (classifier,
+    metric, dataset) at a time from its runs with ``scipy.stats.rankdata``.
+
+    Fold means are ``np.mean`` over a cell's folds in run order.  A dataset
+    with a failed fold in any method's cell is left out for that classifier,
+    best mean ranks 1, and the Friedman chi-square comes from rank sums.
+    Returns (ranks rows, friedman rows) in the report's row format.
+    """
+    folds = {}
+    for row in report.runs:
+        key = (row["dataset"], row["classifier"], row["method"])
+        folds.setdefault(key, []).append(row["metrics"])
+    methods = list(report.methods)
+    ranks, friedman = [], []
+    if len(methods) < 2:
+        return ranks, friedman
+    for classifier in report.classifiers:
+        for metric in METRIC_NAMES:
+            per_dataset = {}
+            for dataset in sorted(report.datasets):
+                cells = [folds.get((dataset, classifier, m), [None]) for m in methods]
+                if any(metrics is None for cell in cells for metrics in cell):
+                    continue
+                means = [float(np.mean([metrics[metric] for metrics in cell])) for cell in cells]
+                ranked = rankdata([-v for v in means], method="average")
+                per_dataset[dataset] = {m: float(r) for m, r in zip(methods, ranked)}
+            if not per_dataset:
+                continue
+            used = sorted(per_dataset)
+            average = {m: float(np.mean([per_dataset[d][m] for d in used])) for m in methods}
+            ranks.append(
+                {
+                    "classifier": classifier,
+                    "metric": metric,
+                    "average": average,
+                    "per_dataset": per_dataset,
+                    "datasets": used,
+                }
+            )
+            if len(used) >= 2:
+                n, k = len(used), len(methods)
+                rank_sums = [math.fsum(per_dataset[d][m] for d in used) for m in methods]
+                squares = math.fsum(r * r for r in rank_sums)
+                chi2 = 12.0 / (n * k * (k + 1)) * squares - 3.0 * n * (k + 1)
+                friedman.append(
+                    {
+                        "classifier": classifier,
+                        "metric": metric,
+                        "chi_square": chi2,
+                        "df": k - 1,
+                        "datasets": n,
+                    }
+                )
+    return ranks, friedman
 
 
 def make_task(majority, minority):

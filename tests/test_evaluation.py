@@ -1,3 +1,4 @@
+import itertools
 import json
 from dataclasses import asdict
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbu import (
+    EvalReport,
     LeakageError,
     ParameterError,
     ResampleSpec,
@@ -23,17 +25,21 @@ from rbu.evaluation import (
     binary_task_from_labels,
     check_no_leakage,
     inner_scores,
-    means_by_dataset,
-    rank_methods,
 )
 from rbu.grids import preset_grids
-from rbu.modeling import compute_metrics, make_classifier
+from rbu.modeling import METRIC_NAMES, compute_metrics, make_classifier
 from rbu.potential import TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM
 from rbu.radial import RbuParams, rbu_kept_indices
 from rbu.seeding import derive_seed
 from rbu.baselines import apply_resample, apply_resample_detail, senn_spec, stl_spec
 
-from oracles import make_task, naive_pipeline, naive_select_params, random_task
+from oracles import (
+    make_task,
+    naive_pipeline,
+    naive_report_ranks,
+    naive_select_params,
+    random_task,
+)
 
 
 def _blocks_on_one_thread(_):
@@ -88,7 +94,7 @@ class TestMakeFolds:
         labels = np.array([0] * 24 + [1] * 12)
         plan = make_folds(labels, repeats=5, seed=3)
         assert len(plan) == 10
-        for train, test in plan.folds:
+        for train, test in plan:
             assert labels[train].sum() == 6 and labels[test].sum() == 6
             assert len(train) == len(test) == 18
 
@@ -96,8 +102,8 @@ class TestMakeFolds:
         labels = np.array([0] * 10 + [1] * 10)
         plan = make_folds(labels, repeats=2, seed=0)
         for r in range(2):
-            a_train, a_test = plan.folds[2 * r]
-            b_train, b_test = plan.folds[2 * r + 1]
+            a_train, a_test = plan[2 * r]
+            b_train, b_test = plan[2 * r + 1]
             np.testing.assert_array_equal(a_train, b_test)
             np.testing.assert_array_equal(a_test, b_train)
             assert sorted(list(a_train) + list(a_test)) == list(range(20))
@@ -106,20 +112,20 @@ class TestMakeFolds:
         labels = np.array([0] * 15 + [1] * 11)
         one = make_folds(labels, 5, seed=42)
         two = make_folds(labels, 5, seed=42)
-        for (t1, e1), (t2, e2) in zip(one.folds, two.folds):
+        for (t1, e1), (t2, e2) in zip(one, two):
             np.testing.assert_array_equal(t1, t2)
             np.testing.assert_array_equal(e1, e2)
 
     def test_repeats_one_on_four_points(self):
         plan = make_folds(np.array([0, 0, 1, 1]), repeats=1, seed=1)
         assert len(plan) == 2
-        for train, test in plan.folds:
+        for train, test in plan:
             assert len(train) == len(test) == 2
 
     def test_odd_class_counts_within_one(self):
         labels = np.array([0] * 13 + [1] * 7)
         plan = make_folds(labels, repeats=3, seed=5)
-        for train, test in plan.folds:
+        for train, test in plan:
             assert abs(int(labels[train].sum()) - int(labels[test].sum())) <= 1
 
     def test_class_too_small(self):
@@ -137,7 +143,7 @@ class TestMakeFolds:
     def test_partition_property(self, n0, n1, seed):
         labels = np.array([0] * n0 + [1] * n1)
         plan = make_folds(labels, repeats=5, seed=seed)
-        for train, test in plan.folds:
+        for train, test in plan:
             assert len(np.intersect1d(train, test)) == 0
             assert len(train) + len(test) == n0 + n1
 
@@ -184,7 +190,7 @@ class TestSelectParams:
         scores = []
         for grid_idx, spec in enumerate(grid):
             per_fold = []
-            for fold_idx, (train, test) in enumerate(plan.folds):
+            for fold_idx, (train, test) in enumerate(plan):
                 task = binary_task_from_labels(features[train], labels[train])
                 resampled = apply_resample(task, spec, seed=derive_seed(seed, grid_idx, fold_idx))
                 fit_x, fit_y = _stack_task(resampled)
@@ -515,10 +521,8 @@ class TestRunExperiment:
         assert all(r["metrics"] is None and "error" in r for r in bad_rows)
         good_rows = [r for r in report.runs if r["method"] == "none"]
         assert all(r["metrics"] is not None for r in good_rows)
-        # dataset excluded from ranks because a method has missing cells
-        assert report.ranks == [] or all(
-            row["datasets"] == [] for row in report.ranks
-        )
+        # the one dataset has a failed cell, so nothing is ranked
+        assert report.ranks == [] and report.friedman == []
 
     def test_unexpected_inner_error_fails_the_cell(self, monkeypatch):
         def broken(task, ratio, seed):
@@ -603,14 +607,14 @@ class TestSweepUnits:
         plan = make_folds(labels, 1, derive_seed(seed, "d", "folds"))
         cells = [(c, name, grid) for c in ("knn", "gnb")
                  for name, grid in preset_grids("paper-final").items()]
-        return ("d", features, labels, 0, plan.folds[0], cells, seed, "per-fold")
+        return ("d", features, labels, 0, plan[0], cells, seed, "per-fold")
 
     def _expected_rows(self, datasets, classifiers, seed, repeats):
         """Every cell fold by fold, selection by ``naive_select_params``."""
         rows = {}
         for name, (features, labels) in datasets.items():
             plan = make_folds(labels, repeats, derive_seed(seed, name, "folds"))
-            for fold_idx, (train_idx, test_idx) in enumerate(plan.folds):
+            for fold_idx, (train_idx, test_idx) in enumerate(plan):
                 scaler = evaluation.fit_standardizer(features[train_idx])
                 train_x, test_x = scaler.transform(features[train_idx]), scaler.transform(
                     features[test_idx]
@@ -776,6 +780,37 @@ class TestSweepUnits:
         assert set(counts.values()) == {1}
 
 
+def summarized_runs(cells, datasets, methods, classifiers):
+    """``_summarize`` over hand-built runs: ``cells`` maps (dataset,
+    classifier, method) to its folds' metric dicts, None for a failed fold."""
+    report = EvalReport(
+        seed=0, repeats=1, datasets=list(datasets), methods=list(methods),
+        classifiers=list(classifiers),
+    )
+    for (dataset, classifier, method), folds in sorted(cells.items()):
+        for fold, metrics in enumerate(folds):
+            report.runs.append(
+                {"dataset": dataset, "classifier": classifier, "method": method,
+                 "fold": fold, "metrics": metrics}
+            )
+    evaluation._summarize(report)
+    return report
+
+
+def g_mean_ranks(means):
+    """The knn g_mean rank row of a report whose one fold per cell scores
+    ``means[dataset][method]`` on every metric (None fails the fold)."""
+    methods = list(next(iter(means.values())))
+    cells = {
+        (dataset, "knn", method): [None if v is None else dict.fromkeys(METRIC_NAMES, v)]
+        for dataset, row in means.items()
+        for method, v in row.items()
+    }
+    report = summarized_runs(cells, means, methods, ["knn"])
+    [row] = [row for row in report.ranks if row["metric"] == "g_mean"]
+    return row
+
+
 class TestRanks:
     def test_two_methods_strict_order(self):
         means = {
@@ -783,14 +818,13 @@ class TestRanks:
             "d2": {"a": 0.8, "b": 0.6},
             "d3": {"a": 0.7, "b": 0.1},
         }
-        average, per_dataset, used = rank_methods(means, ["a", "b"])
-        assert average == {"a": 1.0, "b": 2.0}
-        assert used == ["d1", "d2", "d3"]
+        row = g_mean_ranks(means)
+        assert row["average"] == {"a": 1.0, "b": 2.0}
+        assert row["datasets"] == ["d1", "d2", "d3"]
 
     def test_exact_tie_averages_positions(self):
-        means = {"d1": {"a": 0.5, "b": 0.5}}
-        average, per_dataset, _ = rank_methods(means, ["a", "b"])
-        assert per_dataset["d1"] == {"a": 1.5, "b": 1.5}
+        row = g_mean_ranks({"d1": {"a": 0.5, "b": 0.5}})
+        assert row["per_dataset"]["d1"] == {"a": 1.5, "b": 1.5}
 
     def test_three_by_three_hand_ranking(self):
         means = {
@@ -799,35 +833,28 @@ class TestRanks:
             "d3": {"a": 0.5, "b": 0.5, "c": 0.9},
         }
         # hand ranks: d1 -> a1 b2 c3; d2 -> b1 c2 a3; d3 -> c1, a/b tie 2.5
-        average, per_dataset, _ = rank_methods(means, ["a", "b", "c"])
-        assert per_dataset["d3"] == {"a": 2.5, "b": 2.5, "c": 1.0}
-        assert average["a"] == pytest.approx((1 + 3 + 2.5) / 3)
-        assert average["b"] == pytest.approx((2 + 1 + 2.5) / 3)
-        assert average["c"] == pytest.approx((3 + 2 + 1) / 3)
+        row = g_mean_ranks(means)
+        assert row["per_dataset"]["d3"] == {"a": 2.5, "b": 2.5, "c": 1.0}
+        assert row["average"]["a"] == pytest.approx((1 + 3 + 2.5) / 3)
+        assert row["average"]["b"] == pytest.approx((2 + 1 + 2.5) / 3)
+        assert row["average"]["c"] == pytest.approx((3 + 2 + 1) / 3)
 
-    def test_missing_cells_exclude_dataset_with_warning(self):
+    def test_missing_cells_exclude_dataset(self):
         means = {
             "d1": {"a": 0.9, "b": 0.5},
             "d2": {"a": 0.8, "b": None},
         }
-        with pytest.warns(UserWarning, match="excluded"):
-            average, per_dataset, used = rank_methods(means, ["a", "b"])
-        assert used == ["d1"]
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_mean_refused(self, bad):
-        means = {"d1": {"a": 0.9, "b": bad}}
-        with pytest.raises(ParameterError, match="finite"):
-            rank_methods(means, ["a", "b"])
+        row = g_mean_ranks(means)
+        assert row["datasets"] == ["d1"]
+        assert list(row["per_dataset"]) == ["d1"]
 
     def test_rank_sums_invariant(self):
         rng = np.random.default_rng(70)
         for _ in range(20):
             k = int(rng.integers(2, 7))
             values = np.round(rng.random(k), 1)  # coarse -> frequent ties
-            means = {"d": {f"m{i}": float(values[i]) for i in range(k)}}
-            _, per_dataset, _ = rank_methods(means, [f"m{i}" for i in range(k)])
-            assert sum(per_dataset["d"].values()) == pytest.approx(k * (k + 1) / 2)
+            row = g_mean_ranks({"d": {f"m{i}": float(values[i]) for i in range(k)}})
+            assert sum(row["per_dataset"]["d"].values()) == pytest.approx(k * (k + 1) / 2)
 
     def test_average_ranks_public_wrapper(self):
         rng = np.random.default_rng(61)
@@ -841,9 +868,65 @@ class TestRanks:
             ["gnb"],
             seed=5,
         )
-        ranks, _, _ = rank_methods(means_by_dataset(report, "g_mean", "gnb"), report.methods)
-        assert set(ranks) == {"none", "rus"}
-        assert sum(ranks.values()) == pytest.approx(3.0)
+        [row] = [row for row in report.ranks if row["metric"] == "g_mean"]
+        assert set(row["average"]) == {"none", "rus"}
+        assert sum(row["average"].values()) == pytest.approx(3.0)
+
+
+class TestRanksAgainstOracle:
+    """Report rank and Friedman rows against ``naive_report_ranks``."""
+
+    DATASETS = ("d1", "d2", "d3", "d4")
+    METHODS = ("none", "rbu", "rus", "smote")
+    CLASSIFIERS = ("knn", "gnb")
+
+    def _report(self, seed, failed=(), methods=METHODS, folds=2):
+        """Coarse random metrics (one decimal, so ties are frequent), each
+        metric drawn on its own; folds of the cells in ``failed`` fail."""
+        rng = np.random.default_rng(seed)
+        cells = {}
+        for cell in itertools.product(self.DATASETS, self.CLASSIFIERS, methods):
+            cells[cell] = [
+                None if (cell, fold) in failed
+                else {m: float(np.round(rng.random(), 1)) for m in METRIC_NAMES}
+                for fold in range(folds)
+            ]
+        return summarized_runs(cells, self.DATASETS, methods, self.CLASSIFIERS)
+
+    def _assert_matches_oracle(self, report):
+        ranks, friedman = naive_report_ranks(report)
+        assert report.ranks == ranks
+        assert len(report.friedman) == len(friedman)
+        for got, want in zip(report.friedman, friedman):
+            assert got == {**want, "chi_square": pytest.approx(want["chi_square"], rel=1e-12)}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_coarse_metric_ties(self, seed):
+        report = self._report(seed)
+        self._assert_matches_oracle(report)
+        assert len(report.ranks) == len(report.friedman) == 2 * len(METRIC_NAMES)
+        ranks = [v for r in report.ranks for row in r["per_dataset"].values() for v in row.values()]
+        assert any(v % 1 for v in ranks)  # some tie was averaged
+
+    def test_failed_cell_excludes_dataset_for_its_classifier_only(self):
+        report = self._report(5, failed={(("d2", "gnb", "rus"), 1)})
+        self._assert_matches_oracle(report)
+        datasets = {r["classifier"]: r["datasets"] for r in report.ranks}
+        assert datasets == {"knn": ["d1", "d2", "d3", "d4"], "gnb": ["d1", "d3", "d4"]}
+
+    def test_classifier_without_complete_dataset(self):
+        failed = {((d, "gnb", "none"), 0) for d in self.DATASETS}
+        report = self._report(6, failed=failed)
+        self._assert_matches_oracle(report)
+        assert {r["classifier"] for r in report.ranks + report.friedman} == {"knn"}
+        assert len(report.aggregates) == 4 * 2 * 4
+        assert sum(a["metrics"] is None for a in report.aggregates) == 4
+
+    def test_single_method_gives_no_rows(self):
+        report = self._report(7, methods=("rbu",))
+        self._assert_matches_oracle(report)
+        assert report.ranks == [] and report.friedman == []
+        assert len(report.aggregates) == 4 * 2
 
 
 class TestFriedman:
