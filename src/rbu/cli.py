@@ -149,22 +149,6 @@ def main():
 # resample
 
 
-def _decode_synthetic_row(values, meta_list):
-    cells = []
-    for value, meta in zip(values, meta_list):
-        if meta.kind == "categorical":
-            categories = meta.categories or {}
-            if categories:
-                reverse = {code: name for name, code in categories.items()}
-                code = int(np.clip(round(value), 0, len(reverse) - 1))
-                cells.append(reverse[code])
-            else:
-                cells.append(str(value))
-        else:
-            cells.append(float(value))
-    return cells
-
-
 def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, outcome) -> Dataset:
     """Assemble the resampled dataset in the raw value space.
 
@@ -181,11 +165,18 @@ def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, outcome) -> Da
     duplicates = np.repeat(task.minority_indices, np.maximum(copies - 1, 0))
     source = np.concatenate([np.flatnonzero(keep), duplicates])
 
-    synthetic = outcome.synthetic[picks[picks >= task.n_minority] - task.n_minority]
+    synthetic = scaler.inverse_transform(
+        outcome.synthetic[picks[picks >= task.n_minority] - task.n_minority]
+    )
     # A float raw matrix holds numeric columns only, which decode to floats.
-    decoded = np.empty((len(synthetic), raw.m), dtype=raw.features.dtype)
-    for i, values in enumerate(scaler.inverse_transform(synthetic)):
-        decoded[i, :] = _decode_synthetic_row(values, encoded.feature_meta)
+    decoded = np.empty(synthetic.shape, dtype=raw.features.dtype)
+    for j, meta in enumerate(encoded.feature_meta):
+        if meta.kind == "categorical":
+            names = np.array(list(meta.categories), dtype=object)  # in code order
+            codes = np.clip(np.round(synthetic[:, j]), 0, len(names) - 1).astype(np.intp)
+            decoded[:, j] = names[codes]
+        else:
+            decoded[:, j] = synthetic[:, j]
     new_labels = np.full(len(synthetic), task.minority_label, dtype=object)
     return Dataset(
         features=np.vstack([raw.features[source], decoded]),

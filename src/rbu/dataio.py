@@ -222,63 +222,61 @@ def parse_keel(text) -> Dataset:
     if label_attr not in attr_meta:
         raise FormatError(f"output attribute {label_attr!r} was never declared")
 
-    feature_names = [n for n in attr_names if n != label_attr]
-    label_pos = attr_names.index(label_attr)
+    def data_rows():
+        for no, raw in enumerate(lines[data_start:], start=data_start + 1):
+            line = raw.strip()
+            if line and not line.startswith("%"):
+                yield no, [t.strip() for t in line.split(",")]
 
-    rows: list[list[object]] = []
+    metas = [attr_meta[n] for n in attr_names]
+    return _read_rows(data_rows(), metas, attr_names.index(label_attr))
+
+
+def _read_rows(rows, metas, label_pos) -> Dataset:
+    """Build a dataset from ``(line number, tokens)`` data rows.
+
+    ``metas`` holds one descriptor per column; the one at ``label_pos`` is
+    the label's.  Cells are checked in column order, so an error names the
+    first bad cell of its line: a column with declared values must hold one
+    of them, a numeric feature a finite number, any other feature a value
+    that is not missing.
+    """
+    features: list[list[object]] = []
     labels: list[str] = []
-    for idx in range(data_start, len(lines)):
-        line = lines[idx].strip()
-        no = idx + 1
-        if not line or line.startswith("%"):
-            continue
-        tokens = [t.strip() for t in line.split(",")]
-        if len(tokens) != len(attr_names):
+    for line_no, tokens in rows:
+        if len(tokens) != len(metas):
             raise FormatError(
-                f"row has {len(tokens)} values, expected {len(attr_names)}", line=no
+                f"row has {len(tokens)} values, expected {len(metas)}", line=line_no
             )
-        row: list[object] = []
-        for pos, token in enumerate(tokens):
-            name = attr_names[pos]
-            meta = attr_meta[name]
+        cells: list[object] = []
+        for pos, (token, meta) in enumerate(zip(tokens, metas)):
+            if meta.allowed is not None and token not in meta.allowed:
+                raise FormatError(
+                    f"unknown categorical value {token!r} for attribute {meta.name!r}",
+                    line=line_no,
+                )
             if pos == label_pos:
-                if meta.kind == "categorical" and token not in meta.allowed:
-                    raise FormatError(
-                        f"unknown categorical value {token!r} for attribute {name!r}",
-                        line=no,
-                    )
                 labels.append(token)
-                continue
-            if meta.kind == "categorical":
-                if token not in meta.allowed:
-                    raise FormatError(
-                        f"unknown categorical value {token!r} for attribute {name!r}",
-                        line=no,
-                    )
-                row.append(token)
+            elif meta.kind == "numeric":
+                cells.append(_coerce_numeric(token, line_no))
+            elif meta.allowed is None and token in _MISSING_TOKENS:
+                raise FormatError(f"missing value {token!r} is not supported", line=line_no)
             else:
-                row.append(_coerce_numeric(token, no))
-        rows.append(row)
-
-    if not rows:
+                cells.append(token)
+        features.append(cells)
+    if not features:
         raise FormatError("no data rows")
 
-    meta_list = tuple(attr_meta[n] for n in feature_names)
+    feature_meta = tuple(metas[:label_pos] + metas[label_pos + 1:])
+    numeric = all(m.kind == "numeric" for m in feature_meta)
     return Dataset(
-        features=_build_matrix(rows, meta_list),
+        features=np.array(features, dtype=np.float64 if numeric else object).reshape(
+            len(features), len(feature_meta)
+        ),
         labels=np.array(labels, dtype=object),
-        feature_meta=meta_list,
-        label_name=label_attr,
+        feature_meta=feature_meta,
+        label_name=metas[label_pos].name,
     )
-
-
-def _build_matrix(rows, meta_list):
-    if all(m.kind == "numeric" for m in meta_list):
-        return np.array(rows, dtype=np.float64).reshape(len(rows), len(meta_list))
-    matrix = np.empty((len(rows), len(meta_list)), dtype=object)
-    for i, row in enumerate(rows):
-        matrix[i, :] = row
-    return matrix
 
 
 def parse_csv(text, label_column=-1) -> Dataset:
@@ -305,7 +303,7 @@ def parse_csv(text, label_column=-1) -> Dataset:
             raise FormatError(
                 f"row has {len(row)} values, expected {len(header)}", line=line_no
             )
-        raw_rows.append(([t.strip() for t in row], line_no))
+        raw_rows.append((line_no, [t.strip() for t in row]))
     if not raw_rows:
         raise FormatError("no data rows")
 
@@ -318,10 +316,8 @@ def parse_csv(text, label_column=-1) -> Dataset:
             raise ParameterError(f"label column {label_column!r} not found in header")
         label_pos = header.index(label_column)
 
-    feature_pos = [i for i in range(len(header)) if i != label_pos]
-
     def looks_numeric(pos):
-        for row, _ in raw_rows:
+        for _, row in raw_rows:
             token = row[pos]
             if token in _MISSING_TOKENS:
                 return False
@@ -331,32 +327,11 @@ def parse_csv(text, label_column=-1) -> Dataset:
                 return False
         return True
 
-    kinds = {pos: ("numeric" if looks_numeric(pos) else "categorical") for pos in feature_pos}
-
-    rows: list[list[object]] = []
-    labels: list[str] = []
-    for row, line_no in raw_rows:
-        out: list[object] = []
-        for pos in feature_pos:
-            token = row[pos]
-            if kinds[pos] == "numeric":
-                out.append(_coerce_numeric(token, line_no))
-            else:
-                if token in _MISSING_TOKENS:
-                    raise FormatError(
-                        f"missing value {token!r} is not supported", line=line_no
-                    )
-                out.append(token)
-        rows.append(out)
-        labels.append(row[label_pos])
-
-    meta_list = tuple(FeatureMeta(header[pos], kinds[pos]) for pos in feature_pos)
-    return Dataset(
-        features=_build_matrix(rows, meta_list),
-        labels=np.array(labels, dtype=object),
-        feature_meta=meta_list,
-        label_name=header[label_pos],
-    )
+    metas = [
+        FeatureMeta(name, "numeric" if pos != label_pos and looks_numeric(pos) else "categorical")
+        for pos, name in enumerate(header)
+    ]
+    return _read_rows(raw_rows, metas, label_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +354,9 @@ def encode_categoricals(d: Dataset) -> Dataset:
             matrix[:, j] = col.astype(np.float64)
             new_meta.append(meta)
             continue
-        codes: dict[str, int] = {}
-        for value in col:
-            if value not in codes:
-                codes[value] = len(codes)
+        codes = {value: code for code, value in enumerate(dict.fromkeys(col))}
         matrix[:, j] = [codes[v] for v in col]
-        new_meta.append(replace(meta, categories=dict(codes)))
+        new_meta.append(replace(meta, categories=codes))
     if not np.all(np.isfinite(matrix)):
         raise ValueError("encoded matrix contains non-finite cells")
     return replace(d, features=matrix, feature_meta=tuple(new_meta))
@@ -409,19 +381,16 @@ def serialize_csv(d: Dataset) -> str:
 def serialize_keel(d: Dataset, relation="dataset") -> str:
     """Emit the dataset as a KEEL file; label declared as the output attribute."""
     lines = [f"@relation {relation}"]
-    for meta in d.feature_meta:
-        if meta.kind == "categorical" and meta.categories is not None and not d.is_encoded:
-            values = ", ".join(meta.categories)
+    for j, meta in enumerate(d.feature_meta):
+        if meta.kind == "categorical" and not d.is_encoded:
+            # Declared values if the header had some, else those the column holds.
+            values = ", ".join(meta.allowed or dict.fromkeys(d.features[:, j]))
             lines.append(f"@attribute {meta.name} {{{values}}}")
-        elif meta.kind == "categorical" and meta.allowed is not None and not d.is_encoded:
-            values = ", ".join(meta.allowed)
-            lines.append(f"@attribute {meta.name} {{{values}}}")
+        elif meta.range is not None:
+            lo, hi = meta.range
+            lines.append(f"@attribute {meta.name} real [{lo:g}, {hi:g}]")
         else:
-            if meta.range is not None:
-                lo, hi = meta.range
-                lines.append(f"@attribute {meta.name} real [{lo:g}, {hi:g}]")
-            else:
-                lines.append(f"@attribute {meta.name} real")
+            lines.append(f"@attribute {meta.name} real")
     label_values = ", ".join(dict.fromkeys(str(v) for v in d.labels))
     lines.append(f"@attribute {d.label_name} {{{label_values}}}")
     lines.append(f"@inputs {', '.join(m.name for m in d.feature_meta)}")

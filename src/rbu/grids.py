@@ -20,7 +20,7 @@ import itertools
 import json
 
 from .baselines import ResampleSpec, senn_spec, stl_spec
-from .errors import ParameterError
+from .errors import FormatError, ParameterError
 
 FINAL_PRESET = "paper-final"
 PRELIM_PRESET = "paper-prelim"
@@ -64,7 +64,12 @@ def expand_pipeline(stage_entries) -> list[ResampleSpec]:
 
 def load_grid_file(path) -> dict[str, list[ResampleSpec]]:
     with open(path) as handle:
-        doc = json.load(handle)
+        try:
+            doc = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"grid file is not valid JSON: {exc.msg}", line=exc.lineno) from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"grid file must hold a JSON object, got {doc!r}")
     entries = doc.get("methods")
     if not isinstance(entries, list) or not entries:
         raise ParameterError("grid file must carry a non-empty 'methods' list")
@@ -72,6 +77,8 @@ def load_grid_file(path) -> dict[str, list[ResampleSpec]]:
     for entry in map(_entry, entries):
         method = entry.get("method")
         name = entry.get("name", method)
+        if not isinstance(name, str):
+            raise ParameterError(f"grid-file method names must be strings, got {name!r}")
         if name in grids:
             raise ParameterError(f"duplicate method name {name!r} in grid file")
         if method == "pipeline":

@@ -5,8 +5,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rbu import parse_csv, parse_keel
-from rbu.cli import main
+from rbu import (
+    apply_standardizer,
+    encode_categoricals,
+    fit_standardizer,
+    parse_csv,
+    parse_keel,
+    split_binary,
+)
+from rbu.baselines import ResampleOutcome
+from rbu.cli import main, rebuild_dataset
 from rbu.grids import preset_grids
 
 KEEL_IMBALANCED_HEADER = (
@@ -51,6 +59,21 @@ def keel_mixed_file(tmp_path, n_majority=36, n_minority=12, seed=11):
             cells = ["%.4f" % v for v in rng.normal(shift, 1.0, 3)]
             lines.append(", ".join(cells + [colours[int(rng.integers(3))], label]))
     path = tmp_path / "mixed.dat"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def csv_mixed_file(tmp_path, n_majority=36, n_minority=12, seed=13):
+    """The CSV twin of :func:`keel_mixed_file`: the colour column is
+    categorical because its cells are not numbers."""
+    rng = np.random.default_rng(seed)
+    colours = ("red", "green", "blue")
+    lines = ["x0,x1,x2,colour,class"]
+    for label, n, shift in (("neg", n_majority, 0.0), ("pos", n_minority, 1.0)):
+        for _ in range(n):
+            cells = ["%.4f" % v for v in rng.normal(shift, 1.0, 3)]
+            lines.append(",".join(cells + [colours[int(rng.integers(3))], label]))
+    path = tmp_path / "mixed.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -209,6 +232,46 @@ def test_resample_output_digest(runner, tmp_path, method):
     )
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RESAMPLE_DIGESTS[method]
+
+
+# sha256 of `rbu resample mixed.csv --method <m> --seed 7`: synthetic and
+# copied rows of a CSV with a categorical column.
+RESAMPLE_CSV_DIGESTS = {
+    "smote": "4253ec24b14ed0a9238c1730ad27a76d2accc56e5cc6a30a8bef0ae2c9ffc4f7",
+    "stl": "029c07a73d9458466ad9c204277ca36cb055103d672421b0c5237ffd7044b8b4",
+    "senn": "20b68f84bb876020b23b345c9edc6284bcc2391cdd75327ecccbe910cdbdeb90",
+    "ros": "15b0d7a3415892d2cc3401cd9100fb5b0aa055e55820711a65053f1844df49ce",
+    "rbu": "4b03b0dbd90c88ec53f11245080db6600a5f365c49af50e6fb53f6d39a13fcd6",
+}
+
+
+@pytest.mark.parametrize("method", sorted(RESAMPLE_CSV_DIGESTS))
+def test_resample_csv_output_digest(runner, tmp_path, method):
+    data = csv_mixed_file(tmp_path)
+    out = tmp_path / "out.csv"
+    result = runner.invoke(
+        main, ["resample", str(data), "--method", method, "--seed", "7", "-o", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RESAMPLE_CSV_DIGESTS[method]
+
+
+def test_rebuild_snaps_synthetic_categories_to_valid_codes():
+    raw = parse_csv("x,colour,class\n0,red,neg\n1,blue,neg\n2,red,neg\n3,green,pos\n4,red,pos\n")
+    encoded = encode_categoricals(raw)
+    scaler = fit_standardizer(encoded)
+    task = split_binary(apply_standardizer(scaler, encoded))
+    # Colour codes: red 0, blue 1, green 2.  Halves round to even.
+    points = np.array([[0.5, -2.0], [1.5, 2.4], [2.5, 9.0], [3.0, 0.5], [3.5, 1.5]])
+    outcome = ResampleOutcome(
+        majority_indices=np.arange(task.n_majority),
+        minority_indices=np.arange(task.n_minority + len(points)),
+        synthetic=scaler.transform(points),
+    )
+    result = rebuild_dataset(raw, encoded, scaler, task, outcome)
+    assert list(result.features[-5:, 1]) == ["red", "green", "green", "red", "green"]
+    np.testing.assert_allclose(result.features[-5:, 0].astype(float), points[:, 0])
+    assert list(result.labels[-5:]) == ["pos"] * 5
 
 
 @pytest.mark.parametrize("method", ["smote", "enn", "renn", "nm", "stl", "senn"])
@@ -442,32 +505,51 @@ class TestEvaluateAndSweep:
         assert specs <= {"rbu(gamma=0.1, ratio=1.0)", "rbu(gamma=1.0, ratio=1.0)"}
 
     @pytest.mark.parametrize(
-        "entry",
+        "doc",
         [
-            {"name": "rus", "method": "rus", "grid": {"ratoi": [1.0]}},
-            {"name": "smote", "method": "smote", "grid": {"k": [2.7], "ratio": [1.0]}},
-            {"name": "stl", "method": "pipeline",
-             "stages": [{"method": "smote", "grid": {"k": [3], "ratio": [1.0]}},
-                        {"method": "tomek", "grid": {"k": [3]}}]},
-            {"name": "rus", "method": "rus", "grid": [1.0]},
-            {"name": "rus", "method": "rus", "grid": {"ratio": 1.0}},
-            {"name": "rus", "method": "rus", "grid": {"ratio": []}},
-            1,
-            {"name": "stl", "method": "pipeline", "stages": [1]},
+            *({"methods": [{"name": "none", "method": "none"}, entry]} for entry in [
+                {"name": "rus", "method": "rus", "grid": {"ratoi": [1.0]}},
+                {"name": "smote", "method": "smote", "grid": {"k": [2.7], "ratio": [1.0]}},
+                {"name": "stl", "method": "pipeline",
+                 "stages": [{"method": "smote", "grid": {"k": [3], "ratio": [1.0]}},
+                            {"method": "tomek", "grid": {"k": [3]}}]},
+                {"name": "rus", "method": "rus", "grid": [1.0]},
+                {"name": "rus", "method": "rus", "grid": {"ratio": 1.0}},
+                {"name": "rus", "method": "rus", "grid": {"ratio": []}},
+                1,
+                {"name": "stl", "method": "pipeline", "stages": [1]},
+                {"name": 5, "method": "rus", "grid": {"ratio": [1.0]}},
+            ]),
+            [1, 2],
         ],
         ids=["misspelled", "fractional-k", "stage-extra", "grid-list", "axis-scalar",
-             "axis-empty", "entry-not-object", "stage-not-object"],
+             "axis-empty", "entry-not-object", "stage-not-object", "name-not-string",
+             "doc-not-object"],
     )
-    def test_invalid_grid_file_refused_before_any_report(self, runner, tmp_path, entry):
+    def test_invalid_grid_file_refused_before_any_report(self, runner, tmp_path, doc):
         data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)
         grid_file = tmp_path / "grid.json"
-        grid_file.write_text(json.dumps({"methods": [{"name": "none", "method": "none"}, entry]}))
+        grid_file.write_text(json.dumps(doc))
         result = runner.invoke(
             main,
             ["sweep", str(data), "--grid-file", str(grid_file), "--classifier", "gnb",
              "--seed", "3", "-o", str(tmp_path / "rep")],
         )
         assert result.exit_code == 2, result.output
+        assert "parameter error" in result.output
+        assert not (tmp_path / "rep.json").exists()
+
+    def test_malformed_grid_file_exits_1_with_line(self, runner, tmp_path):
+        data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text('{"methods": [\n  {"name": "none", "method": "none"},\n')
+        result = runner.invoke(
+            main,
+            ["sweep", str(data), "--grid-file", str(grid_file), "--classifier", "gnb",
+             "--seed", "3", "-o", str(tmp_path / "rep")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "parse error: line 3:" in result.output
         assert not (tmp_path / "rep.json").exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])

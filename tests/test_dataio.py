@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,6 +104,31 @@ class TestParseKeel:
         assert list(ds.labels) == ["u", "v"]
         np.testing.assert_allclose(ds.features.astype(float), [[1, 2], [3, 4]])
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1, purple, p, inf", "unknown categorical value 'purple' for attribute 'color'"),
+            ("1, red, maybe, inf", "unknown categorical value 'maybe' for attribute 'cls'"),
+            ("inf, purple, maybe, 2", "non-finite value 'inf'"),
+            ("?, red, maybe, 2", "missing value '?' is not supported"),
+        ],
+        ids=["feature-value", "label", "non-finite", "missing-number"],
+    )
+    def test_first_bad_cell_of_a_row_is_reported(self, row, message):
+        text = (
+            "@relation t\n"
+            "@attribute x real\n"
+            "@attribute color {red, blue}\n"
+            "@attribute cls {p, n}\n"
+            "@attribute y real\n"
+            "@outputs cls\n"
+            "@data\n"
+            "1, red, p, 2\n"
+            f"{row}\n"
+        )
+        with pytest.raises(FormatError, match=f"^line 9: {re.escape(message)}$"):
+            parse_keel(text)
+
     def test_categorical_feature_and_comments(self):
         text = (
             "@relation t\n"
@@ -145,6 +172,18 @@ class TestParseCsv:
         by_index = parse_csv(text, label_column=0)
         assert list(by_name.labels) == list(by_index.labels) == ["p", "n"]
         assert [m.name for m in by_name.feature_meta] == ["x", "y"]
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("?,inf,n", "missing value '?' is not supported"),
+            ("a,nan,?", "non-finite value 'nan'"),
+        ],
+        ids=["missing-category", "non-finite"],
+    )
+    def test_first_bad_cell_of_a_row_is_reported(self, row, message):
+        with pytest.raises(FormatError, match=f"^line 3: {re.escape(message)}$"):
+            parse_csv(f"c,x,y,class\nb,1,2,p\n{row},?\n")
 
     def test_missing_label_column(self):
         with pytest.raises(ParameterError, match="not found"):
@@ -260,6 +299,26 @@ class TestRoundTrip:
             recovered.features, encoded.features, rtol=0, atol=1e-12
         )
         assert list(recovered.labels) == list(encoded.labels)
+
+    def test_csv_categorical_column_survives_keel(self):
+        ds = parse_csv("x,colour,class\n1.5,red,p\n2,blue,n\n-3,red,n\n")
+        text = serialize_keel(ds)
+        assert "@attribute colour {red, blue}" in text
+        recovered = parse_keel(text)
+        assert recovered.feature_meta[1].allowed == ("red", "blue")
+        assert recovered.features.tolist() == ds.features.tolist()
+        assert list(recovered.labels) == list(ds.labels)
+
+    def test_keel_declared_values_survive_serialization(self):
+        text = (
+            "@relation t\n"
+            "@attribute colour {red, blue, green}\n"
+            "@attribute cls {p, n}\n"
+            "@data\n"
+            "green, p\n"
+            "red, n\n"
+        )
+        assert "@attribute colour {red, blue, green}" in serialize_keel(parse_keel(text))
 
     def test_keel_serializer_cycle(self):
         ds = parse_keel(KEEL_TOY)
