@@ -1,12 +1,7 @@
 """Radial-based undersampling, reference resamplers, minority-object typing
 and an imbalance-aware cross-validation benchmark harness."""
 
-from .baselines import (
-    ResampleSpec,
-    apply_resample,
-    senn_spec,
-    stl_spec,
-)
+from .baselines import ResampleSpec, apply_resample
 from .dataio import (
     BinaryTask,
     Dataset,
@@ -89,9 +84,7 @@ __all__ = [
     "rbu_undersample",
     "run_experiment",
     "select_params",
-    "senn_spec",
     "serialize_csv",
     "serialize_keel",
     "split_binary",
-    "stl_spec",
 ]

@@ -390,29 +390,3 @@ def apply_resample_detail(
 def apply_resample(task: BinaryTask, spec: ResampleSpec, seed=None, shared=None) -> BinaryTask:
     """Run a spec and return the resampled task."""
     return apply_resample_detail(task, spec, seed=seed, shared=shared).resampled_task(task)
-
-
-def stl_spec(k: int = METHODS["smote"].params["k"], ratio: float = 1.0) -> ResampleSpec:
-    """SMOTE followed by Tomek-link cleaning."""
-    return ResampleSpec(
-        "pipeline",
-        stages=(
-            ResampleSpec("smote", {"k": k, "ratio": ratio}),
-            ResampleSpec("tomek"),
-        ),
-    )
-
-
-def senn_spec(
-    k: int = METHODS["smote"].params["k"],
-    ratio: float = 1.0,
-    clean_k: int = METHODS["enn"].params["k"],
-) -> ResampleSpec:
-    """SMOTE followed by edited-nearest-neighbor cleaning."""
-    return ResampleSpec(
-        "pipeline",
-        stages=(
-            ResampleSpec("smote", {"k": k, "ratio": ratio}),
-            ResampleSpec("enn", {"k": clean_k}),
-        ),
-    )

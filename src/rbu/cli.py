@@ -10,7 +10,6 @@ entropy, or set the RR_SEED environment variable).
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .baselines import METHODS, ResampleSpec, apply_resample_detail, senn_spec, stl_spec
+from .baselines import METHODS, apply_resample_detail
 from .dataio import (
     Dataset,
     apply_standardizer,
@@ -32,7 +31,15 @@ from .dataio import (
 )
 from .errors import FormatError, ParameterError
 from .evaluation import STANDARDIZE_MODES, run_experiment
-from .grids import FINAL_PRESET, PRELIM_PRESET, load_grid_file, preset_grids
+from .grids import (
+    DEFAULT_CLEAN_K,
+    FINAL_PRESET,
+    METHOD_NAMES,
+    PRESETS,
+    load_grid_file,
+    named_specs,
+    preset_grids,
+)
 from .minority import CATEGORIES, categorize_minority, dataset_stats
 from .modeling import CLASSIFIERS
 from .potential import TIE_LOWEST_INDEX, TIE_RULES, TIE_SEEDED_RANDOM, potential_grid
@@ -43,26 +50,13 @@ EXIT_PARSE = 1
 EXIT_PARAMS = 2
 EXIT_IO = 3
 
-# CLI names of library methods, where they differ.
-METHOD_ALIASES = {"near_miss": "nm"}
-# The combined methods: SMOTE, then a cleaning stage (senn's ENN takes
-# --clean-k).  They take SMOTE's parameters.
-PIPELINES = {
-    "stl": lambda clean_k, **smote: stl_spec(**smote),
-    "senn": lambda clean_k, **smote: senn_spec(**smote, clean_k=clean_k),
-}
-METHOD_CHOICES = tuple(
-    METHOD_ALIASES.get(m, m) for m in METHODS if m != "pipeline"
-) + tuple(PIPELINES)
-DEFAULT_CLEAN_K = METHODS["enn"].params["k"]
-
 
 def handle_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except FormatError as exc:
+        except (FormatError, UnicodeDecodeError) as exc:
             click.echo(f"parse error: {exc}", err=True)
             sys.exit(EXIT_PARSE)
         except ParameterError as exc:
@@ -188,7 +182,7 @@ def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, outcome) -> Da
 
 @main.command()
 @click.argument("input_path", metavar="INPUT", type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", required=True, type=click.Choice(METHOD_CHOICES))
+@click.option("--method", required=True, type=click.Choice(tuple(METHOD_NAMES)))
 @click.option("--gamma", type=float, default=0.1, show_default=True)
 @click.option("--ratio", type=float, default=1.0, show_default=True)
 @click.option("--k", type=int, default=None, help="Neighborhood size (smote/enn/renn/nm/stl/senn).")
@@ -361,14 +355,6 @@ def load_datasets(inputs, fmt, label_column):
     return datasets
 
 
-def _cli_method(name, clean_k):
-    """Parameter schema and spec builder of a CLI method name."""
-    if name in PIPELINES:
-        return METHODS["smote"].params, functools.partial(PIPELINES[name], clean_k)
-    method = {alias: m for m, alias in METHOD_ALIASES.items()}.get(name, name)
-    return METHODS[method].params, lambda **params: ResampleSpec(method, params)
-
-
 def flag_grids(methods, flags, clean_k):
     """Per-method grids from CLI flag values.
 
@@ -378,11 +364,9 @@ def flag_grids(methods, flags, clean_k):
     """
     grids = {}
     for name in methods:
-        schema, build = _cli_method(name, clean_k)
+        schema = METHODS[METHOD_NAMES[name][0]].params if name in METHOD_NAMES else {}
         axes = {p: flags[p] or [default] for p, default in schema.items() if p in flags}
-        grids[name] = [
-            build(**dict(zip(axes, values))) for values in itertools.product(*axes.values())
-        ]
+        grids[name] = named_specs(name, axes, clean_k)
     return grids
 
 
@@ -447,7 +431,7 @@ def add_options(options):
 
 @main.command()
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--method", "methods", multiple=True, type=click.Choice(METHOD_CHOICES),
+@click.option("--method", "methods", multiple=True, type=click.Choice(tuple(METHOD_NAMES)),
               default=("none",), show_default=True)
 @click.option("--gamma", "gammas", multiple=True, type=float)
 @click.option("--ratio", "ratios", multiple=True, type=float)
@@ -478,7 +462,7 @@ def evaluate(inputs, methods, gammas, ratios, ks, clean_k, grid_file, classifier
 
 @main.command()
 @click.argument("inputs", nargs=-1, required=True)
-@click.option("--preset", type=click.Choice([FINAL_PRESET, PRELIM_PRESET]),
+@click.option("--preset", type=click.Choice(tuple(PRESETS)),
               default=FINAL_PRESET, show_default=True)
 @click.option("--method", "methods", multiple=True,
               help="Restrict the preset to these method names.")

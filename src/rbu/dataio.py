@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -132,7 +133,7 @@ def _coerce_numeric(token, line_no):
         value = float(token)
     except ValueError:
         raise FormatError(f"expected a number, got {token!r}", line=line_no) from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise FormatError(f"non-finite value {token!r}", line=line_no)
     return value
 
@@ -396,9 +397,15 @@ def serialize_keel(d: Dataset, relation="dataset") -> str:
     lines.append(f"@inputs {', '.join(m.name for m in d.feature_meta)}")
     lines.append(f"@outputs {d.label_name}")
     lines.append("@data")
+    columns = [m.name for m in d.feature_meta] + [d.label_name]
     for i in range(d.n):
-        cells = [_format_cell(v) for v in d.features[i]]
-        lines.append(", ".join(cells + [str(d.labels[i])]))
+        cells = [_format_cell(v) for v in d.features[i]] + [str(d.labels[i])]
+        line = ", ".join(cells)
+        if line.count(",") >= len(cells):
+            # A KEEL reader splits rows at every comma.
+            column, value = next((c, v) for c, v in zip(columns, cells) if "," in v)
+            raise ParameterError(f"KEEL cannot hold {value!r} of column {column!r}: it has a comma")
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 

@@ -13,8 +13,6 @@ from rbu import (
     ResampleSpec,
     apply_resample,
     rbu_undersample,
-    senn_spec,
-    stl_spec,
 )
 from rbu import baselines, neighbors
 from rbu.baselines import (
@@ -383,16 +381,21 @@ class TestPipeline:
 
     def test_stl_majority_never_exceeds_smote_only(self):
         rng = np.random.default_rng(14)
+        stl = ResampleSpec("pipeline", stages=(
+            ResampleSpec("smote", {"k": 3, "ratio": 1.0}), ResampleSpec("tomek"),
+        ))
         for seed in range(5):
             task = random_task(rng, 20, 6, 2, spread=1.0)
-            out = apply_resample(task, stl_spec(k=3, ratio=1.0), seed=seed)
+            out = apply_resample(task, stl, seed=seed)
             assert len(out.majority) <= task.n_majority
             assert len(out.minority) == task.n_majority  # smote balanced first
 
     def test_senn_matches_manual_two_step(self):
         rng = np.random.default_rng(15)
         task = random_task(rng, 18, 6, 2, spread=1.0)
-        spec = senn_spec(k=3, ratio=1.0, clean_k=3)
+        spec = ResampleSpec("pipeline", stages=(
+            ResampleSpec("smote", {"k": 3, "ratio": 1.0}), ResampleSpec("enn", {"k": 3}),
+        ))
         combined = apply_resample(task, spec, seed=41)
 
         # manual: smote with the pipeline's stage-0 derived seed, then enn

@@ -14,8 +14,9 @@ from rbu import (
     split_binary,
 )
 from rbu.baselines import ResampleOutcome
-from rbu.cli import main, rebuild_dataset
-from rbu.grids import preset_grids
+from rbu.cli import flag_grids, main, rebuild_dataset
+from rbu.errors import ParameterError
+from rbu.grids import DEFAULT_CLEAN_K, METHOD_NAMES, PRESETS, named_specs, preset_grids
 
 KEEL_IMBALANCED_HEADER = (
     "@relation toy\n"
@@ -357,6 +358,14 @@ class TestStats:
         assert "parse error: line 2: numeric range" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    def test_non_utf8_data_file_exits_1(self, runner, tmp_path):
+        path = tmp_path / "toy.csv"
+        path.write_bytes(b"x,class\n1,\xff\n2,n\n3,n\n")
+        result = runner.invoke(main, ["stats", str(path)])
+        assert result.exit_code == 1
+        assert "parse error:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
 
 class TestPotentialGrid:
     def test_grid_cell_count(self, runner, tmp_path):
@@ -519,12 +528,21 @@ class TestEvaluateAndSweep:
                 1,
                 {"name": "stl", "method": "pipeline", "stages": [1]},
                 {"name": 5, "method": "rus", "grid": {"ratio": [1.0]}},
+                {"method": "enn", "gird": {"k": [1, 7]}},
+                {"name": "smote", "method": "smote", "grid": {"ratio": [1.0]},
+                 "stages": [{"method": "tomek"}]},
+                {"name": "stl", "method": "pipeline", "grid": {"k": [3]},
+                 "stages": [{"method": "smote", "grid": {"ratio": [1.0]}}, {"method": "tomek"}]},
+                {"name": "stl", "method": "pipeline",
+                 "stages": [{"method": "smote", "gird": {"ratio": [1.0]}}, {"method": "tomek"}]},
+                {"name": "stl", "method": "pipeline", "stages": {"method": "tomek"}},
             ]),
             [1, 2],
         ],
         ids=["misspelled", "fractional-k", "stage-extra", "grid-list", "axis-scalar",
              "axis-empty", "entry-not-object", "stage-not-object", "name-not-string",
-             "doc-not-object"],
+             "entry-unknown-key", "plain-entry-stages", "pipeline-entry-grid",
+             "stage-unknown-key", "stages-not-list", "doc-not-object"],
     )
     def test_invalid_grid_file_refused_before_any_report(self, runner, tmp_path, doc):
         data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)
@@ -550,6 +568,24 @@ class TestEvaluateAndSweep:
         )
         assert result.exit_code == 1, result.output
         assert "parse error: line 3:" in result.output
+        assert not (tmp_path / "rep.json").exists()
+
+    @pytest.mark.parametrize("bad", ["grid-file", "dataset-list"])
+    def test_non_utf8_input_is_a_parse_error(self, runner, tmp_path, bad):
+        data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)
+        grid_file = tmp_path / "grid.json"
+        grid_file.write_text(json.dumps({"methods": [{"name": "none", "method": "none"}]}))
+        listing = tmp_path / "sets.txt"
+        listing.write_text(f"{data.name}\n")
+        target = grid_file if bad == "grid-file" else listing
+        target.write_bytes(target.read_bytes() + b"\xff\n")
+        result = runner.invoke(
+            main,
+            ["evaluate", str(listing), "--grid-file", str(grid_file), "--classifier", "gnb",
+             "--seed", "3", "-o", str(tmp_path / "rep")],
+        )
+        assert result.exit_code == 1, result.output
+        assert "parse error:" in result.output
         assert not (tmp_path / "rep.json").exists()
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
@@ -615,3 +651,31 @@ class TestPresetGrids:
         assert sorted({s.params["ratio"] for s in rbu_grid}) == [
             0.0, 0.2, 0.4, 0.6, 0.8, 1.0,
         ]
+
+    @pytest.mark.parametrize("preset", list(PRESETS))
+    def test_flag_grids_with_preset_axes_give_preset_specs(self, preset):
+        for name, specs in preset_grids(preset).items():
+            got = flag_grids([name], PRESETS[preset][name], DEFAULT_CLEAN_K)[name]
+            assert got == specs, name
+            assert [s.label for s in got] == [s.label for s in specs]
+
+    def test_pipeline_names_span_smote_and_clean_with_clean_k(self):
+        (stl,) = named_specs("stl", {"k": [2], "ratio": [0.5]}, 7)
+        (senn,) = named_specs("senn", {"k": [2], "ratio": [0.5]}, 7)
+        assert stl.label == "smote(k=2, ratio=0.5)+tomek"
+        assert senn.label == "smote(k=2, ratio=0.5)+enn(k=7)"
+        assert preset_grids("paper-final")["senn"][0].label == "smote(k=1, ratio=0.5)+enn(k=3)"
+
+    def test_unknown_method_name_refused(self):
+        with pytest.raises(ParameterError, match="unknown method name"):
+            named_specs("near_miss", {}, DEFAULT_CLEAN_K)
+
+    def test_method_names_are_the_method_choices_in_help_order(self):
+        order = ["none", "rus", "ros", "smote", "enn", "renn", "tomek", "nm", "rbu", "stl",
+                 "senn"]
+        assert list(METHOD_NAMES) == order
+        for command in ("resample", "evaluate"):
+            (option,) = [p for p in main.commands[command].params if p.name.startswith("method")]
+            assert list(option.type.choices) == order
+        (preset,) = [p for p in main.commands["sweep"].params if p.name == "preset"]
+        assert list(preset.type.choices) == list(PRESETS) == ["paper-final", "paper-prelim"]

@@ -309,6 +309,14 @@ class TestRoundTrip:
         assert recovered.features.tolist() == ds.features.tolist()
         assert list(recovered.labels) == list(ds.labels)
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [('x,c,class\n1,"a,b",p\n2,d,n\n', "c"), ('x,c,class\n1,a,p\n2,d,"n,o"\n', "class")],
+    )
+    def test_keel_refuses_a_value_holding_a_comma(self, text, column):
+        with pytest.raises(ParameterError, match=f"column '{column}'"):
+            serialize_keel(parse_csv(text))
+
     def test_keel_declared_values_survive_serialization(self):
         text = (
             "@relation t\n"

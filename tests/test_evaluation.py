@@ -26,12 +26,12 @@ from rbu.evaluation import (
     check_no_leakage,
     inner_scores,
 )
-from rbu.grids import preset_grids
+from rbu.grids import named_specs, preset_grids
 from rbu.modeling import METRIC_NAMES, compute_metrics, make_classifier
 from rbu.potential import TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM
 from rbu.radial import RbuParams, rbu_kept_indices
 from rbu.seeding import derive_seed
-from rbu.baselines import apply_resample, apply_resample_detail, senn_spec, stl_spec
+from rbu.baselines import apply_resample, apply_resample_detail
 
 from oracles import (
     make_task,
@@ -359,8 +359,8 @@ class TestSharedFoldWork:
         rng = np.random.default_rng(58)
         smote = [ResampleSpec("smote", {"k": k, "ratio": r}) for k in (1, 3, 5, 9)
                  for r in (0.5, 1.0)]
-        pipelines = [stl_spec(k, r) for k in (1, 5) for r in (0.5, 1.0)]
-        pipelines += [senn_spec(k, r) for k in (1, 5) for r in (0.5, 1.0)]
+        axes = {"k": [1, 5], "ratio": [0.5, 1.0]}
+        pipelines = named_specs("stl", axes, 3) + named_specs("senn", axes, 3)
         for task in (random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)):
             shared = {}
             for i, spec in enumerate(smote + pipelines):
