@@ -166,28 +166,58 @@ def enn_kept_indices(task: BinaryTask, k: int) -> np.ndarray:
     Decisions are computed on the frozen input (batch semantics): removals
     never expose further points within the same pass.
     """
-    _check_k(k)
-    n_total = task.n_majority + task.n_minority
-    if n_total - 1 < k:
-        raise ParameterError(f"need at least {k} other points, have {n_total - 1}")
-    everything = np.vstack([task.majority, task.minority])
-    neighbors = nearest_neighbors(task.majority, everything, k, self_offset=0)
-    minority_votes = (neighbors >= task.n_majority).sum(axis=1)
-    # Removed iff a strict majority of neighbors belongs to the other class.
-    return np.flatnonzero(minority_votes * 2 <= k)
+    return _edited(task, k, 1)
 
 
 def renn_kept_indices(task: BinaryTask, k: int) -> np.ndarray:
-    kept = np.arange(task.n_majority)
-    for pass_no in range(RENN_MAX_PASSES):
-        if pass_no > 0 and len(kept) + task.n_minority - 1 < k:
+    """ENN passes, each on the previous pass's output, until one removes
+    nothing or fewer than k other points are left (at most
+    ``RENN_MAX_PASSES``)."""
+    return _edited(task, k, RENN_MAX_PASSES)
+
+
+def _edited(task: BinaryTask, k: int, passes: int) -> np.ndarray:
+    """Majority points kept by up to ``passes`` ENN passes.
+
+    Each pass removes the majority points a strict majority of whose k
+    nearest remaining points are minority points.  The points a pass sees
+    are a subset of the last pass's, in the same order, so a point keeps
+    the first k entries of its stable neighbour order, and its vote, until
+    one of them is removed: a later pass queries only the points that lost
+    a neighbour, and only they can be removed.
+    """
+    _check_k(k)
+    n_majority, n_minority = task.n_majority, task.n_minority
+    if n_majority + n_minority - 1 < k:
+        raise ParameterError(f"need at least {k} other points, have {n_majority + n_minority - 1}")
+
+    def kept_by_vote(nearest):
+        """Kept unless a strict majority of the k neighbours are minority points."""
+        return (nearest >= n_majority).sum(axis=1) <= k // 2
+
+    everything = np.vstack([task.majority, task.minority])
+    # Row i: majority point i's k nearest other points, as rows of ``everything``.
+    neighbors = nearest_neighbors(task.majority, everything, k, self_offset=0)
+    keep = kept_by_vote(neighbors)
+    if passes == 1 or keep.all():
+        return np.flatnonzero(keep)
+    alive = np.concatenate([keep, np.ones(n_minority, dtype=bool)])
+    for _ in range(passes - 1):
+        if np.count_nonzero(alive) - 1 < k:
             break  # too few points left for another editing pass
-        current = BinaryTask(task.majority[kept], task.minority)
-        surviving = enn_kept_indices(current, k)
-        if len(surviving) == len(kept):
-            break
-        kept = kept[surviving]
-    return kept
+        # Rows of removed points are stale; alive[:n_majority] hides them.
+        rows = np.flatnonzero(alive[:n_majority] & ~alive[neighbors].all(axis=1))
+        if not len(rows):
+            break  # no vote can change
+        points = np.flatnonzero(alive)
+        found = points[
+            nearest_neighbors(
+                everything[rows], everything[points], k, self_offset=np.searchsorted(points, rows)
+            )
+        ]
+        neighbors[rows] = found
+        alive[rows] = kept_by_vote(found)
+    return np.flatnonzero(alive[:n_majority])
 
 
 def tomek_kept_indices(task: BinaryTask) -> np.ndarray:

@@ -380,7 +380,26 @@ def serialize_csv(d: Dataset) -> str:
 
 
 def serialize_keel(d: Dataset, relation="dataset") -> str:
-    """Emit the dataset as a KEEL file; label declared as the output attribute."""
+    """Emit the dataset as a KEEL file; label declared as the output attribute.
+
+    Raises ParameterError for what a KEEL reader cannot read back: an empty
+    column name, one with whitespace or given twice, a label column name with
+    a comma, or a cell with a comma.
+    """
+    columns = [m.name for m in d.feature_meta] + [d.label_name]
+    seen = set()
+    for column in columns:
+        # A declaration is "@attribute <name> <type>", split at whitespace.
+        if not column or any(c.isspace() for c in column):
+            raise ParameterError(
+                f"KEEL cannot hold column name {column!r}: it is empty or holds whitespace"
+            )
+        if column in seen:
+            raise ParameterError(f"KEEL cannot hold column name {column!r} twice")
+        seen.add(column)
+    if "," in d.label_name:
+        # A reader splits the "@outputs" names at commas.
+        raise ParameterError(f"KEEL cannot hold label column name {d.label_name!r}: it has a comma")
     lines = [f"@relation {relation}"]
     for j, meta in enumerate(d.feature_meta):
         if meta.kind == "categorical" and not d.is_encoded:
@@ -397,7 +416,6 @@ def serialize_keel(d: Dataset, relation="dataset") -> str:
     lines.append(f"@inputs {', '.join(m.name for m in d.feature_meta)}")
     lines.append(f"@outputs {d.label_name}")
     lines.append("@data")
-    columns = [m.name for m in d.feature_meta] + [d.label_name]
     for i in range(d.n):
         cells = [_format_cell(v) for v in d.features[i]] + [str(d.labels[i])]
         line = ", ".join(cells)

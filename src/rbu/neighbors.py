@@ -112,9 +112,11 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
 
     Row i equals ``np.argsort(d, axis=1, kind="stable")[i, :k]`` for the
     distance matrix ``d = cdist(queries, points, metric, **metric_kw)``:
-    nearest first, ties to the lowest index.  With ``self_offset`` set, query
-    i is point ``self_offset + i`` and is never its own neighbour.  Asking for
-    more neighbours than there are candidates returns every candidate.
+    nearest first, ties to the lowest index.  With ``self_offset`` set, each
+    query is one of the points and is never its own neighbour: query i is
+    point ``self_offset + i`` for an integer, or point ``self_offset[i]`` for
+    one index per query.  Asking for more neighbours than there are
+    candidates returns every candidate.
 
     Raises ParameterError for NaN or infinite coordinates, whose order an
     argmin and a sort disagree on.  Finite coordinates whose distances
@@ -125,8 +127,7 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
     n_points = len(points)
     candidates = n_points
     if self_offset is not None:
-        if not 0 <= self_offset <= n_points - len(queries):
-            raise ParameterError("queries must be a contiguous run of the points")
+        self_offset = _own_rows(self_offset, len(queries), n_points)
         candidates -= 1
     k = max(0, min(k, candidates))
     if k == 0:
@@ -134,15 +135,34 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
     out = np.empty((len(queries), k), dtype=np.intp)
 
     def body(start, dist):
-        own = None if self_offset is None else self_offset + start
+        if isinstance(self_offset, np.ndarray):
+            own = self_offset[start : start + len(dist)]
+        else:
+            own = None if self_offset is None else self_offset + start
         out[start : start + len(dist)] = _nearest_block(dist, k, own)
 
     for_each_block(queries, points, body, metric, **metric_kw)
     return out
 
 
+def _own_rows(self_offset, n_queries, n_points):
+    """``self_offset`` checked: an int, or an intp array of one point per query."""
+    if isinstance(self_offset, (int, np.integer)):
+        if not 0 <= self_offset <= n_points - n_queries:
+            raise ParameterError("queries must be a contiguous run of the points")
+        return self_offset
+    own = np.asarray(self_offset)
+    if (
+        own.shape != (n_queries,)
+        or own.dtype.kind not in "iu"
+        or not ((own >= 0) & (own < n_points)).all()
+    ):
+        raise ParameterError("self_offset must be an int or one point index per query")
+    return own.astype(np.intp, copy=False)
+
+
 def _nearest_block(dist, k, own):
-    """:func:`nearest_neighbors` for one block; query i is point ``own + i``."""
+    """:func:`nearest_neighbors` for one block; ``own`` as in :func:`_mask_own`."""
     if k == 1 or (dist.shape[1] > _SORT_COLUMNS and k <= _MAX_ROUNDS):
         picked = _argmin_rounds(dist, k, own)
         if picked is not None:
@@ -151,8 +171,11 @@ def _nearest_block(dist, k, own):
 
 
 def _mask_own(dist, own, value):
-    """Set entry (i, own + i) of every row i of ``dist`` to ``value``."""
-    if own is not None:
+    """Set entry (i, own + i), or (i, own[i]) for an array, of every row i
+    of ``dist`` to ``value``; nothing for None."""
+    if isinstance(own, np.ndarray):
+        dist[np.arange(len(dist)), own] = value
+    elif own is not None:
         dist.reshape(-1)[own :: dist.shape[1] + 1] = value
 
 

@@ -8,9 +8,11 @@ so that agreement is meaningful.
 import math
 
 import numpy as np
+from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from rbu import BinaryTask, Dataset, apply_resample
+from rbu.baselines import RENN_MAX_PASSES
 from rbu.dataio import FeatureMeta
 from rbu.evaluation import (
     SELECTION_METRICS,
@@ -76,6 +78,35 @@ def naive_tomek_kept(majority, minority):
         for i in range(n_majority)
         if nearest[i] < n_majority or nearest[nearest[i]] != i
     ]
+
+
+def naive_renn_kept(majority, minority, k):
+    """RENN that recomputes every pass in full.
+
+    Each pass sorts the whole distance matrix of the remaining majority
+    points to all remaining points (stable argsort, own column masked) and
+    removes the majority points most of whose first k columns are minority
+    points.  It stops when a pass removes nothing, when fewer than k other
+    points are left, or after ``RENN_MAX_PASSES`` passes.
+
+    Returns (kept majority indices, number of passes that removed a point).
+    """
+    majority = np.asarray(majority, dtype=np.float64)
+    minority = np.asarray(minority, dtype=np.float64)
+    kept = np.arange(len(majority))
+    removing = 0
+    for _ in range(RENN_MAX_PASSES):
+        if len(kept) + len(minority) - 1 < k:
+            break
+        dist = cdist(majority[kept], np.vstack([majority[kept], minority]))
+        dist[np.arange(len(kept)), np.arange(len(kept))] = np.nan  # sorts last
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        flipped = 2 * (nearest >= len(kept)).sum(axis=1) > k
+        if not flipped.any():
+            break
+        kept = kept[~flipped]
+        removing += 1
+    return kept.tolist(), removing
 
 
 def argsort_smote_synthetic(majority, minority, k, ratio, seed):

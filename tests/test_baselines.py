@@ -30,6 +30,7 @@ from oracles import (
     argsort_smote_synthetic,
     make_task,
     naive_pipeline,
+    naive_renn_kept,
     naive_tomek_kept,
     random_task,
 )
@@ -237,6 +238,45 @@ class TestRenn:
         np.testing.assert_array_equal(
             repeated, resample(make_task(second_pass, minority), "enn", k=3).majority
         )
+
+    def test_later_passes_query_only_rows_that_lost_a_neighbour(self, monkeypatch):
+        majority = np.array([[0.0], [1.0], [2.0], [30.0], [31.0], [32.0], [33.0]])
+        task = make_task(majority, [[-1.0], [-0.5], [0.5]])
+        queried = []
+        search = baselines.nearest_neighbors
+
+        def counted(queries, *args, **kwargs):
+            queried.append(len(queries))
+            return search(queries, *args, **kwargs)
+
+        monkeypatch.setattr(baselines, "nearest_neighbors", counted)
+        one_pass = enn_kept_indices(task, 3)
+        kept = renn_kept_indices(task, 3)
+        assert queried[:2] == [7, 7] and len(one_pass) == 6
+        # Points 1 and 2 lost point 0; the four far points keep their lists.
+        assert queried[2:] == [2] and kept.tolist() == [3, 4, 5, 6]
+
+    def test_matches_naive_oracle(self):
+        rng = np.random.default_rng(15)
+        # Majority points at 0, 1, 3, 7, ...: each is nearer the minority
+        # than its next neighbour once the previous one is gone, so k=1
+        # removes one point per pass.
+        chain = make_task(2.0 ** np.arange(6)[:, None] - 1, [[-0.5]])
+        tasks = [chain] + [random_task(rng, 25, 8, 2, spread=1.0) for _ in range(8)]
+        tasks += [
+            make_task(rng.integers(0, 4, size=(30, 2)), rng.integers(1, 5, size=(10, 2)))
+            for _ in range(8)
+        ]
+        most_passes = []
+        for task in tasks:
+            passes = []
+            for k in range(1, min(8, task.n_majority + task.n_minority)):
+                want, removing = naive_renn_kept(task.majority, task.minority, k)
+                np.testing.assert_array_equal(renn_kept_indices(task, k), want)
+                passes.append(removing)
+            most_passes.append(max(passes))
+        assert most_passes[0] == 6  # the chain, point by point
+        assert sum(passes >= 3 for passes in most_passes) >= 3
 
 
 class TestTomek:

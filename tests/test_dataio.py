@@ -317,6 +317,28 @@ class TestRoundTrip:
         with pytest.raises(ParameterError, match=f"column '{column}'"):
             serialize_keel(parse_csv(text))
 
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("my col,class\n1,p\n2,n\n", "my col"),
+            ("x,my class\n1,p\n2,n\n", "my class"),
+            ('x,"my,class"\n1,p\n2,n\n', "my,class"),
+            (",class\n1,p\n2,n\n", ""),
+            ("x,x\n1,p\n2,n\n", "x"),
+        ],
+    )
+    def test_keel_refuses_a_name_it_cannot_read_back(self, text, column):
+        # Declarations split at whitespace and the output names at commas.
+        with pytest.raises(ParameterError, match=f"column name '{column}'"):
+            serialize_keel(parse_csv(text))
+
+    def test_keel_feature_name_with_a_comma_survives(self):
+        ds = parse_csv('"a,b",class\n1.5,p\n2,n\n')
+        recovered = parse_keel(serialize_keel(ds))
+        assert [m.name for m in recovered.feature_meta] == ["a,b"]
+        assert recovered.label_name == "class"
+        assert recovered.features.tolist() == ds.features.tolist()
+
     def test_keel_declared_values_survive_serialization(self):
         text = (
             "@relation t\n"

@@ -21,11 +21,15 @@ from oracles import make_task, random_task
 
 
 def argsort_oracle(queries, points, k, self_offset=None, **metric):
-    """First k columns of a stable argsort, own points sorted after all others."""
+    """First k columns of a stable argsort, own points sorted after all others.
+
+    Query i is point ``self_offset + i``, or ``self_offset[i]`` for an array.
+    """
     dist = cdist(queries, points, **metric)
     candidates = len(points)
     if self_offset is not None:
-        dist[np.arange(len(queries)), self_offset + np.arange(len(queries))] = np.nan
+        own = np.arange(len(queries)) + self_offset if np.ndim(self_offset) == 0 else self_offset
+        dist[np.arange(len(queries)), own] = np.nan
         candidates -= 1
     return np.argsort(dist, axis=1, kind="stable")[:, : min(k, candidates)]
 
@@ -247,14 +251,21 @@ class TestThreadsMatchSerial:
         points = grid_points(rng, 60, 2)  # many ties
         points[::3] = grid_points(rng, 20, 2, scale=1e200)  # overflowing distances
         queries = grid_points(rng, 17, 2)
+        # Unsorted, non-contiguous own rows, among points that repeat.
+        own = np.array([41, 3, 57, 0, 12, 13, 30, 7, 59, 22, 48, 5, 36])
         calls = [
             (queries, points, 1, {}),
             (queries, points, 7, {}),
             (points, points, 5, {"self_offset": 0}),
             (points[10:40], points, 60, {"self_offset": 10}),
             (points[10:], points, 4, {"self_offset": 10, "metric": "minkowski", "p": 3.0}),
+            (points[own], points, 1, {"self_offset": own}),
+            (points[own], points, 6, {"self_offset": own}),
+            (points[own], points, 60, {"self_offset": own}),
         ]
         whole = [nearest_neighbors(q, p, k, **kw) for q, p, k, kw in calls]
+        for (q, p, k, kw), serial in zip(calls, whole):
+            np.testing.assert_array_equal(serial, argsort_oracle(q, p, k, **kw))
         self.threaded(monkeypatch, cpus, block, len(points))
         for (q, p, k, kw), serial in zip(calls, whole):
             np.testing.assert_array_equal(nearest_neighbors(q, p, k, **kw), serial)
@@ -349,10 +360,38 @@ class TestMatchesStableArgsort:
         expected = argsort_oracle(points[10:], points, 5, self_offset=10, metric="minkowski", p=p)
         np.testing.assert_array_equal(got, expected)
 
+    @pytest.mark.parametrize("block", [None, "small"])
+    @pytest.mark.parametrize("n_points, m", SIZES)
+    def test_every_k_with_own_rows(self, n_points, m, block, monkeypatch):
+        # Own rows in any order, with gaps, among duplicated points: the own
+        # point is never picked, its twins are.
+        rng = np.random.default_rng(n_points + 4)
+        points = grid_points(rng, n_points, m)
+        points[1::4] = points[::4][: len(points[1::4])]
+        if block == "small":
+            monkeypatch.setattr(neighbors, "_BLOCK", 3 * n_points)
+        for own in (
+            rng.permutation(n_points)[: n_points // 2],
+            np.arange(n_points)[::-3],
+            np.flatnonzero(rng.random(n_points) < 0.6).astype(np.int32),
+        ):
+            for k in range(1, n_points + 2):
+                expected = argsort_oracle(points[own], points, k, self_offset=own)
+                got = nearest_neighbors(points[own], points, k, self_offset=own)
+                np.testing.assert_array_equal(got, expected)
+
     def test_self_offset_must_cover_the_queries(self):
         points = np.zeros((5, 2))
         with pytest.raises(ParameterError, match="contiguous"):
             nearest_neighbors(points, points, 1, self_offset=1)
+
+    @pytest.mark.parametrize(
+        "own", [[0, 1], [0, 1, 2, 3], [0, 1, 5], [0, -1, 2], [0.0, 1.0, 2.0], [[0, 1, 2]]]
+    )
+    def test_own_rows_must_be_one_point_index_per_query(self, own):
+        points = np.zeros((5, 2))
+        with pytest.raises(ParameterError, match="one point index per query"):
+            nearest_neighbors(points[:3], points, 1, self_offset=np.array(own))
 
 
 def _knn_scores(task):
