@@ -5,7 +5,8 @@ points, nearest first, with distance ties going to the lowest index: the
 first k columns of a stable argsort of the distance row.  All distances,
 RBF potentials included, come from ``for_each_block`` in blocks of query
 rows, so memory stays near one block whatever the number of queries.  The
-blocks of one call are shared by one thread per CPU.
+blocks of one call are shared by one thread per CPU, unless the caller keeps
+them on its own thread.
 """
 
 from __future__ import annotations
@@ -62,22 +63,24 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def for_each_block(queries, points, body, metric="euclidean", **metric_kw) -> None:
+def for_each_block(
+    queries, points, body, metric="euclidean", *, threaded=True, **metric_kw
+) -> None:
     """Call ``body(start, cdist(queries[start:start + rows], points, metric, **metric_kw))``
     for blocks of query rows that tile ``queries``.
 
-    A call that fits one block of about ``_BLOCK`` entries runs on the
-    calling thread.  Otherwise one thread per CPU, the caller's included,
-    takes blocks of ``1 / threads`` of that size (never less than
-    ``1 / _MAX_SPLIT``) until none is left, so ``body`` must write only the
-    rows of its own block and set any ``np.errstate`` itself.  Each thread
-    overwrites its blocks in one buffer.  Every thread has finished when the
-    call returns; the first exception raised in any of them is raised again
-    here.  Raises ParameterError for NaN or infinite coordinates.
+    A call that fits one block of about ``_BLOCK`` entries, or that is not
+    ``threaded``, runs on the calling thread.  Otherwise one thread per CPU,
+    the caller's included, takes blocks of ``1 / threads`` of that size (never
+    less than ``1 / _MAX_SPLIT``) until none is left, so ``body`` must write
+    only the rows of its own block and set any ``np.errstate`` itself.  Each
+    thread overwrites its blocks in one buffer.  Every thread has finished
+    when the call returns; the first exception raised in any of them is
+    raised again here.  Raises ParameterError for NaN or infinite coordinates.
     """
     check_finite(queries, points)
     rows = max(1, _BLOCK // max(1, len(points)))
-    threads = 1 if len(queries) <= rows or _single_thread else _cpu_count()
+    threads = 1 if len(queries) <= rows or _single_thread or not threaded else _cpu_count()
     rows = max(1, rows // min(threads, _MAX_SPLIT))
     starts = iter(range(0, len(queries), rows))
     lock = Lock()
