@@ -5,8 +5,7 @@ points, nearest first, with distance ties going to the lowest index: the
 first k columns of a stable argsort of the distance row.  All distances,
 RBF potentials included, come from ``for_each_block`` in blocks of query
 rows, so memory stays near one block whatever the number of queries.  The
-blocks of one call are shared by one thread per CPU, unless the caller keeps
-them on its own thread.
+blocks of one call are shared by one thread per CPU.
 """
 
 from __future__ import annotations
@@ -63,24 +62,22 @@ def _cpu_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def for_each_block(
-    queries, points, body, metric="euclidean", *, threaded=True, **metric_kw
-) -> None:
+def for_each_block(queries, points, body, metric="euclidean", **metric_kw) -> None:
     """Call ``body(start, cdist(queries[start:start + rows], points, metric, **metric_kw))``
     for blocks of query rows that tile ``queries``.
 
-    A call that fits one block of about ``_BLOCK`` entries, or that is not
-    ``threaded``, runs on the calling thread.  Otherwise one thread per CPU,
-    the caller's included, takes blocks of ``1 / threads`` of that size (never
-    less than ``1 / _MAX_SPLIT``) until none is left, so ``body`` must write
-    only the rows of its own block and set any ``np.errstate`` itself.  Each
-    thread overwrites its blocks in one buffer.  Every thread has finished
-    when the call returns; the first exception raised in any of them is
-    raised again here.  Raises ParameterError for NaN or infinite coordinates.
+    A call that fits one block of about ``_BLOCK`` entries runs on the
+    calling thread.  Otherwise one thread per CPU, the caller's included,
+    takes blocks of ``1 / threads`` of that size (never less than
+    ``1 / _MAX_SPLIT``) until none is left, so ``body`` must write only the
+    rows of its own block and set any ``np.errstate`` itself.  Each thread
+    overwrites its blocks in one buffer.  Every thread has finished when the
+    call returns; the first exception raised in any of them is raised again
+    here.  Raises ParameterError for NaN or infinite coordinates.
     """
     check_finite(queries, points)
     rows = max(1, _BLOCK // max(1, len(points)))
-    threads = 1 if len(queries) <= rows or _single_thread or not threaded else _cpu_count()
+    threads = 1 if len(queries) <= rows or _single_thread else _cpu_count()
     rows = max(1, rows // min(threads, _MAX_SPLIT))
     starts = iter(range(0, len(queries), rows))
     lock = Lock()
@@ -138,11 +135,7 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
     out = np.empty((len(queries), k), dtype=np.intp)
 
     def body(start, dist):
-        if isinstance(self_offset, np.ndarray):
-            own = self_offset[start : start + len(dist)]
-        else:
-            own = None if self_offset is None else self_offset + start
-        out[start : start + len(dist)] = _nearest_block(dist, k, own)
+        out[start : start + len(dist)] = _nearest_block(dist, k, self_offset, start)
 
     for_each_block(queries, points, body, metric, **metric_kw)
     return out
@@ -164,32 +157,34 @@ def _own_rows(self_offset, n_queries, n_points):
     return own.astype(np.intp, copy=False)
 
 
-def _nearest_block(dist, k, own):
-    """:func:`nearest_neighbors` for one block; ``own`` as in :func:`_mask_own`."""
+def _nearest_block(dist, k, self_offset, start):
+    """:func:`nearest_neighbors` for the block of queries from ``start``;
+    ``self_offset`` as checked by :func:`_own_rows`, or None."""
     if k == 1 or (dist.shape[1] > _SORT_COLUMNS and k <= _MAX_ROUNDS):
-        picked = _argmin_rounds(dist, k, own)
+        picked = _argmin_rounds(dist, k, self_offset, start)
         if picked is not None:
             return picked
-    return _stable_first(dist, k, own)
+    return _stable_first(dist, k, self_offset, start)
 
 
-def _mask_own(dist, own, value):
-    """Set entry (i, own + i), or (i, own[i]) for an array, of every row i
-    of ``dist`` to ``value``; nothing for None."""
-    if isinstance(own, np.ndarray):
-        dist[np.arange(len(dist)), own] = value
-    elif own is not None:
-        dist.reshape(-1)[own :: dist.shape[1] + 1] = value
+def _mask_own(dist, self_offset, start, value):
+    """Set each query's own column in the block ``dist`` of queries from
+    ``start`` to ``value``: column ``self_offset + start + i`` of row i for an
+    int, ``self_offset[start + i]`` for an array; nothing for None."""
+    if isinstance(self_offset, np.ndarray):
+        dist[np.arange(len(dist)), self_offset[start : start + len(dist)]] = value
+    elif self_offset is not None:
+        dist.reshape(-1)[self_offset + start :: dist.shape[1] + 1] = value
 
 
-def _argmin_rounds(dist, k, own):
+def _argmin_rounds(dist, k, self_offset, start):
     """Rows x k picks by rounds of argmin, masking each with infinity; overwrites ``dist``.
 
     Returns None, with the masks undone, when some row has fewer than k
     finite distances: the masks may then have tied with distances that
     overflowed to infinity.
     """
-    _mask_own(dist, own, np.inf)
+    _mask_own(dist, self_offset, start, np.inf)
     cells = dist.reshape(-1)
     row_starts = np.arange(0, dist.size, dist.shape[1])
     picked = np.empty((k, len(dist)), dtype=np.intp)
@@ -207,7 +202,7 @@ def _argmin_rounds(dist, k, own):
     return None
 
 
-def _stable_first(dist, k, own):
+def _stable_first(dist, k, self_offset, start):
     """First k columns of a stable argsort; overwrites ``dist``."""
-    _mask_own(dist, own, np.nan)  # NaN sorts after every distance, inf included
+    _mask_own(dist, self_offset, start, np.nan)  # NaN sorts after every distance, inf included
     return np.argsort(dist, axis=1, kind="stable")[:, :k]

@@ -65,14 +65,8 @@ def _exp_in_place(arg: np.ndarray) -> np.ndarray:
 
 
 def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float) -> np.ndarray:
-    """Sum of RBF contributions of ``points`` at each query, in blocks on the
-    calling thread; ``inv_g2`` is ``check_gamma(gamma)``.
-
-    The greedy loop after ``init_field`` runs on one thread as well, so RBU's
-    wall clock grows as n^2 whatever the host's idle CPUs.  Shared between
-    threads, the blocks went 1.0-1.5x faster from run to run on a busy
-    2-CPU host, and the gain grew with n.
-    """
+    """Sum of RBF contributions of ``points`` at each query, in blocks;
+    ``inv_g2`` is ``check_gamma(gamma)``."""
     scale = -inv_g2
     out = np.empty(len(queries))
 
@@ -82,7 +76,7 @@ def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float) -> np.ndar
             arg *= scale
         out[start : start + len(arg)] = _exp_in_place(arg).sum(axis=1)
 
-    for_each_block(queries, points, body, "sqeuclidean", threaded=False)
+    for_each_block(queries, points, body, "sqeuclidean")
     return out
 
 

@@ -168,13 +168,6 @@ class TestThreadedBlocks:
         blocks = blocks_of(np.zeros((5, 1)), np.zeros((2, 1)))
         assert [start for start, _ in blocks] == [0, 1, 2, 3, 4] and started == []
 
-    def test_unthreaded_call_starts_no_thread(self, monkeypatch):
-        set_cpus(monkeypatch, 3)
-        started = count_threads(monkeypatch)
-        monkeypatch.setattr(neighbors, "_BLOCK", 1)
-        blocks = blocks_of(np.zeros((5, 1)), np.zeros((2, 1)), threaded=False)
-        assert [start for start, _ in blocks] == [0, 1, 2, 3, 4] and started == []
-
     def test_every_block_runs_once_under_stress(self, monkeypatch):
         # More threads than cores, switching as often as the interpreter
         # allows: a start handed out twice or lost would show.
@@ -217,8 +210,8 @@ class TestThreadedBlocks:
         assert threading.active_count() == before  # no thread outlives the call
 
     def test_rbf_sums_overflow_stays_quiet_on_threads(self, monkeypatch):
-        # d^2 / gamma^2 past the float range in every block, with several
-        # CPUs: the block body sets np.errstate itself.
+        # d^2 / gamma^2 past the float range on every thread: np.errstate is
+        # per thread, so the block body must set it.
         set_cpus(monkeypatch, 3)
         monkeypatch.setattr(neighbors, "_BLOCK", 2)
         queries = np.array([[0.0], [1e154], [2.0], [-1e154], [1.0], [3.0]])
@@ -227,18 +220,6 @@ class TestThreadedBlocks:
             warnings.simplefilter("error")
             sums = _rbf_sums(queries, points, check_gamma(1e-3))
         np.testing.assert_array_equal(sums, [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
-    def test_rbf_sums_run_on_the_calling_thread(self, monkeypatch):
-        # The greedy loop after init_field runs on one thread too, so RBU's
-        # wall clock grows as n^2 whatever the host's idle CPUs.
-        set_cpus(monkeypatch, 3)
-        started = count_threads(monkeypatch)
-        monkeypatch.setattr(neighbors, "_BLOCK", 2)
-        rng = np.random.default_rng(43)
-        task = random_task(rng, 12, 4, 2)
-        init_field(task, 1.0)
-        _rbf_sums(rng.normal(size=(9, 2)), task.minority, check_gamma(0.5))
-        assert started == []
 
 
 class TestThreadsMatchSerial:
