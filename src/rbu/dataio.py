@@ -13,6 +13,7 @@ import io
 import math
 import re
 from dataclasses import dataclass, replace
+from itertools import compress
 
 import numpy as np
 
@@ -126,16 +127,42 @@ class DatasetStats:
 # Parsing
 
 
-def _coerce_numeric(token, line_no):
-    if token in _MISSING_TOKENS:
-        raise FormatError(f"missing value {token!r} is not supported", line=line_no)
+def _floats(column):
+    """The column's cells as floats, or None if one of them is not a number."""
     try:
-        value = float(token)
-    except ValueError:
-        raise FormatError(f"expected a number, got {token!r}", line=line_no) from None
-    if not math.isfinite(value):
-        raise FormatError(f"non-finite value {token!r}", line=line_no)
-    return value
+        return list(map(float, column))
+    except ValueError:  # missing tokens ("?", "<null>", "") are not numbers either
+        return None
+
+
+def _finite(values) -> bool:
+    # A sum is finite only if every term is; a finite sum of huge terms can
+    # still overflow, so only then is each term asked.
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _cell_error(token, meta, is_label):
+    """The error message of one data cell, or None if the cell is good.
+
+    A column with declared values (a KEEL label too) must hold one of them,
+    a numeric feature a finite number, any other feature a value that is
+    not missing.
+    """
+    if meta.allowed is not None:
+        if token not in meta.allowed:
+            return f"unknown categorical value {token!r} for attribute {meta.name!r}"
+    elif is_label:
+        pass
+    elif token in _MISSING_TOKENS:
+        return f"missing value {token!r} is not supported"
+    elif meta.kind == "numeric":
+        try:
+            value = float(token)
+        except ValueError:
+            return f"expected a number, got {token!r}"
+        if not math.isfinite(value):
+            return f"non-finite value {token!r}"
+    return None
 
 
 def parse_keel(text) -> Dataset:
@@ -223,58 +250,71 @@ def parse_keel(text) -> Dataset:
     if label_attr not in attr_meta:
         raise FormatError(f"output attribute {label_attr!r} was never declared")
 
-    def data_rows():
-        for no, raw in enumerate(lines[data_start:], start=data_start + 1):
-            line = raw.strip()
-            if line and not line.startswith("%"):
-                yield no, [t.strip() for t in line.split(",")]
-
+    body = list(map(str.strip, lines[data_start:]))
+    kept = [line[:1] not in ("", "%") for line in body]  # no blank or comment line
+    numbers = list(compress(range(data_start + 1, len(lines) + 1), kept))
+    rows = [line.split(",") for line in compress(body, kept)]
     metas = [attr_meta[n] for n in attr_names]
-    return _read_rows(data_rows(), metas, attr_names.index(label_attr))
+    numbers, columns, ragged = _columns(numbers, rows, len(metas))
+    return _read_rows(numbers, columns, metas, attr_names.index(label_attr), ragged)
 
 
-def _read_rows(rows, metas, label_pos) -> Dataset:
-    """Build a dataset from ``(line number, tokens)`` data rows.
+def _columns(numbers, rows, width):
+    """Line numbers and stripped token columns of the data rows up to the
+    first one without ``width`` tokens, and that row's arity error (None if
+    there is no such row)."""
+    lengths = list(map(len, rows))
+    ragged = None
+    if lengths.count(width) != len(lengths):
+        cut = next(i for i, size in enumerate(lengths) if size != width)
+        ragged = FormatError(f"row has {lengths[cut]} values, expected {width}", line=numbers[cut])
+        numbers, rows = numbers[:cut], rows[:cut]
+    if not rows:
+        return numbers, [[] for _ in range(width)], ragged
+    return numbers, [list(map(str.strip, column)) for column in zip(*rows)], ragged
+
+
+def _checked(column, meta, is_label):
+    """``column`` as the dataset holds it, numbers as floats, or None if one
+    of its cells breaks the rule of :func:`_cell_error`."""
+    if meta.allowed is not None:
+        return column if set(meta.allowed).issuperset(column) else None
+    if is_label:
+        return column
+    if meta.kind == "numeric":
+        values = _floats(column)
+        return values if values is not None and _finite(values) else None
+    return column if _MISSING_TOKENS.isdisjoint(column) else None
+
+
+def _read_rows(numbers, columns, metas, label_pos, ragged=None) -> Dataset:
+    """Build a dataset from the line numbers and token columns of its data
+    rows and the arity error that cut them short, if any (see :func:`_columns`).
 
     ``metas`` holds one descriptor per column; the one at ``label_pos`` is
-    the label's.  Cells are checked in column order, so an error names the
-    first bad cell of its line: a column with declared values must hold one
-    of them, a numeric feature a finite number, any other feature a value
-    that is not missing.
+    the label's.  Each column is checked as a whole.  If one fails, or a row
+    had the wrong number of values, the error names the first line that
+    fails: its first bad cell in column order, or else its arity.
     """
-    features: list[list[object]] = []
-    labels: list[str] = []
-    for line_no, tokens in rows:
-        if len(tokens) != len(metas):
-            raise FormatError(
-                f"row has {len(tokens)} values, expected {len(metas)}", line=line_no
-            )
-        cells: list[object] = []
-        for pos, (token, meta) in enumerate(zip(tokens, metas)):
-            if meta.allowed is not None and token not in meta.allowed:
-                raise FormatError(
-                    f"unknown categorical value {token!r} for attribute {meta.name!r}",
-                    line=line_no,
-                )
-            if pos == label_pos:
-                labels.append(token)
-            elif meta.kind == "numeric":
-                cells.append(_coerce_numeric(token, line_no))
-            elif meta.allowed is None and token in _MISSING_TOKENS:
-                raise FormatError(f"missing value {token!r} is not supported", line=line_no)
-            else:
-                cells.append(token)
-        features.append(cells)
-    if not features:
+    checked = [_checked(c, meta, pos == label_pos) for pos, (c, meta) in enumerate(zip(columns, metas))]
+    if ragged is not None or any(c is None for c in checked):
+        for i, line_no in enumerate(numbers):
+            for pos, meta in enumerate(metas):
+                message = _cell_error(columns[pos][i], meta, pos == label_pos)
+                if message is not None:
+                    raise FormatError(message, line=line_no)
+        raise ragged
+    if not numbers:
         raise FormatError("no data rows")
 
     feature_meta = tuple(metas[:label_pos] + metas[label_pos + 1:])
     numeric = all(m.kind == "numeric" for m in feature_meta)
+    features = np.empty((len(numbers), len(feature_meta)), dtype=np.float64 if numeric else object)
+    for j, column in enumerate(checked[:label_pos] + checked[label_pos + 1:]):
+        features[:, j] = column
     return Dataset(
-        features=np.array(features, dtype=np.float64 if numeric else object).reshape(
-            len(features), len(feature_meta)
-        ),
-        labels=np.array(labels, dtype=object),
+        features=features,
+        labels=np.array(checked[label_pos], dtype=object),
         feature_meta=feature_meta,
         label_name=metas[label_pos].name,
     )
@@ -296,16 +336,17 @@ def parse_csv(text, label_column=-1) -> Dataset:
         raise FormatError("empty input") from None
     header = [h.strip() for h in header]
 
-    raw_rows = []
+    numbers, rows = [], []
     for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise FormatError(
-                f"row has {len(row)} values, expected {len(header)}", line=line_no
-            )
-        raw_rows.append((line_no, [t.strip() for t in row]))
-    if not raw_rows:
+        if row:
+            numbers.append(line_no)
+            rows.append(row)
+            if len(row) != len(header):
+                break  # the file is refused at this row, whatever follows
+    numbers, columns, ragged = _columns(numbers, rows, len(header))
+    if ragged is not None:
+        raise ragged
+    if not numbers:
         raise FormatError("no data rows")
 
     if isinstance(label_column, int):
@@ -317,22 +358,11 @@ def parse_csv(text, label_column=-1) -> Dataset:
             raise ParameterError(f"label column {label_column!r} not found in header")
         label_pos = header.index(label_column)
 
-    def looks_numeric(pos):
-        for _, row in raw_rows:
-            token = row[pos]
-            if token in _MISSING_TOKENS:
-                return False
-            try:
-                float(token)
-            except ValueError:
-                return False
-        return True
-
     metas = [
-        FeatureMeta(name, "numeric" if pos != label_pos and looks_numeric(pos) else "categorical")
-        for pos, name in enumerate(header)
+        FeatureMeta(name, "numeric" if pos != label_pos and _floats(column) is not None else "categorical")
+        for pos, (name, column) in enumerate(zip(header, columns))
     ]
-    return _read_rows(raw_rows, metas, label_pos)
+    return _read_rows(numbers, columns, metas, label_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +393,18 @@ def encode_categoricals(d: Dataset) -> Dataset:
     return replace(d, features=matrix, feature_meta=tuple(new_meta))
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    return "%.17g" % float(value)
+def _cells(column: np.ndarray) -> list[str]:
+    """The written form of a column's cells: strings as they are, anything
+    else as a float with 17 significant digits, which reads back exactly."""
+    values = column.tolist()
+    if set(map(type, values)) <= {float}:
+        return list(map("%.17g".__mod__, values))
+    return [v if isinstance(v, str) else "%.17g" % float(v) for v in values]
+
+
+def _text_columns(d: Dataset) -> list[list[str]]:
+    """The written form of every column: the features, then the labels."""
+    return [_cells(d.features[:, j]) for j in range(d.m)] + [list(map(str, d.labels))]
 
 
 def serialize_csv(d: Dataset) -> str:
@@ -374,8 +412,7 @@ def serialize_csv(d: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([m.name for m in d.feature_meta] + [d.label_name])
-    for i in range(d.n):
-        writer.writerow([_format_cell(v) for v in d.features[i]] + [str(d.labels[i])])
+    writer.writerows(zip(*_text_columns(d)))
     return out.getvalue()
 
 
@@ -407,23 +444,27 @@ def serialize_keel(d: Dataset, relation="dataset") -> str:
             values = ", ".join(meta.allowed or dict.fromkeys(d.features[:, j]))
             lines.append(f"@attribute {meta.name} {{{values}}}")
         elif meta.range is not None:
-            lo, hi = meta.range
-            lines.append(f"@attribute {meta.name} real [{lo:g}, {hi:g}]")
+            # The cells' rule, so that the bounds read back exactly.
+            lines.append(f"@attribute {meta.name} real [%.17g, %.17g]" % meta.range)
         else:
             lines.append(f"@attribute {meta.name} real")
-    label_values = ", ".join(dict.fromkeys(str(v) for v in d.labels))
-    lines.append(f"@attribute {d.label_name} {{{label_values}}}")
+    text = _text_columns(d)
+    lines.append(f"@attribute {d.label_name} {{{', '.join(dict.fromkeys(text[-1]))}}}")
     lines.append(f"@inputs {', '.join(m.name for m in d.feature_meta)}")
     lines.append(f"@outputs {d.label_name}")
     lines.append("@data")
-    for i in range(d.n):
-        cells = [_format_cell(v) for v in d.features[i]] + [str(d.labels[i])]
-        line = ", ".join(cells)
-        if line.count(",") >= len(cells):
-            # A KEEL reader splits rows at every comma.
-            column, value = next((c, v) for c, v in zip(columns, cells) if "," in v)
-            raise ParameterError(f"KEEL cannot hold {value!r} of column {column!r}: it has a comma")
-        lines.append(line)
+    # A KEEL reader splits rows at every comma.  A number is written without
+    # one, so only string cells are searched: the labels, and the features of
+    # an unencoded dataset.
+    searched = [d.m] if d.is_encoded else range(d.m + 1)
+    bad = [pos for pos in searched if "," in "".join(text[pos])]
+    if bad:
+        row = min(next(i for i, v in enumerate(text[pos]) if "," in v) for pos in bad)
+        pos = next(pos for pos in bad if "," in text[pos][row])
+        raise ParameterError(
+            f"KEEL cannot hold {text[pos][row]!r} of column {columns[pos]!r}: it has a comma"
+        )
+    lines.extend(map(", ".join, zip(*text)))
     return "\n".join(lines) + "\n"
 
 

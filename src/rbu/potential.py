@@ -27,6 +27,14 @@ _EXP_FLOOR = -745.2
 # A scaled distance |p - x| / gamma beyond this has an RBF of exactly 0.0.
 _EXP_REACH = math.sqrt(-_EXP_FLOOR)
 
+# A block with at most this share of arguments above _EXP_FLOOR has only
+# those gathered and exponentiated; a denser one takes the masked passes.
+# timeit, one 21 x 6000 block, masked / gathered: 3-4% live (the rbu-large
+# task at gamma 0.1) 690-820 / 400-510 us; live entries placed at random,
+# 10% live 510 / 385 us, 20% live 486 / 543 us; 81-91% live (gamma 0.3)
+# 1,340-1,680 / 2,160-4,120 us.
+_GATHER_SHARE = 0.15
+
 TIE_LOWEST_INDEX = "lowest-index"
 TIE_SEEDED_RANDOM = "seeded-random"
 TIE_RULES = (TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM)
@@ -49,14 +57,21 @@ def check_gamma(gamma) -> float:
 def _exp_in_place(arg: np.ndarray) -> np.ndarray:
     """``np.exp(arg)`` bit for bit, written into ``arg``.
 
-    When some arguments lie at or below ``_EXP_FLOOR``, those are set to -0.0
-    before the call and their results (1.0) multiplied by zero after it, so
-    numpy's slow underflow path is never taken.
+    When some arguments lie at or below ``_EXP_FLOOR``, numpy's slow
+    underflow path is never taken: if few of the others are left, only they
+    are exponentiated, into a zeroed block; else the dead ones are set to
+    -0.0 before the call and their results (1.0) multiplied by zero after it.
     """
     # Every argument is <= 0, so the initial value only lets an empty block through.
     if arg.min(initial=0.0) > _EXP_FLOOR:
         return np.exp(arg, out=arg)
     live = arg > _EXP_FLOOR
+    if np.count_nonzero(live) <= _GATHER_SHARE * arg.size:
+        picks = np.flatnonzero(live)
+        values = np.exp(arg.take(picks))
+        arg.fill(0.0)
+        arg.put(picks, values)
+        return arg
     np.maximum(arg, _EXP_FLOOR, out=arg)  # -inf times zero would be NaN
     arg *= live
     np.exp(arg, out=arg)

@@ -5,13 +5,15 @@ path than the library (scalar math + fsum, or per-step full recomputation)
 so that agreement is meaningful.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
-from rbu import BinaryTask, Dataset, apply_resample
+from rbu import BinaryTask, Dataset, FormatError, ParameterError, apply_resample
 from rbu.baselines import RENN_MAX_PASSES
 from rbu.dataio import FeatureMeta
 from rbu.evaluation import (
@@ -350,3 +352,143 @@ def overlapping_imbalanced_dataset(rng, n_minority, imbalance_ratio, m) -> Datas
     labels01 = np.array([0] * n_majority + [1] * n_minority)
     perm = rng.permutation(len(labels01))
     return dataset_from_arrays(features[perm], labels01[perm])
+
+
+# ---------------------------------------------------------------------------
+# Dataset I/O: one cell at a time
+
+_MISSING = {"?", "<null>", ""}
+
+
+def naive_read_rows(rows, metas, label_pos) -> Dataset:
+    """Dataset of ``(line number, raw tokens)`` data rows, checked one row
+    and one cell at a time: the first bad line raises, naming its arity or
+    else its first bad cell in column order."""
+    features, labels = [], []
+    for line_no, raw_tokens in rows:
+        tokens = [t.strip() for t in raw_tokens]
+        if len(tokens) != len(metas):
+            raise FormatError(f"row has {len(tokens)} values, expected {len(metas)}", line=line_no)
+        cells = []
+        for pos, (token, meta) in enumerate(zip(tokens, metas)):
+            if meta.allowed is not None and token not in meta.allowed:
+                raise FormatError(
+                    f"unknown categorical value {token!r} for attribute {meta.name!r}",
+                    line=line_no,
+                )
+            if pos == label_pos:
+                labels.append(token)
+            elif meta.kind == "numeric":
+                if token in _MISSING:
+                    raise FormatError(f"missing value {token!r} is not supported", line=line_no)
+                try:
+                    value = float(token)
+                except ValueError:
+                    raise FormatError(f"expected a number, got {token!r}", line=line_no) from None
+                if not math.isfinite(value):
+                    raise FormatError(f"non-finite value {token!r}", line=line_no)
+                cells.append(value)
+            elif meta.allowed is None and token in _MISSING:
+                raise FormatError(f"missing value {token!r} is not supported", line=line_no)
+            else:
+                cells.append(token)
+        features.append(cells)
+    if not features:
+        raise FormatError("no data rows")
+    feature_meta = tuple(metas[:label_pos] + metas[label_pos + 1:])
+    numeric = all(m.kind == "numeric" for m in feature_meta)
+    return Dataset(
+        features=np.array(features, dtype=np.float64 if numeric else object).reshape(
+            len(features), len(feature_meta)
+        ),
+        labels=np.array(labels, dtype=object),
+        feature_meta=feature_meta,
+        label_name=metas[label_pos].name,
+    )
+
+
+def naive_keel_rows(text):
+    """``(line number, raw tokens)`` of a KEEL text's data lines."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().lower().startswith("@data")) + 1
+    return [
+        (no, line.strip().split(","))
+        for no, line in enumerate(lines[start:], start=start + 1)
+        if line.strip() and not line.strip().startswith("%")
+    ]
+
+
+def naive_parse_csv(text, label_column=-1) -> Dataset:
+    """``parse_csv`` with a per-cell numeric test and :func:`naive_read_rows`."""
+    reader = csv.reader(io.StringIO(text))
+    header = [h.strip() for h in next(reader)]
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise FormatError(f"row has {len(row)} values, expected {len(header)}", line=line_no)
+        rows.append((line_no, row))
+    if not rows:
+        raise FormatError("no data rows")
+    label_pos = label_column % len(header) if isinstance(label_column, int) else header.index(label_column)
+
+    def is_number(token):
+        try:
+            float(token)
+        except ValueError:
+            return False
+        return token not in _MISSING
+
+    metas = [
+        FeatureMeta(
+            name,
+            "numeric"
+            if pos != label_pos and all(is_number(row[pos].strip()) for _, row in rows)
+            else "categorical",
+        )
+        for pos, name in enumerate(header)
+    ]
+    return naive_read_rows(rows, metas, label_pos)
+
+
+def _naive_cell(value) -> str:
+    return value if isinstance(value, str) else "%.17g" % float(value)
+
+
+def naive_serialize_csv(d: Dataset) -> str:
+    """CSV text written one row and one cell at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([m.name for m in d.feature_meta] + [d.label_name])
+    for i in range(d.n):
+        writer.writerow([_naive_cell(v) for v in d.features[i]] + [str(d.labels[i])])
+    return out.getvalue()
+
+
+def naive_serialize_keel(d: Dataset, relation="dataset") -> str:
+    """KEEL text written one row and one cell at a time; a row holding a
+    comma refuses the dataset, naming its first such cell.  Column names are
+    taken to be valid."""
+    columns = [m.name for m in d.feature_meta] + [d.label_name]
+    lines = [f"@relation {relation}"]
+    for j, meta in enumerate(d.feature_meta):
+        if meta.kind == "categorical" and not d.is_encoded:
+            values = ", ".join(meta.allowed or dict.fromkeys(d.features[:, j]))
+            lines.append(f"@attribute {meta.name} {{{values}}}")
+        elif meta.range is not None:
+            lo, hi = meta.range
+            lines.append(f"@attribute {meta.name} real [{_naive_cell(lo)}, {_naive_cell(hi)}]")
+        else:
+            lines.append(f"@attribute {meta.name} real")
+    lines.append(f"@attribute {d.label_name} {{{', '.join(dict.fromkeys(str(v) for v in d.labels))}}}")
+    lines.append(f"@inputs {', '.join(m.name for m in d.feature_meta)}")
+    lines.append(f"@outputs {d.label_name}")
+    lines.append("@data")
+    for i in range(d.n):
+        cells = [_naive_cell(v) for v in d.features[i]] + [str(d.labels[i])]
+        for column, value in zip(columns, cells):
+            if "," in value:
+                raise ParameterError(f"KEEL cannot hold {value!r} of column {column!r}: it has a comma")
+        lines.append(", ".join(cells))
+    return "\n".join(lines) + "\n"

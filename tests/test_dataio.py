@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 
 import numpy as np
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbu import (
+    Dataset,
     FormatError,
     ParameterError,
     apply_standardizer,
@@ -16,6 +19,17 @@ from rbu import (
     serialize_csv,
     serialize_keel,
     split_binary,
+)
+from rbu.baselines import ResampleOutcome
+from rbu.cli import rebuild_dataset
+from rbu.dataio import FeatureMeta
+
+from oracles import (
+    naive_keel_rows,
+    naive_parse_csv,
+    naive_read_rows,
+    naive_serialize_csv,
+    naive_serialize_keel,
 )
 
 KEEL_TOY = """\
@@ -377,3 +391,230 @@ class TestRoundTrip:
         again = parse_csv(serialize_csv(ds))
         np.testing.assert_array_equal(again.features, ds.features)
         assert list(again.labels) == list(ds.labels)
+
+    @pytest.mark.parametrize("bounds", [(0.123456789, 1234567.5), (-0.0, 5e-324),
+                                        (0.1, 0.30000000000000004), (-1.7976931348623157e308, 1e300)])
+    def test_keel_ranges_round_trip_exactly(self, bounds):
+        ds = parse_keel(KEEL_TOY.replace("[0.0, 10.0]", "[%r, %r]" % bounds))
+        assert ds.feature_meta[0].range == bounds
+        again = parse_keel(serialize_keel(ds))
+        assert again.feature_meta == ds.feature_meta
+        assert [str(b) for b in again.feature_meta[0].range] == [str(b) for b in bounds]
+
+
+# ---------------------------------------------------------------------------
+# The column-at-a-time reader and writers against per-cell oracles.  These
+# tests take their example count from the loaded hypothesis profile (the
+# "ci" profile in conftest.py runs ten times more).
+
+NUMBERS = ["0", "1.5", "-3", "1e3", "+4", "-0.0", "2.5e-300", "1.7e308", "1_000", "0.1"]
+NOT_NUMBERS = ["abc", "1.2.3", "0x1p3", "b c", "nan", "NaN", "inf", "-inf", "1e999", "?", "<null>", ""]
+VALUES = ["a", "b c", "?", "neg", "pos"]
+PADS = ["", " ", "  ", "\t"]
+ROW_COUNTS = [3, 0, 1, 2, 4, 5, 6, 8]
+ARITY_CHANGES = [0] * 8 + [-1, 1]  # tokens dropped or added in a faulty row
+
+
+def padded(draw, token):
+    return draw(st.sampled_from(PADS)) + token + draw(st.sampled_from(PADS))
+
+
+def bad_or(draw, faulty, good):
+    """The tokens to draw a cell from: in a faulty text, one cell in five is
+    anything but a number."""
+    return NOT_NUMBERS if faulty and draw(st.integers(0, 4)) == 0 else good
+
+
+def cell_types(array):
+    return [(type(v), repr(v)) for v in array.ravel()]
+
+
+def assert_same_outcome(parse, oracle):
+    """Both give equal datasets (same dtype, same Python type in every
+    cell), or both raise the same FormatError."""
+    results = []
+    for read in (parse, oracle):
+        try:
+            results.append(read())
+        except FormatError as error:
+            results.append(str(error))
+    got, want = results
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.features.dtype == want.features.dtype
+    assert got.features.shape == want.features.shape
+    assert got.features.flags.c_contiguous
+    assert cell_types(got.features) == cell_types(want.features)
+    assert cell_types(got.labels) == cell_types(want.labels)
+    assert got.feature_meta == want.feature_meta
+    assert got.label_name == want.label_name
+
+
+@st.composite
+def keel_texts(draw):
+    """A KEEL text with its column descriptors and label position.  A faulty
+    text mixes bad tokens, wrong arity and undeclared values into its rows."""
+    metas = []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            bounds = draw(st.none() | st.lists(st.sampled_from([-3.0, 0.0, 0.1, 1e3]), min_size=2,
+                                               max_size=2).map(lambda b: tuple(sorted(b))))
+            metas.append(FeatureMeta(f"a{j}", "numeric", range=bounds))
+        else:
+            values = draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=3, unique=True))
+            metas.append(FeatureMeta(f"a{j}", "categorical", allowed=tuple(values)))
+    label_pos = draw(st.integers(0, len(metas) - 1))
+    lines = ["@relation r"]
+    for meta in metas:
+        if meta.allowed is not None:
+            lines.append(f"@attribute {meta.name} {{{', '.join(meta.allowed)}}}")
+        elif meta.range is not None:
+            lines.append(f"@attribute {meta.name} real [%r, %r]" % meta.range)
+        else:
+            lines.append(f"@attribute {meta.name} real")
+    if label_pos != len(metas) - 1 or draw(st.booleans()):
+        lines.append(f"@outputs {metas[label_pos].name}")
+    lines.append("@data")
+    faulty = draw(st.booleans())
+    for _ in range(draw(st.sampled_from(ROW_COUNTS))):
+        lines.extend(draw(st.lists(st.sampled_from(["", "   ", "% note", " % a, b"]), max_size=1)))
+        tokens = []
+        for meta in metas:
+            good = list(meta.allowed) if meta.allowed is not None else NUMBERS
+            tokens.append(padded(draw, draw(st.sampled_from(bad_or(draw, faulty, good)))))
+        if faulty:
+            width = len(tokens) + draw(st.sampled_from(ARITY_CHANGES))
+            tokens = (tokens + ["1"])[: max(width, 0)]
+        lines.append(",".join(tokens))
+    return "\n".join(lines) + "\n", metas, label_pos
+
+
+@st.composite
+def csv_texts(draw):
+    """A CSV text (written by ``csv.writer``, so cells may hold commas) and
+    its label column; a faulty text mixes in bad tokens and ragged rows."""
+    width = draw(st.integers(1, 4))
+    numeric = [draw(st.booleans()) for _ in range(width)]
+    faulty = draw(st.booleans())
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([padded(draw, f"c{j}") for j in range(width)])
+    for _ in range(draw(st.sampled_from(ROW_COUNTS))):
+        if draw(st.booleans()):
+            out.write("\n")
+        tokens = []
+        for is_numeric in numeric:
+            good = NUMBERS if is_numeric else VALUES[:2] + ["x,y"]
+            tokens.append(padded(draw, draw(st.sampled_from(bad_or(draw, faulty, good)))))
+        if faulty:
+            change = draw(st.sampled_from(ARITY_CHANGES))
+            tokens = tokens[: len(tokens) + change] + ["1"] * change
+        writer.writerow(tokens)
+    label_column = draw(st.sampled_from([-1, 0, width - 1, "c0"]))
+    return out.getvalue(), label_column
+
+
+class TestReaderMatchesPerCellOracle:
+    @settings(derandomize=True, deadline=None)
+    @given(keel_texts())
+    def test_keel(self, example):
+        text, metas, label_pos = example
+        assert_same_outcome(
+            lambda: parse_keel(text), lambda: naive_read_rows(naive_keel_rows(text), metas, label_pos)
+        )
+
+    @settings(derandomize=True, deadline=None)
+    @given(csv_texts())
+    def test_csv(self, example):
+        text, label_column = example
+        assert_same_outcome(
+            lambda: parse_csv(text, label_column), lambda: naive_parse_csv(text, label_column)
+        )
+
+    def test_first_failing_line_wins_over_a_later_ragged_row(self):
+        text = KEEL_TOY + "1.0, nan, positive\n1.0, positive\n"
+        with pytest.raises(FormatError, match="^line 11: non-finite value 'nan'$"):
+            parse_keel(text)
+        with pytest.raises(FormatError, match="^line 11: row has 2 values, expected 3$"):
+            parse_keel(KEEL_TOY + "1.0, positive\n1.0, nan, positive\n")
+
+    def test_finite_numbers_whose_sum_overflows_are_read(self):
+        ds = parse_keel(KEEL_TOY + "1.7e308, 1.7e308, positive\n")
+        assert ds.features[-1].tolist() == [1.7e308, 1.7e308]
+
+
+SCALARS = [float, np.float64, np.float32, np.int64, int]
+
+
+@st.composite
+def writable_datasets(draw):
+    """A float matrix, or an object array whose columns hold categorical
+    strings or numbers of assorted Python and numpy types."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    commas = draw(st.booleans())  # whether string cells may hold a comma
+    strings = st.sampled_from(["red", "blue", "a,b"] if commas else ["red", "blue"])
+    labels = np.array(draw(st.lists(st.sampled_from(["neg", "pos", "p,q"] if commas else ["neg", "pos"]),
+                                    min_size=n, max_size=n)), dtype=object)
+    if draw(st.booleans()):
+        bounds = st.none() | st.lists(finite, min_size=2, max_size=2).map(lambda b: tuple(sorted(b)))
+        features = np.array(draw(st.lists(finite, min_size=n * m, max_size=n * m)), dtype=np.float64)
+        metas = tuple(FeatureMeta(f"f{j}", "numeric", range=draw(bounds)) for j in range(m))
+        return Dataset(features.reshape(n, m), labels, metas)
+    features = np.empty((n, m), dtype=object)
+    metas = []
+    for j in range(m):
+        if draw(st.booleans()):
+            features[:, j] = draw(st.lists(strings, min_size=n, max_size=n))
+            metas.append(FeatureMeta(f"f{j}", "categorical"))
+        else:
+            for i in range(n):
+                kind = draw(st.sampled_from(SCALARS))
+                if kind in (int, np.int64):
+                    value = draw(st.integers(-(2**62), 2**62))
+                else:
+                    value = draw(st.floats(allow_nan=False, allow_infinity=False,
+                                           width=32 if kind is np.float32 else 64))
+                features[i, j] = kind(value)
+            metas.append(FeatureMeta(f"f{j}", "numeric"))
+    return Dataset(features, labels, tuple(metas))
+
+
+def written(serialize, d):
+    try:
+        return serialize(d)
+    except ParameterError as error:
+        return f"refused: {error}"
+
+
+class TestWritersMatchPerCellOracle:
+    @settings(derandomize=True, deadline=None)
+    @given(writable_datasets())
+    def test_generated_datasets(self, d):
+        assert written(serialize_keel, d) == written(naive_serialize_keel, d)
+        assert serialize_csv(d) == naive_serialize_csv(d)
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-1, 4)), min_size=1, max_size=6))
+    def test_decoded_synthetic_rows(self, points):
+        raw = parse_csv("x,colour,class\n0,red,neg\n1,blue,neg\n2,red,neg\n3,green,pos\n4,red,pos\n")
+        encoded = encode_categoricals(raw)
+        scaler = fit_standardizer(encoded)
+        task = split_binary(apply_standardizer(scaler, encoded))
+        outcome = ResampleOutcome(
+            majority_indices=np.arange(task.n_majority),
+            minority_indices=np.arange(task.n_minority + len(points)),
+            synthetic=scaler.transform(np.array(points)),
+        )
+        d = rebuild_dataset(raw, encoded, scaler, task, outcome)
+        assert serialize_keel(d) == naive_serialize_keel(d)
+        assert serialize_csv(d) == naive_serialize_csv(d)
+
+    def test_comma_refusal_names_the_first_row_then_the_first_column(self):
+        features = np.array([["red", "x,1"], ["y,2", "z,3"]], dtype=object)
+        d = Dataset(features, np.array(["p", "n,o"], dtype=object),
+                    (FeatureMeta("a", "categorical"), FeatureMeta("b", "categorical")))
+        with pytest.raises(ParameterError, match=r"^KEEL cannot hold 'x,1' of column 'b'"):
+            serialize_keel(d)
+        assert written(serialize_keel, d) == written(naive_serialize_keel, d)

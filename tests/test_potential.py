@@ -16,7 +16,7 @@ from rbu import (
     potential_grid,
     neighbors,
 )
-from rbu.potential import check_gamma
+from rbu.potential import _EXP_FLOOR, _GATHER_SHARE, _exp_in_place, check_gamma
 from rbu.radial import RbuParams
 
 from oracles import make_task, naive_potential, random_task, random_task_for_gamma
@@ -387,6 +387,26 @@ class TestFarPoints:
         # Accepted, a NaN point let the greedy loop return an order with no error.
         with pytest.raises(ParameterError, match="finite"):
             PotentialField(np.array([[0.0, 0.0], [value, 0.0]]), np.array([1.0, 2.0]), 1.0)
+
+
+class TestExpInPlace:
+    @pytest.mark.parametrize("share", [0.0, 0.01, 0.037, _GATHER_SHARE, 0.2, 0.8, 1.0])
+    def test_equals_numpy_exp_bit_for_bit(self, share):
+        # Blocks on both sides of the gather crossover, with results down to
+        # subnormals and dead arguments from just below the floor to -inf.
+        rng = np.random.default_rng(17)
+        arg = -rng.uniform(0.0, -_EXP_FLOOR, size=(21, 400))
+        arg[0, :3] = [0.0, -745.1, -745.13]
+        dead = rng.random(arg.shape) >= share
+        dead[0, :3] = False
+        arg[dead] = -rng.uniform(-_EXP_FLOOR, 1e6, size=dead.sum())
+        arg[dead & (rng.random(arg.shape) < 0.1)] = -np.inf
+        got = arg.copy()
+        assert _exp_in_place(got) is got
+        assert got.tobytes() == np.exp(arg).tobytes()
+
+    def test_empty_block(self):
+        assert _exp_in_place(np.empty((0, 4))).shape == (0, 4)
 
 
 def dense_reference_order(task, gamma, count, tie_rule, seed):
