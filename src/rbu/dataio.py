@@ -135,12 +135,6 @@ def _floats(column):
         return None
 
 
-def _finite(values) -> bool:
-    # A sum is finite only if every term is; a finite sum of huge terms can
-    # still overflow, so only then is each term asked.
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
-
-
 def _cell_error(token, meta, is_label):
     """The error message of one data cell, or None if the cell is good.
 
@@ -283,7 +277,7 @@ def _checked(column, meta, is_label):
         return column
     if meta.kind == "numeric":
         values = _floats(column)
-        return values if values is not None and _finite(values) else None
+        return values if values is not None and all(map(math.isfinite, values)) else None
     return column if _MISSING_TOKENS.isdisjoint(column) else None
 
 
@@ -393,18 +387,33 @@ def encode_categoricals(d: Dataset) -> Dataset:
     return replace(d, features=matrix, feature_meta=tuple(new_meta))
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    """The written form of a column's cells: strings as they are, anything
+def _cells(cells) -> list[str]:
+    """The written form of some feature cells: strings as they are, anything
     else as a float with 17 significant digits, which reads back exactly."""
-    values = column.tolist()
-    if set(map(type, values)) <= {float}:
-        return list(map("%.17g".__mod__, values))
-    return [v if isinstance(v, str) else "%.17g" % float(v) for v in values]
+    return [v if isinstance(v, str) else "%.17g" % float(v) for v in cells.tolist()]
 
 
-def _text_columns(d: Dataset) -> list[list[str]]:
-    """The written form of every column: the features, then the labels."""
-    return [_cells(d.features[:, j]) for j in range(d.m)] + [list(map(str, d.labels))]
+def _writable(row) -> bool:
+    try:
+        _cells(row)
+    except Exception:
+        return False
+    return True
+
+
+def _text_columns(d: Dataset):
+    """The written form of every column, the features then the labels, and
+    the first row holding a feature cell that cannot be written (None if no
+    row does).  The columns stop before that row, so that a writer refuses
+    what the rows before it hold first and then raises that row's error, in
+    the order of a writer that goes row by row.
+    """
+    labels = list(map(str, d.labels))
+    try:
+        return [_cells(d.features[:, j]) for j in range(d.m)] + [labels], None
+    except Exception:  # whatever a cell raises, it is raised again for its row
+        cut = next(i for i, row in enumerate(d.features) if not _writable(row))
+        return [_cells(d.features[:cut, j]) for j in range(d.m)] + [labels[:cut]], cut
 
 
 def serialize_csv(d: Dataset) -> str:
@@ -412,7 +421,10 @@ def serialize_csv(d: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([m.name for m in d.feature_meta] + [d.label_name])
-    writer.writerows(zip(*_text_columns(d)))
+    text, cut = _text_columns(d)
+    if cut is not None:
+        _cells(d.features[cut])  # raises that row's error
+    writer.writerows(zip(*text))
     return out.getvalue()
 
 
@@ -445,25 +457,25 @@ def serialize_keel(d: Dataset, relation="dataset") -> str:
             lines.append(f"@attribute {meta.name} {{{values}}}")
         elif meta.range is not None:
             # The cells' rule, so that the bounds read back exactly.
-            lines.append(f"@attribute {meta.name} real [%.17g, %.17g]" % meta.range)
+            lo, hi = meta.range
+            lines.append(f"@attribute {meta.name} real [{'%.17g' % lo}, {'%.17g' % hi}]")
         else:
             lines.append(f"@attribute {meta.name} real")
-    text = _text_columns(d)
+    text, cut = _text_columns(d)
     lines.append(f"@attribute {d.label_name} {{{', '.join(dict.fromkeys(text[-1]))}}}")
     lines.append(f"@inputs {', '.join(m.name for m in d.feature_meta)}")
     lines.append(f"@outputs {d.label_name}")
     lines.append("@data")
-    # A KEEL reader splits rows at every comma.  A number is written without
-    # one, so only string cells are searched: the labels, and the features of
-    # an unencoded dataset.
-    searched = [d.m] if d.is_encoded else range(d.m + 1)
-    bad = [pos for pos in searched if "," in "".join(text[pos])]
+    # A KEEL reader splits rows at every comma.
+    bad = [pos for pos, column in enumerate(text) if "," in "".join(column)]
     if bad:
         row = min(next(i for i, v in enumerate(text[pos]) if "," in v) for pos in bad)
         pos = next(pos for pos in bad if "," in text[pos][row])
         raise ParameterError(
             f"KEEL cannot hold {text[pos][row]!r} of column {columns[pos]!r}: it has a comma"
         )
+    if cut is not None:
+        _cells(d.features[cut])  # raises that row's error
     lines.extend(map(", ".join, zip(*text)))
     return "\n".join(lines) + "\n"
 

@@ -401,6 +401,19 @@ class TestRoundTrip:
         assert again.feature_meta == ds.feature_meta
         assert [str(b) for b in again.feature_meta[0].range] == [str(b) for b in bounds]
 
+    def test_keel_ranges_keep_column_names_holding_percent_signs(self):
+        names = ["rate%", "a%b", "x%%", "%s"]
+        text = "@relation t\n" + "".join(f"@attribute {name} real [0.5, 100]\n" for name in names)
+        ds = parse_keel(text + "@attribute class {p, n}\n@data\n1, 2, 3, 4, p\n5, 6, 7, 8, n\n")
+        written = serialize_keel(ds)
+        assert [line.split()[1] for line in written.splitlines()[1:5]] == names
+        assert parse_keel(written).feature_meta == ds.feature_meta
+
+    def test_keel_range_given_as_a_list_is_written(self):
+        d = Dataset(np.array([[1.0], [2.0]]), np.array(["p", "n"], dtype=object),
+                    (FeatureMeta("x", "numeric", range=[0.5, 2]),))
+        assert "@attribute x real [0.5, 2]" in serialize_keel(d)
+
 
 # ---------------------------------------------------------------------------
 # The column-at-a-time reader and writers against per-cell oracles.  These
@@ -545,6 +558,7 @@ class TestReaderMatchesPerCellOracle:
 
 
 SCALARS = [float, np.float64, np.float32, np.int64, int]
+UNWRITABLE = [None, b"x", b"2.5", 10**400, "?"]  # float() refuses all but b"2.5"; "?" is written as it is
 
 
 @st.composite
@@ -554,6 +568,7 @@ def writable_datasets(draw):
     n, m = draw(st.integers(0, 5)), draw(st.integers(0, 3))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     commas = draw(st.booleans())  # whether string cells may hold a comma
+    faulty = draw(st.booleans())  # whether number cells may be ones a writer refuses
     strings = st.sampled_from(["red", "blue", "a,b"] if commas else ["red", "blue"])
     labels = np.array(draw(st.lists(st.sampled_from(["neg", "pos", "p,q"] if commas else ["neg", "pos"]),
                                     min_size=n, max_size=n)), dtype=object)
@@ -577,6 +592,8 @@ def writable_datasets(draw):
                     value = draw(st.floats(allow_nan=False, allow_infinity=False,
                                            width=32 if kind is np.float32 else 64))
                 features[i, j] = kind(value)
+                if faulty and draw(st.integers(0, 5)) == 0:
+                    features[i, j] = draw(st.sampled_from(UNWRITABLE))
             metas.append(FeatureMeta(f"f{j}", "numeric"))
     return Dataset(features, labels, tuple(metas))
 
@@ -584,8 +601,8 @@ def writable_datasets(draw):
 def written(serialize, d):
     try:
         return serialize(d)
-    except ParameterError as error:
-        return f"refused: {error}"
+    except Exception as error:
+        return f"refused: {type(error).__name__}: {error}"
 
 
 class TestWritersMatchPerCellOracle:
@@ -593,7 +610,7 @@ class TestWritersMatchPerCellOracle:
     @given(writable_datasets())
     def test_generated_datasets(self, d):
         assert written(serialize_keel, d) == written(naive_serialize_keel, d)
-        assert serialize_csv(d) == naive_serialize_csv(d)
+        assert written(serialize_csv, d) == written(naive_serialize_csv, d)
 
     @settings(derandomize=True, deadline=None)
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-1, 4)), min_size=1, max_size=6))
@@ -618,3 +635,19 @@ class TestWritersMatchPerCellOracle:
         with pytest.raises(ParameterError, match=r"^KEEL cannot hold 'x,1' of column 'b'"):
             serialize_keel(d)
         assert written(serialize_keel, d) == written(naive_serialize_keel, d)
+
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([["x,1", 1.0], ["red", None]], "ParameterError: KEEL cannot hold 'x,1'"),
+            ([["red", None], ["x,1", 1.0]], "TypeError: float() argument"),
+            ([["x,1", None], ["red", 1.0]], "TypeError: float() argument"),
+            ([["red", 1.0], ["red", 10**400]], "OverflowError: int too large"),
+        ],
+    )
+    def test_a_cell_float_refuses_is_raised_in_row_order(self, rows, error):
+        d = Dataset(np.array(rows, dtype=object), np.array(["p", "n"], dtype=object),
+                    (FeatureMeta("a", "categorical"), FeatureMeta("b", "numeric")))
+        assert written(serialize_keel, d).startswith(f"refused: {error}")
+        assert written(serialize_keel, d) == written(naive_serialize_keel, d)
+        assert written(serialize_csv, d) == written(naive_serialize_csv, d)
