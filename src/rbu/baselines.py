@@ -195,7 +195,7 @@ def _edited(task: BinaryTask, k: int, passes: int) -> np.ndarray:
         """Kept unless a strict majority of the k neighbours are minority points."""
         return (nearest >= n_majority).sum(axis=1) <= k // 2
 
-    everything = np.vstack([task.majority, task.minority])
+    everything = task.points
     # Row i: majority point i's k nearest other points, as rows of ``everything``.
     neighbors = nearest_neighbors(task.majority, everything, k, self_offset=0)
     keep = kept_by_vote(neighbors)
@@ -222,7 +222,7 @@ def _edited(task: BinaryTask, k: int, passes: int) -> np.ndarray:
 
 def tomek_kept_indices(task: BinaryTask) -> np.ndarray:
     """Drop the majority member of every cross-class mutual-nearest pair."""
-    everything = np.vstack([task.majority, task.minority])
+    everything = task.points
     if len(everything) < 2:
         return np.arange(task.n_majority)
     nn = nearest_neighbors(everything, everything, 1, self_offset=0)[:, 0]
@@ -261,40 +261,43 @@ def near_miss_kept_indices(task: BinaryTask, k: int, ratio: float) -> np.ndarray
 class ResampleOutcome:
     """Resampling result in terms of the original task.
 
-    ``majority_indices`` select the surviving majority rows.  The output
-    minority is ``vstack([task.minority, synthetic])[minority_indices]``:
-    original rows, their copies and synthetic points, in output order.
+    The output task's points are ``vstack([task.points, synthetic])[rows]``:
+    its first ``n_majority`` rows are the surviving majority rows, the rest
+    are original minority rows, their copies and synthetic points, in
+    output order.
     """
 
-    majority_indices: np.ndarray
-    minority_indices: np.ndarray
+    rows: np.ndarray
+    n_majority: int
     synthetic: np.ndarray
 
     def resampled_task(self, task: BinaryTask) -> BinaryTask:
-        pool = np.vstack([task.minority, self.synthetic]) if len(self.synthetic) else task.minority
+        pool = np.vstack([task.points, self.synthetic]) if len(self.synthetic) else task.points
+        points = pool[self.rows]
         return BinaryTask(
-            majority=task.majority[self.majority_indices],
-            minority=pool[self.minority_indices],
+            majority=points[: self.n_majority],
+            minority=points[self.n_majority :],
             minority_label=task.minority_label,
             majority_label=task.majority_label,
         )
 
 
-def _kept(task: BinaryTask, majority_indices) -> ResampleOutcome:
+def _kept(task: BinaryTask, survivors) -> ResampleOutcome:
     """An undersampler's outcome: the minority passes through."""
-    return ResampleOutcome(majority_indices, np.arange(task.n_minority), np.empty((0, task.m)))
+    rows = np.concatenate([survivors, np.arange(task.n_majority, len(task.points))])
+    return ResampleOutcome(rows, len(survivors), np.empty((0, task.m)))
 
 
 def _copied(task: BinaryTask, picks) -> ResampleOutcome:
-    """ROS's outcome: the minority followed by copies of the picked rows."""
-    minority = np.concatenate([np.arange(task.n_minority), picks])
-    return ResampleOutcome(np.arange(task.n_majority), minority, np.empty((0, task.m)))
+    """ROS's outcome: the task followed by copies of the picked minority rows."""
+    rows = np.concatenate([np.arange(len(task.points)), task.n_majority + picks])
+    return ResampleOutcome(rows, task.n_majority, np.empty((0, task.m)))
 
 
 def _synthesized(task: BinaryTask, synthetic) -> ResampleOutcome:
-    """An oversampler's outcome: the minority followed by new points."""
-    minority = np.arange(task.n_minority + len(synthetic))
-    return ResampleOutcome(np.arange(task.n_majority), minority, synthetic)
+    """An oversampler's outcome: the task followed by new points."""
+    rows = np.arange(len(task.points) + len(synthetic))
+    return ResampleOutcome(rows, task.n_majority, synthetic)
 
 
 def _compose(task: BinaryTask, spec: ResampleSpec, seed, shared) -> ResampleOutcome:
@@ -308,16 +311,12 @@ def _compose(task: BinaryTask, spec: ResampleSpec, seed, shared) -> ResampleOutc
         step = apply_resample_detail(
             current, stage, derive_seed(seed, i), shared=None if i else shared
         )
-        # Row j of the current minority is row minority_indices[j] of the
-        # original pool; the step's synthetic points extend that pool.
-        first_new = task.n_minority + len(outcome.synthetic)
-        lookup = np.concatenate(
-            [outcome.minority_indices, first_new + np.arange(len(step.synthetic))]
-        )
+        # Row j of the current task is row rows[j] of the original pool; the
+        # step's synthetic points extend that pool.
+        first_new = len(task.points) + len(outcome.synthetic)
+        lookup = np.concatenate([outcome.rows, first_new + np.arange(len(step.synthetic))])
         outcome = ResampleOutcome(
-            outcome.majority_indices[step.majority_indices],
-            lookup[step.minority_indices],
-            np.vstack([outcome.synthetic, step.synthetic]),
+            lookup[step.rows], step.n_majority, np.vstack([outcome.synthetic, step.synthetic])
         )
     return outcome
 

@@ -151,17 +151,14 @@ def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, outcome) -> Da
     are mapped back through the standardizer, with categorical coordinates
     snapped to the nearest valid code.
     """
-    picks = outcome.minority_indices
-    copies = np.bincount(picks[picks < task.n_minority], minlength=task.n_minority)
+    n, rows = len(task.points), outcome.rows
+    copies = np.bincount(rows[rows < n], minlength=n)
     keep = np.zeros(raw.n, dtype=bool)
-    keep[task.majority_indices[outcome.majority_indices]] = True
-    keep[task.minority_indices[copies > 0]] = True
-    duplicates = np.repeat(task.minority_indices, np.maximum(copies - 1, 0))
+    keep[task.source_rows[copies > 0]] = True
+    duplicates = np.repeat(task.source_rows, np.maximum(copies - 1, 0))
     source = np.concatenate([np.flatnonzero(keep), duplicates])
 
-    synthetic = scaler.inverse_transform(
-        outcome.synthetic[picks[picks >= task.n_minority] - task.n_minority]
-    )
+    synthetic = scaler.inverse_transform(outcome.synthetic[rows[rows >= n] - n])
     # A float raw matrix holds numeric columns only, which decode to floats.
     decoded = np.empty(synthetic.shape, dtype=raw.features.dtype)
     for j, meta in enumerate(encoded.feature_meta):
@@ -219,8 +216,8 @@ def resample(input_path, method, gamma, ratio, k, clean_k, tie_rule, output,
     text = serialize_keel(result, relation="resampled") if fmt == "keel" else serialize_csv(result)
 
     summary = (
-        f"majority: {task.n_majority} -> {len(outcome.majority_indices)}\n"
-        f"minority: {task.n_minority} -> {len(outcome.minority_indices)}"
+        f"majority: {task.n_majority} -> {outcome.n_majority}\n"
+        f"minority: {task.n_minority} -> {len(outcome.rows) - outcome.n_majority}"
     )
     if output:
         Path(output).write_text(text)
@@ -255,8 +252,8 @@ def typify(input_path, k, p, per_object, fmt, label_column, minority_label):
     click.echo(" ".join("%.2f" % report.proportions[c] for c in CATEGORIES))
     if per_object:
         lines = ["row,category"]
-        for j, category in enumerate(report.categories):
-            lines.append(f"{int(task.minority_indices[j])},{category}")
+        for row, category in zip(task.source_rows[task.n_majority :], report.categories):
+            lines.append(f"{int(row)},{category}")
         Path(per_object).write_text("\n".join(lines) + "\n")
 
 
@@ -281,9 +278,8 @@ def stats(input_path, fmt, label_column, minority_label):
 
 def _parse_bounds(text, task):
     if text == "auto":
-        points = np.vstack([task.majority, task.minority])
-        lo = points.min(axis=0)
-        hi = points.max(axis=0)
+        lo = task.points.min(axis=0)
+        hi = task.points.max(axis=0)
         # potential_grid refuses a span or padded bound past the float range.
         with np.errstate(over="ignore"):
             pad = np.where(hi > lo, 0.05 * (hi - lo), 1.0)

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import compress
 
 import numpy as np
@@ -71,39 +71,47 @@ class Dataset:
         return self.features.dtype == np.float64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BinaryTask:
-    """A two-class view: majority points, minority points, and their labels.
+    """A two-class training set in one row order: majority rows, then minority.
 
-    ``majority_indices`` / ``minority_indices`` map rows back into the source
-    dataset when the task was produced by :func:`split_binary`; resampled
-    tasks may drop them.
+    ``majority`` and ``minority`` are views of ``points``, into which the
+    constructor copies its inputs once; ``labels01`` is each row's class (0/1).
+    ``source_rows``, set by :func:`split_binary`, is each point's dataset row.
     """
 
-    majority: np.ndarray
-    minority: np.ndarray
-    minority_label: str = "positive"
-    majority_label: str = "negative"
-    majority_indices: np.ndarray | None = None
-    minority_indices: np.ndarray | None = None
+    points: np.ndarray
+    n_majority: int
+    minority_label: str
+    majority_label: str
+    source_rows: np.ndarray | None
+    majority: np.ndarray = field(repr=False, compare=False)
+    minority: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.majority.ndim != 2 or self.minority.ndim != 2:
+    def __init__(self, majority, minority, minority_label="positive",
+                 majority_label="negative", source_rows=None):
+        if majority.ndim != 2 or minority.ndim != 2:
             raise ValueError("majority and minority must be 2-D point sets")
-        if self.majority.shape[1] != self.minority.shape[1]:
+        if majority.shape[1] != minority.shape[1]:
             raise ValueError("majority and minority dimensionality differ")
+        points, n_majority = np.concatenate([majority, minority]), len(majority)
+        fields = dict(points=points, n_majority=n_majority, minority_label=minority_label,
+                      majority_label=majority_label, source_rows=source_rows,
+                      majority=points[:n_majority], minority=points[n_majority:])
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
-    def n_majority(self) -> int:
-        return len(self.majority)
+    def labels01(self) -> np.ndarray:
+        return np.repeat(np.array([0, 1], dtype=np.int64), [self.n_majority, self.n_minority])
 
     @property
     def n_minority(self) -> int:
-        return len(self.minority)
+        return len(self.points) - self.n_majority
 
     @property
     def m(self) -> int:
-        return self.majority.shape[1]
+        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,10 @@ def parse_keel(text) -> Dataset:
     label column.  Raises :class:`FormatError` with a 1-based line number on
     malformed headers, row arity mismatches, unknown categorical values and
     missing ``@data`` markers.
+
+    A declared numeric range is metadata, written back as declared: cells are
+    not checked against it, since SMOTE rows mapped back through the
+    standardizer can land an ulp outside a range that their inputs fill.
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -569,6 +581,5 @@ def split_binary(d: Dataset, minority_label="auto") -> BinaryTask:
         minority=d.features[minority_mask],
         minority_label=str(minority_label),
         majority_label=str(majority_label),
-        majority_indices=np.flatnonzero(~minority_mask),
-        minority_indices=np.flatnonzero(minority_mask),
+        source_rows=np.argsort(minority_mask, kind="stable"),
     )

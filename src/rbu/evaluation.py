@@ -92,14 +92,6 @@ def _fit_and_score(classifier, train_features, train_labels, test_features):
     return predict_labels(scores), scores
 
 
-def _stack_task(task: BinaryTask):
-    features = np.vstack([task.majority, task.minority])
-    labels = np.concatenate(
-        [np.zeros(task.n_majority, dtype=np.int64), np.ones(task.n_minority, dtype=np.int64)]
-    )
-    return features, labels
-
-
 def select_params(features, labels, cells, plan_seed) -> list:
     """For each cell ``(grid, classifier, seed)``, the grid point maximizing
     the inner-CV mean of (F + AUC + G-mean)/3, or the exception that failed
@@ -171,8 +163,9 @@ def inner_scores(features, labels, cells, plan_seed) -> list:
                         resampled = apply_resample(
                             task, spec, seed=derive_seed(seed, grid_idx, fold_idx), shared=shared
                         )
-                        fit_x, fit_y = _stack_task(resampled)
-                        preds, test_scores = _fit_and_score(classifier, fit_x, fit_y, test_x)
+                        preds, test_scores = _fit_and_score(
+                            classifier, resampled.points, resampled.labels01, test_x
+                        )
                     except ParameterError:
                         continue
                     # Ranking refuses non-finite scores; refuse them for this row only.
@@ -258,8 +251,9 @@ def _evaluate_unit(payload):
         if error is None:
             try:
                 resampled = apply_resample(task, best, seed=derive_seed(seed, "final"))
-                fit_x, fit_y = _stack_task(resampled)
-                preds, scores = _fit_and_score(classifier, fit_x, fit_y, test_x)
+                preds, scores = _fit_and_score(
+                    classifier, resampled.points, resampled.labels01, test_x
+                )
                 row["metrics"] = compute_metrics(test_y, preds, scores).as_dict()
                 row["spec"] = best.label
                 continue
@@ -366,7 +360,7 @@ def run_experiment(
         minority_label = minority_labels.get(name, "auto")
         task = split_binary(encoded, minority_label)
         labels01 = np.zeros(encoded.n, dtype=np.int64)
-        labels01[task.minority_indices] = 1
+        labels01[task.source_rows] = task.labels01
         features = encoded.features
         if standardize == "global":
             features = fit_standardizer(features).transform(features)

@@ -61,9 +61,8 @@ def categorize_minority(task: BinaryTask, k: int = 5, p: float = 2.0) -> Minorit
     if n_total < k + 1:
         raise ParameterError(f"need at least {k + 1} points, have {n_total}")
 
-    everything = np.vstack([task.majority, task.minority])
     neighbors = nearest_neighbors(
-        task.minority, everything, k, self_offset=task.n_majority, metric="minkowski", p=p
+        task.minority, task.points, k, self_offset=task.n_majority, metric="minkowski", p=p
     )
     same_class = (neighbors >= task.n_majority).sum(axis=1)
 

@@ -265,12 +265,7 @@ class PotentialGrid:
     values: np.ndarray
 
     def cell_centers(self):
-        (x_lo, x_hi), (y_lo, y_hi) = self.bounds
-        step_x = (x_hi - x_lo) / self.resolution
-        step_y = (y_hi - y_lo) / self.resolution
-        xs = x_lo + (np.arange(self.resolution) + 0.5) * step_x
-        ys = y_lo + (np.arange(self.resolution) + 0.5) * step_y
-        return xs, ys
+        return _cell_centers(self.bounds, self.resolution)
 
     def to_csv(self) -> str:
         xs, ys = self.cell_centers()
@@ -290,6 +285,12 @@ class PotentialGrid:
         )
 
 
+def _cell_centers(bounds, resolution):
+    """The x and the y centres of a ``resolution`` x ``resolution`` grid of
+    equal cells over ``bounds``."""
+    return tuple(lo + (np.arange(resolution) + 0.5) * ((hi - lo) / resolution) for lo, hi in bounds)
+
+
 def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> PotentialGrid:
     """Evaluate the mutual class potential over a 2-D grid of cell centers.
 
@@ -301,19 +302,16 @@ def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> P
     if resolution < 2:
         raise ParameterError(f"resolution must be >= 2, got {resolution}")
     inv_g2 = check_gamma(gamma)
+    bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if not (x_hi > x_lo and y_hi > y_lo):
         raise ParameterError("bounds must satisfy lo < hi on both axes")
-    step_x, step_y = (x_hi - x_lo) / resolution, (y_hi - y_lo) / resolution
-    if not np.isfinite([x_lo, x_hi, y_lo, y_hi, step_x, step_y]).all():
+    with np.errstate(invalid="ignore"):  # -inf + inf at an infinite bound
+        xs, ys = _cell_centers(bounds, resolution)
+    # The centres are finite exactly when the bounds and cell widths are.
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ParameterError("bounds and their cell widths must be finite")
 
-    xs = x_lo + (np.arange(resolution) + 0.5) * step_x
-    ys = y_lo + (np.arange(resolution) + 0.5) * step_y
     cells = np.stack([np.repeat(xs, resolution), np.tile(ys, resolution)], axis=1)
     phi = _potential(cells, task.majority, task.minority, inv_g2)
-    return PotentialGrid(
-        bounds=((float(x_lo), float(x_hi)), (float(y_lo), float(y_hi))),
-        resolution=int(resolution),
-        values=phi.reshape(resolution, resolution),
-    )
+    return PotentialGrid(bounds, int(resolution), phi.reshape(resolution, resolution))

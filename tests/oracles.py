@@ -16,12 +16,7 @@ from scipy.stats import rankdata
 from rbu import BinaryTask, Dataset, FormatError, ParameterError, apply_resample
 from rbu.baselines import RENN_MAX_PASSES
 from rbu.dataio import FeatureMeta
-from rbu.evaluation import (
-    SELECTION_METRICS,
-    _stack_task,
-    binary_task_from_labels,
-    make_folds,
-)
+from rbu.evaluation import SELECTION_METRICS, binary_task_from_labels, make_folds
 from rbu.modeling import METRIC_NAMES, VARIANCE_SMOOTHING, make_classifier
 from rbu.seeding import derive_seed
 
@@ -221,7 +216,7 @@ def naive_select_params(features, labels, grid, classifier, seed, inner_repeats=
                 resampled = apply_resample(
                     task, spec, seed=derive_seed(seed, grid_idx, fold_idx)
                 )
-                fit_x, fit_y = _stack_task(resampled)
+                fit_x, fit_y = naive_stack(resampled)
                 test_x = features[test_idx]
                 if classifier == "gnb":
                     scores = naive_gnb(fit_x, fit_y, test_x)[2]
@@ -297,6 +292,47 @@ def naive_report_ranks(report):
                     }
                 )
     return ranks, friedman
+
+
+def naive_stack(task):
+    """A task's training matrix and 0/1 labels, stacked from its two classes:
+    majority rows first, labelled 0, then minority rows, labelled 1."""
+    features = np.vstack([task.majority, task.minority])
+    labels = np.array([0] * len(task.majority) + [1] * len(task.minority), dtype=np.int64)
+    return features, labels
+
+
+def naive_rebuild(raw, encoded, scaler, task, outcome):
+    """``cli.rebuild_dataset``'s rows, one at a time, as (cells, label) pairs.
+
+    Every dataset row the outcome uses at least once comes first, in file
+    order; then one more copy of a minority row for each further use of it,
+    in minority order; then each synthetic point, in outcome order, mapped
+    back through the standardizer cell by cell, a categorical cell snapped
+    to the nearest code (halves to even) within the declared codes.
+    """
+    n_points = task.n_majority + task.n_minority
+    uses, synthetic = {}, []
+    for row in outcome.rows:
+        if row < n_points:
+            source = int(task.source_rows[row])
+            uses[source] = uses.get(source, 0) + 1
+        else:
+            synthetic.append(outcome.synthetic[row - n_points])
+    order = [i for i in range(raw.n) if uses.get(i, 0) > 0]
+    for source in task.source_rows[task.n_majority :]:
+        order += [int(source)] * (uses.get(int(source), 0) - 1)
+    expected = [(list(raw.features[i]), raw.labels[i]) for i in order]
+    for point in synthetic:
+        cells = []
+        for j, meta in enumerate(encoded.feature_meta):
+            value = float(point[j]) * float(scaler.std[j]) + float(scaler.mean[j])
+            if meta.kind == "categorical":
+                names = list(meta.categories)
+                value = names[min(max(round(value), 0), len(names) - 1)]
+            cells.append(value)
+        expected.append((cells, task.minority_label))
+    return expected
 
 
 def make_task(majority, minority):

@@ -390,6 +390,35 @@ PIPELINE_STAGES = {
 }
 
 
+# One spec of each method in the table; the pipeline both copies and adds rows.
+EVERY_METHOD = {
+    "none": ResampleSpec("none"),
+    **PIPELINE_STAGES,
+    "renn": ResampleSpec("renn", {"k": 3}),
+    "pipeline": ResampleSpec("pipeline", stages=(PIPELINE_STAGES["ros"], PIPELINE_STAGES["smote"])),
+}
+
+
+class TestOutcome:
+    def test_every_method_is_covered(self):
+        assert set(EVERY_METHOD) == set(baselines.METHODS)
+
+    @pytest.mark.parametrize("method", sorted(EVERY_METHOD))
+    def test_rows_rebuild_the_resampled_task(self, method):
+        rng = np.random.default_rng(19)
+        for seed in range(4):
+            task = random_task(rng, 24, 7, 2, spread=1.0)
+            detail = apply_resample_detail(task, EVERY_METHOD[method], seed=seed)
+            out = apply_resample(task, EVERY_METHOD[method], seed=seed)
+            points = np.vstack([task.majority, task.minority, detail.synthetic])[detail.rows]
+            assert points[: detail.n_majority].tobytes() == out.majority.tobytes()
+            assert points[detail.n_majority :].tobytes() == out.minority.tobytes()
+            # Majority rows come from the majority, the rest from the minority
+            # and the synthetic points.
+            assert (detail.rows[: detail.n_majority] < task.n_majority).all()
+            assert (detail.rows[detail.n_majority :] >= task.n_majority).all()
+
+
 class TestPipeline:
     @pytest.mark.parametrize("first,second", itertools.product(PIPELINE_STAGES, repeat=2))
     def test_pair_matches_stage_by_stage_oracle(self, first, second):
@@ -404,11 +433,9 @@ class TestPipeline:
             assert out.minority.tobytes() == expected.minority.tobytes()
             # The detail rebuilds both classes from the original task.
             detail = apply_resample_detail(task, spec, seed=seed)
-            majority = task.majority[detail.majority_indices]
-            pool = np.vstack([task.minority, detail.synthetic])
-            minority = pool[detail.minority_indices]
-            assert majority.tobytes() == expected.majority.tobytes()
-            assert minority.tobytes() == expected.minority.tobytes()
+            points = np.vstack([task.majority, task.minority, detail.synthetic])[detail.rows]
+            assert points[: detail.n_majority].tobytes() == expected.majority.tobytes()
+            assert points[detail.n_majority :].tobytes() == expected.minority.tobytes()
 
     def test_singleton_equals_direct_call(self):
         rng = np.random.default_rng(13)

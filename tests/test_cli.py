@@ -265,8 +265,8 @@ def test_rebuild_snaps_synthetic_categories_to_valid_codes():
     # Colour codes: red 0, blue 1, green 2.  Halves round to even.
     points = np.array([[0.5, -2.0], [1.5, 2.4], [2.5, 9.0], [3.0, 0.5], [3.5, 1.5]])
     outcome = ResampleOutcome(
-        majority_indices=np.arange(task.n_majority),
-        minority_indices=np.arange(task.n_minority + len(points)),
+        rows=np.arange(len(task.points) + len(points)),
+        n_majority=task.n_majority,
         synthetic=scaler.transform(points),
     )
     result = rebuild_dataset(raw, encoded, scaler, task, outcome)

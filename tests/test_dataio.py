@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rbu import (
+    BinaryTask,
     Dataset,
     FormatError,
     ParameterError,
@@ -87,6 +88,17 @@ class TestParseKeel:
         bad = KEEL_TOY.replace("[0.0, 10.0]", bounds)
         with pytest.raises(FormatError, match=r"line 2: numeric range .* must be finite"):
             parse_keel(bad)
+
+    def test_range_is_metadata_not_a_cell_check(self):
+        # A cell outside its declared range is read, and the range is written
+        # back as declared.
+        text = KEEL_TOY.replace("[0.0, 10.0]", "[0, 1]").replace("3.5, 4.25", "5, 4.25")
+        ds = parse_keel(text)
+        assert ds.features[1, 0] == 5.0
+        assert ds.feature_meta[0].range == (0.0, 1.0)
+        again = parse_keel(serialize_keel(ds))
+        assert again.feature_meta[0].range == (0.0, 1.0)
+        np.testing.assert_array_equal(again.features, ds.features)
 
     def test_single_point_range_kept(self):
         ds = parse_keel(KEEL_TOY.replace("[0.0, 10.0]", "[2.5, 2.5]"))
@@ -269,7 +281,7 @@ class TestSplitBinary:
         task = split_binary(ds, "auto")
         assert task.minority_label == "B"
         assert task.n_majority == 3 and task.n_minority == 1
-        assert list(task.minority_indices) == [3]
+        assert list(task.source_rows[task.n_majority :]) == [3]
 
     def test_tie_demands_explicit_label(self):
         ds = parse_csv("x,class\n1,A\n2,B\n")
@@ -291,8 +303,46 @@ class TestSplitBinary:
     def test_partition_is_exact(self):
         ds = parse_csv("x,y,class\n1,9,A\n2,8,A\n3,7,B\n4,6,A\n")
         task = split_binary(ds)
-        together = sorted(list(task.majority_indices) + list(task.minority_indices))
-        assert together == [0, 1, 2, 3]
+        # Majority rows, then minority rows, each in file order.
+        assert list(task.source_rows) == [0, 1, 3, 2]
+        assert task.points.tobytes() == ds.features[[0, 1, 3, 2]].tobytes()
+        assert list(task.labels01) == [0, 0, 0, 1]
+
+
+class TestBinaryTask:
+    def test_points_stack_the_classes(self):
+        majority, minority = np.arange(12.0).reshape(4, 3), -np.arange(6.0).reshape(2, 3)
+        task = BinaryTask(majority, minority)
+        assert task.points.tobytes() == np.vstack([majority, minority]).tobytes()
+        assert list(task.labels01) == [0, 0, 0, 0, 1, 1]
+        assert (task.n_majority, task.n_minority, task.m) == (4, 2, 3)
+        assert task.source_rows is None
+
+    def test_classes_are_views_of_points(self):
+        task = BinaryTask(np.ones((3, 2)), np.zeros((2, 2)))
+        assert task.majority.base is task.points and task.minority.base is task.points
+        np.testing.assert_array_equal(task.majority, np.ones((3, 2)))
+        np.testing.assert_array_equal(task.minority, np.zeros((2, 2)))
+
+    def test_inputs_are_copied(self):
+        majority, minority = np.ones((3, 2)), np.zeros((2, 2))
+        task = BinaryTask(majority, minority)
+        assert not np.shares_memory(task.points, majority)
+        assert not np.shares_memory(task.points, minority)
+        majority[0, 0] = minority[0, 0] = 7.0
+        assert 7.0 not in task.points
+
+    @pytest.mark.parametrize(
+        "majority, minority, message",
+        [
+            (np.ones(3), np.ones((1, 3)), "2-D"),
+            (np.ones((2, 3)), np.ones((1, 3, 1)), "2-D"),
+            (np.ones((2, 3)), np.ones((1, 2)), "dimensionality"),
+        ],
+    )
+    def test_mis_shaped_classes_refused(self, majority, minority, message):
+        with pytest.raises(ValueError, match=message):
+            BinaryTask(majority, minority)
 
 
 class TestRoundTrip:
@@ -620,8 +670,8 @@ class TestWritersMatchPerCellOracle:
         scaler = fit_standardizer(encoded)
         task = split_binary(apply_standardizer(scaler, encoded))
         outcome = ResampleOutcome(
-            majority_indices=np.arange(task.n_majority),
-            minority_indices=np.arange(task.n_minority + len(points)),
+            rows=np.arange(len(task.points) + len(points)),
+            n_majority=task.n_majority,
             synthetic=scaler.transform(np.array(points)),
         )
         d = rebuild_dataset(raw, encoded, scaler, task, outcome)

@@ -20,12 +20,7 @@ from rbu import (
     select_params,
 )
 from rbu import baselines, evaluation, neighbors, radial
-from rbu.evaluation import (
-    _stack_task,
-    binary_task_from_labels,
-    check_no_leakage,
-    inner_scores,
-)
+from rbu.evaluation import binary_task_from_labels, check_no_leakage, inner_scores
 from rbu.grids import named_specs, preset_grids
 from rbu.modeling import METRIC_NAMES, compute_metrics, make_classifier
 from rbu.potential import TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM
@@ -38,6 +33,7 @@ from oracles import (
     naive_pipeline,
     naive_report_ranks,
     naive_select_params,
+    naive_stack,
     random_task,
 )
 
@@ -193,7 +189,7 @@ class TestSelectParams:
             for fold_idx, (train, test) in enumerate(plan):
                 task = binary_task_from_labels(features[train], labels[train])
                 resampled = apply_resample(task, spec, seed=derive_seed(seed, grid_idx, fold_idx))
-                fit_x, fit_y = _stack_task(resampled)
+                fit_x, fit_y = naive_stack(resampled)
                 model = make_classifier("gnb").fit(fit_x, fit_y)
                 s = model.score_samples(features[test])
                 ms = compute_metrics(labels[test], (s > 0.5).astype(int), s)
@@ -328,8 +324,8 @@ def tie_heavy_task(rng, n_majority, n_minority):
 
 
 def assert_same_outcome(got, want):
-    np.testing.assert_array_equal(got.majority_indices, want.majority_indices)
-    np.testing.assert_array_equal(got.minority_indices, want.minority_indices)
+    np.testing.assert_array_equal(got.rows, want.rows)
+    assert got.n_majority == want.n_majority
     np.testing.assert_array_equal(got.synthetic, want.synthetic)
 
 
@@ -353,7 +349,7 @@ class TestSharedFoldWork:
                               "tie_seed": tie_seed}
                     got = apply_resample_detail(task, ResampleSpec("rbu", params), shared=shared)
                     want = rbu_kept_indices(task, RbuParams(**params))
-                    np.testing.assert_array_equal(got.majority_indices, want)
+                    np.testing.assert_array_equal(got.rows[: got.n_majority], want)
 
     def test_smote_and_pipelines_match_plain_runs(self):
         rng = np.random.default_rng(58)
@@ -630,7 +626,7 @@ class TestSweepUnits:
                                 plan_seed=derive_seed(seed, name, "inner", fold_idx),
                             )
                         task = binary_task_from_labels(train_x, train_y)
-                        fit_x, fit_y = _stack_task(
+                        fit_x, fit_y = naive_stack(
                             apply_resample(task, best, seed=derive_seed(unit_seed, "final"))
                         )
                         model = make_classifier(classifier).fit(fit_x, fit_y)
