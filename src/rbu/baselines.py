@@ -26,7 +26,7 @@ import numpy as np
 from . import radial
 from .dataio import BinaryTask
 from .errors import ParameterError
-from .neighbors import for_each_block, nearest_neighbors
+from .neighbors import _MAX_ROUNDS, for_each_block, nearest_neighbors
 from .potential import TIE_LOWEST_INDEX
 from .radial import RbuParams, rbu_kept_indices, removal_count
 from .seeding import derive_seed
@@ -127,9 +127,11 @@ def ros_picked_indices(task: BinaryTask, ratio: float, seed) -> np.ndarray:
 def smote_synthetic(task: BinaryTask, k: int, ratio: float, seed, shared=None) -> np.ndarray:
     """Synthetic minority points interpolated toward same-class neighbors.
 
-    ``shared`` (see ``apply_resample``) keeps one table of all of each
-    minority point's neighbours, whose first k columns serve every k:
-    ``nearest_neighbors`` returns the first k of a stable argsort.
+    ``shared`` (see ``apply_resample``) keeps one table of each minority
+    point's nearest neighbours, whose first k columns serve every k up to its
+    width: ``nearest_neighbors`` returns the first k of a stable argsort.  The
+    table is ``_MAX_ROUNDS`` wide, or narrower for a small minority, and is
+    widened only for a larger k, so that large minorities get a narrow search.
     """
     _check_k(k)
     _check_ratio(ratio)
@@ -143,13 +145,12 @@ def smote_synthetic(task: BinaryTask, k: int, ratio: float, seed, shared=None) -
     if shared is None:
         neighbors = nearest_neighbors(task.minority, task.minority, k_eff, self_offset=0)
     else:
-        neighbors = _reuse(
-            shared,
-            ("smote",),
-            lambda: nearest_neighbors(
-                task.minority, task.minority, task.n_minority - 1, self_offset=0
-            ),
-        )[:, :k_eff]
+        table = shared.get(("smote",))
+        if table is None or table.shape[1] < k_eff:
+            width = min(task.n_minority - 1, max(k_eff, _MAX_ROUNDS))
+            table = nearest_neighbors(task.minority, task.minority, width, self_offset=0)
+            shared[("smote",)] = table
+        neighbors = table[:, :k_eff]
 
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, task.n_minority, size=n_new)
@@ -273,12 +274,9 @@ class ResampleOutcome:
 
     def resampled_task(self, task: BinaryTask) -> BinaryTask:
         pool = np.vstack([task.points, self.synthetic]) if len(self.synthetic) else task.points
-        points = pool[self.rows]
-        return BinaryTask(
-            majority=points[: self.n_majority],
-            minority=points[self.n_majority :],
-            minority_label=task.minority_label,
-            majority_label=task.majority_label,
+        # The gather is a fresh array, which the new task owns uncopied.
+        return BinaryTask._stacked(
+            pool[self.rows], self.n_majority, task.minority_label, task.majority_label
         )
 
 

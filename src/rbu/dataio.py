@@ -76,7 +76,8 @@ class BinaryTask:
     """A two-class training set in one row order: majority rows, then minority.
 
     ``majority`` and ``minority`` are views of ``points``, into which the
-    constructor copies its inputs once; ``labels01`` is each row's class (0/1).
+    constructor copies its inputs once (``_stacked`` takes an array over
+    uncopied); ``labels01`` is each row's class (0/1).
     ``source_rows``, set by :func:`split_binary`, is each point's dataset row.
     """
 
@@ -94,7 +95,18 @@ class BinaryTask:
             raise ValueError("majority and minority must be 2-D point sets")
         if majority.shape[1] != minority.shape[1]:
             raise ValueError("majority and minority dimensionality differ")
-        points, n_majority = np.concatenate([majority, minority]), len(majority)
+        self._own(np.concatenate([majority, minority]), len(majority), minority_label,
+                  majority_label, source_rows)
+
+    @classmethod
+    def _stacked(cls, points, n_majority, minority_label, majority_label):
+        """A task that takes ``points`` (majority rows, then minority) as its
+        own, uncopied: no one else may hold or change the array."""
+        task = object.__new__(cls)
+        task._own(points, n_majority, minority_label, majority_label, None)
+        return task
+
+    def _own(self, points, n_majority, minority_label, majority_label, source_rows):
         fields = dict(points=points, n_majority=n_majority, minority_label=minority_label,
                       majority_label=majority_label, source_rows=source_rows,
                       majority=points[:n_majority], minority=points[n_majority:])

@@ -2,10 +2,12 @@
 
 ``nearest_neighbors`` returns, for each query, the indices of its k nearest
 points, nearest first, with distance ties going to the lowest index: the
-first k columns of a stable argsort of the distance row.  All distances,
-RBF potentials included, come from ``for_each_block`` in blocks of query
-rows, so memory stays near one block whatever the number of queries.  The
-blocks of one call are shared by one thread per CPU.
+first k columns of a stable argsort of the distance row.  Whole distance
+rows, RBF potentials included, come from ``for_each_block`` in blocks of
+query rows, so memory stays near one block whatever the number of queries.
+The blocks of one call are shared by one thread per CPU.  Large Euclidean
+searches in few dimensions first ask a k-d tree for a few candidates per
+query and compute whole rows only for the queries it cannot settle.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import os
 from threading import Lock, Thread
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ParameterError
@@ -41,6 +44,38 @@ _SORT_COLUMNS = 40
 
 # Beyond this many neighbours a full sort is used whatever the row length.
 _MAX_ROUNDS = 16
+
+# The k-d tree search (:func:`_tree_search`) runs for Euclidean queries of at
+# most _MAX_ROUNDS neighbours in 1 to _TREE_DIMENSIONS dimensions, among at
+# least _TREE_POINTS points, with at least _TREE_PAIRS query x point pairs.
+# Milliseconds per call, tree / blocked search, for every point of a set of
+# Gaussian points queried for its nearest other point (k = 1, self_offset 0;
+# timeit, best of 5; scipy 1.17, numpy 2.4, 2 CPUs of an x86-64 host):
+#
+#   points        m = 2      m = 4      m = 6      m = 8      m = 10     m = 12
+#   1,000        1.8/2.9    2.6/3.0    6.0/4.0    8.2/4.0   10.3/4.6   10.2/5.8
+#   1,500        2.4/4.2    3.0/5.4    7.2/5.9   13.4/8.3   19.0/8.9   18.1/10.6
+#   2,000        2.2/7.0    4.1/7.4   10.6/12.2  15.1/12.2  19.8/13.6  27.1/18.8
+#   4,000        4.3/30     10.5/29    18.0/42    33/50      66/59     107/67
+#   6,400        7.5/67     14.6/122   38/100     85/140    196/169    243/186
+#
+# At 3,000 points, m = 7: 24.5/28.5; m = 8: 35.1/35.5.  The number of
+# neighbours matters little: 4,000 points, m = 6, k = 16: 45/78.  Queries and
+# points of other counts (m = 6 unless noted; the rule takes the tree where
+# marked *): 84,000 x 100: 101/35; 8,400 x 1,000: 26/24; 4,200 x 2,000: 22/29*
+# (m = 8: 33/31*); 1,000 x 8,400, m = 7: 20/34*; 400 x 21,000: 16/27*;
+# 100 x 84,000: 48/35*, nearly all of it building the tree.
+_TREE_PAIRS = 1 << 23
+_TREE_POINTS = 2000
+_TREE_DIMENSIONS = 8
+
+# A tree search settles a query when the tree's distance to its last candidate
+# exceeds the k-th neighbour's distance by this relative margin, which is far
+# above the relative rounding error of the tree's distances...
+_TREE_MARGIN = 1e-9
+# ... and lies above this floor, whose square is far above the smallest normal
+# float, so that the error stays relative however small the differences are.
+_TREE_FLOOR = 1e-100
 
 
 def check_finite(*arrays) -> None:
@@ -77,7 +112,10 @@ def for_each_block(queries, points, body, metric="euclidean", **metric_kw) -> No
     """
     check_finite(queries, points)
     rows = max(1, _BLOCK // max(1, len(points)))
-    threads = 1 if len(queries) <= rows or _single_thread else _cpu_count()
+    if 0 < len(queries) <= rows:
+        body(0, cdist(queries, points, metric, **metric_kw))
+        return
+    threads = 1 if _single_thread else _cpu_count()
     rows = max(1, rows // min(threads, _MAX_SPLIT))
     starts = iter(range(0, len(queries), rows))
     lock = Lock()
@@ -120,7 +158,9 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
 
     Raises ParameterError for NaN or infinite coordinates, whose order an
     argmin and a sort disagree on.  Finite coordinates whose distances
-    overflow to infinity keep the argsort order.
+    overflow to infinity keep the argsort order.  Large Euclidean searches
+    in few dimensions (see ``_TREE_PAIRS``) go through :func:`_tree_search`
+    first, with the same result.
     """
     queries = np.asarray(queries, dtype=np.float64)
     points = np.asarray(points, dtype=np.float64)
@@ -132,6 +172,20 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
     k = max(0, min(k, candidates))
     if k == 0:
         return np.empty((len(queries), 0), dtype=np.intp)
+    if not _tree_pays(queries, points, k, metric, metric_kw):
+        return _blocked_search(queries, points, k, self_offset, metric, metric_kw)
+    check_finite(queries, points)
+    out, rows = _tree_search(queries, points, k, self_offset)
+    if len(rows):
+        if self_offset is not None:
+            self_offset = _own_array(self_offset, len(queries))[rows]
+        out[rows] = _blocked_search(queries[rows], points, k, self_offset, metric, metric_kw)
+    return out
+
+
+def _blocked_search(queries, points, k, self_offset, metric, metric_kw):
+    """:func:`nearest_neighbors` from every query's whole distance row,
+    computed by :func:`for_each_block`; ``1 <= k <= candidates``."""
     out = np.empty((len(queries), k), dtype=np.intp)
 
     def body(start, dist):
@@ -139,6 +193,73 @@ def nearest_neighbors(queries, points, k, *, self_offset=None, metric="euclidean
 
     for_each_block(queries, points, body, metric, **metric_kw)
     return out
+
+
+def _tree_pays(queries, points, k, metric, metric_kw):
+    """Whether :func:`_tree_search` is used: Euclidean distances, few
+    neighbours, few dimensions, many points and many query x point pairs."""
+    euclidean = metric == "euclidean" and not metric_kw
+    euclidean |= metric == "minkowski" and metric_kw.keys() == {"p"} and metric_kw["p"] == 2
+    return (
+        euclidean
+        and k <= _MAX_ROUNDS
+        and 1 <= queries.shape[1] <= _TREE_DIMENSIONS
+        and len(points) >= _TREE_POINTS
+        and len(queries) * len(points) >= _TREE_PAIRS
+    )
+
+
+def _tree_search(queries, points, k, self_offset):
+    """:func:`nearest_neighbors` for the queries a k-d tree settles; returns
+    ``(out, rows)``, where ``rows`` lists the queries left for the blocked
+    search, whose rows of ``out`` are not set.
+
+    The tree proposes each query's k + 1 nearest points, and one more when
+    the query is one of the points.  Their distances are computed again as
+    ``cdist`` computes them (:func:`_euclidean`) and ordered by (distance,
+    index), without the query's own point (found by index, so its duplicates
+    stay candidates); the first k are kept.  A query is settled when the
+    tree's distance to its last candidate lies in ``(_TREE_FLOOR, inf)`` and
+    exceeds the k-th distance by ``_TREE_MARGIN``: every point the tree did
+    not propose is at least that far by the tree's rounding, so its exact
+    distance is larger than the k-th and it neither precedes nor ties with
+    the picks.  Ties at the boundary, many duplicates, overflowing or tiny
+    distances leave a query unsettled.
+    """
+    n_queries, n_points = len(queries), len(points)
+    count = min(k + 1 + (self_offset is not None), n_points)
+    tree = cKDTree(points)
+    tree_dist, found = tree.query(queries, count, workers=1 if _single_thread else _cpu_count())
+    tree_dist, found = tree_dist.reshape(n_queries, count), found.reshape(n_queries, count)
+    # Where fewer points than asked lie a finite tree distance away, the tree
+    # pads with index n_points at distance inf, and the query stays unsettled.
+    dist = _euclidean(queries, points, np.minimum(found, n_points - 1))
+    if self_offset is not None:
+        dist[found == _own_array(self_offset, n_queries)[:, None]] = np.nan  # sorts last
+    order = np.lexsort((found, dist), axis=1)[:, :k]
+    kth = np.take_along_axis(dist, order[:, -1:], axis=1)[:, 0]
+    last = tree_dist[:, -1]
+    with np.errstate(over="ignore"):
+        settled = (last > kth * (1 + _TREE_MARGIN)) & (last > _TREE_FLOOR) & (last < np.inf)
+    return np.take_along_axis(found, order, axis=1), np.flatnonzero(~settled)
+
+
+def _euclidean(queries, points, found):
+    """``cdist(queries, points)`` at columns ``found`` of each row, bit for
+    bit: squared differences summed in coordinate order, then the root."""
+    squares = np.zeros(found.shape)
+    with np.errstate(over="ignore"):
+        for j in range(queries.shape[1]):
+            diff = queries[:, j, None] - points[:, j][found]
+            squares += diff * diff
+    return np.sqrt(squares)
+
+
+def _own_array(self_offset, n_queries):
+    """Each query's own point index, for ``self_offset`` as checked by :func:`_own_rows`."""
+    if isinstance(self_offset, np.ndarray):
+        return self_offset
+    return self_offset + np.arange(n_queries)
 
 
 def _own_rows(self_offset, n_queries, n_points):

@@ -413,6 +413,9 @@ class TestOutcome:
             points = np.vstack([task.majority, task.minority, detail.synthetic])[detail.rows]
             assert points[: detail.n_majority].tobytes() == out.majority.tobytes()
             assert points[detail.n_majority :].tobytes() == out.minority.tobytes()
+            # The new task's classes are views of its own, fresh points.
+            assert out.majority.base is out.points and out.minority.base is out.points
+            assert not np.shares_memory(out.points, task.points)
             # Majority rows come from the majority, the rest from the minority
             # and the synthetic points.
             assert (detail.rows[: detail.n_majority] < task.n_majority).all()

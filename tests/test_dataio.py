@@ -332,6 +332,14 @@ class TestBinaryTask:
         majority[0, 0] = minority[0, 0] = 7.0
         assert 7.0 not in task.points
 
+    def test_stacked_takes_its_array_over(self):
+        points = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0], [8.0, 9.0]])
+        task = BinaryTask._stacked(points, 3, "pos", "neg")
+        assert task.points is points and task.majority.base is points
+        assert (task.n_majority, task.n_minority, task.minority_label) == (3, 2, "pos")
+        assert task.majority_label == "neg" and task.source_rows is None
+        np.testing.assert_array_equal(task.minority, points[3:])
+
     @pytest.mark.parametrize(
         "majority, minority, message",
         [

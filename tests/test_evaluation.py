@@ -365,6 +365,29 @@ class TestSharedFoldWork:
                     apply_resample_detail(task, spec, seed=i),
                 )
 
+    def test_smote_table_is_searched_narrow_and_widened_for_a_larger_k(self, monkeypatch):
+        # 40 minority rows: the table holds _MAX_ROUNDS neighbours, not 39,
+        # and a search runs again only for a k beyond the table's width.
+        rng = np.random.default_rng(66)
+        task = random_task(rng, 60, 40, 2)
+        ks = (1, 5, 16, 3, 20, 9, 25, 39, 50)
+        want = [apply_resample_detail(task, ResampleSpec("smote", {"k": k, "ratio": 1.0}), seed=k)
+                for k in ks]
+        widths = []
+        original = baselines.nearest_neighbors
+
+        def recorded(queries, points, k, **kwargs):
+            widths.append(k)
+            return original(queries, points, k, **kwargs)
+
+        monkeypatch.setattr(baselines, "nearest_neighbors", recorded)
+        shared = {}
+        for k, expected in zip(ks, want):
+            spec = ResampleSpec("smote", {"k": k, "ratio": 1.0})
+            assert_same_outcome(apply_resample_detail(task, spec, seed=k, shared=shared), expected)
+        assert neighbors._MAX_ROUNDS == 16
+        assert widths == [16, 20, 25, 39]
+
     def test_deterministic_undersamplers_run_once_per_arguments(self, monkeypatch):
         rng = np.random.default_rng(65)
         specs = [ResampleSpec("enn", {"k": k}) for k in (1, 3)]

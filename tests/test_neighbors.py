@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from rbu import KnnClassifier, ParameterError, categorize_minority, neighbors
@@ -37,6 +39,14 @@ def argsort_oracle(queries, points, k, self_offset=None, **metric):
 def grid_points(rng, n, m, scale=1.0):
     """Integer coordinates in {0..3}: most distances tie with others."""
     return rng.integers(0, 4, size=(n, m)) * scale
+
+
+def force_tree(monkeypatch):
+    """Have ``nearest_neighbors`` try the k-d tree whatever the input's size
+    and dimension, wherever the metric and k allow it."""
+    monkeypatch.setattr(neighbors, "_TREE_PAIRS", 0)
+    monkeypatch.setattr(neighbors, "_TREE_POINTS", 0)
+    monkeypatch.setattr(neighbors, "_TREE_DIMENSIONS", 99)
 
 
 def count_cdist_calls(monkeypatch):
@@ -392,6 +402,211 @@ class TestMatchesStableArgsort:
         points = np.zeros((5, 2))
         with pytest.raises(ParameterError, match="one point index per query"):
             nearest_neighbors(points[:3], points, 1, self_offset=np.array(own))
+
+
+# Rows mixed into a Gaussian point set, most of them chosen to leave tree
+# queries unsettled: distance ties on integer and half-integer grids,
+# duplicate rows, and rows 1e200 away, whose distances overflow.
+MIXES = ("none", "grid", "half grid", "duplicates", "far")
+# Scales of a whole point set: squared differences that underflow (1e-160)
+# or come near overflowing (1e150).
+SCALES = (1.0, 1e-160, 1e150)
+METRICS = (
+    {},
+    {"metric": "minkowski", "p": 2},
+    {"metric": "minkowski", "p": 2.0},
+    {"metric": "minkowski", "p": 1.5},  # never the tree
+)
+
+
+def mixed_points(rng, mix, n, m, scale):
+    """``n`` Gaussian points times ``scale``, about 40% of them replaced as
+    ``mix`` says."""
+    points = rng.normal(size=(n, m))
+    rows = rng.random(n) < 0.4
+    if mix == "grid":
+        points[rows] = grid_points(rng, rows.sum(), m)
+    elif mix == "half grid":
+        points[rows] = grid_points(rng, rows.sum(), m, scale=0.5)
+    elif mix == "duplicates":
+        points[rows] = points[rng.integers(0, n, size=rows.sum())]
+    points *= scale
+    if mix == "far":
+        points[rows] = rng.normal(size=(rows.sum(), m)) * 1e200
+    return points
+
+
+@st.composite
+def searches(draw):
+    """``(queries, points, k, keywords)`` of one ``nearest_neighbors`` call;
+    k runs past the number of candidates, but is mostly small."""
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    mix, scale = draw(st.sampled_from(MIXES)), draw(st.sampled_from(SCALES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = mixed_points(rng, mix, n, m, scale)
+    keywords = dict(draw(st.sampled_from(METRICS)))
+    own = draw(st.sampled_from(["none", "offset", "array"]))
+    if own == "none":
+        count = draw(st.integers(0, 12))
+        queries = np.concatenate(
+            [points[rng.integers(0, n, size=count // 2)],
+             mixed_points(rng, mix, count - count // 2, m, scale)]
+        )
+    elif own == "offset":
+        offset = draw(st.integers(0, n))
+        queries, keywords["self_offset"] = points[offset:], offset
+    else:
+        rows = rng.integers(0, n, size=draw(st.integers(0, 12)))
+        queries, keywords["self_offset"] = points[rows], rows
+    k = draw(st.one_of(st.integers(1, 3), st.integers(1, n + 2)))
+    return queries, points, k, keywords
+
+
+class TestTreeSearch:
+    """The k-d tree search: settled queries equal the stable argsort, and
+    every other query goes through the blocked search."""
+
+    # The example count comes from the loaded hypothesis profile (the "ci"
+    # profile in conftest.py runs ten times more).
+    @settings(derandomize=True, deadline=None)
+    @given(searches(), st.booleans())
+    def test_matches_stable_argsort(self, search, single_thread):
+        queries, points, k, keywords = search
+        with pytest.MonkeyPatch.context() as patch:
+            force_tree(patch)
+            patch.setattr(neighbors, "_single_thread", single_thread)
+            got = nearest_neighbors(queries, points, k, **keywords)
+        np.testing.assert_array_equal(got, argsort_oracle(queries, points, k, **keywords))
+
+    @pytest.mark.parametrize("m", range(1, 18))
+    @pytest.mark.parametrize("metric", [{"metric": "euclidean"}, {"metric": "minkowski", "p": 2}])
+    def test_recomputed_distances_are_cdist_bit_for_bit(self, m, metric):
+        rng = np.random.default_rng(m)
+        # Coordinates spread over six orders of magnitude, so that roundings differ.
+        points = rng.normal(size=(60, m)) * 10.0 ** rng.uniform(-3, 3, size=(60, m))
+        queries = rng.normal(size=(25, m)) * 10.0 ** rng.uniform(-3, 3, size=(25, m))
+        found = rng.integers(0, 60, size=(25, 9))
+        want = np.take_along_axis(cdist(queries, points, **metric), found, axis=1)
+        assert neighbors._euclidean(queries, points, found).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "k, self_offset, unsettled",
+        [
+            # Five copies of a far point fill the k + 1 candidates of queries
+            # 4, 17 and 25 at distance 0, so the tree cannot bound the rest;
+            # with k = 5 the sixth candidate settles them.
+            (1, None, [4, 17, 25]),
+            (3, None, [4, 17, 25]),
+            (5, None, []),
+            # Each copy, queried as one of the points, sees the other four
+            # at distance 0 among its k + 2 candidates.
+            (1, 0, [10, 11, 12, 13, 14]),
+            (4, 0, []),
+        ],
+    )
+    def test_only_unsettled_queries_reach_the_blocked_search(
+        self, k, self_offset, unsettled, monkeypatch
+    ):
+        force_tree(monkeypatch)
+        rng = np.random.default_rng(43)
+        points = rng.normal(size=(200, 3))
+        points[10:15] = 10.0
+        queries = rng.normal(size=(30, 3))
+        queries[[4, 17, 25]] = 10.0
+        if self_offset is not None:
+            queries = points
+        blocked = []
+
+        def recording(block_queries, *args, **kwargs):
+            blocked.append(block_queries.copy())
+            return for_each_block(block_queries, *args, **kwargs)
+
+        monkeypatch.setattr(neighbors, "for_each_block", recording)
+        got = nearest_neighbors(queries, points, k, self_offset=self_offset)
+        np.testing.assert_array_equal(
+            got, argsort_oracle(queries, points, k, self_offset=self_offset)
+        )
+        if unsettled:
+            assert len(blocked) == 1
+            np.testing.assert_array_equal(blocked[0], queries[unsettled])
+        else:
+            assert blocked == []
+
+    def test_tiny_distances_are_left_to_the_blocked_search(self, monkeypatch):
+        # Below _TREE_FLOOR the squared differences are subnormal, whose
+        # rounding error is not relative: no query is settled.
+        force_tree(monkeypatch)
+        calls = count_cdist_calls(monkeypatch)
+        rng = np.random.default_rng(45)
+        points = rng.normal(size=(200, 3)) * 1e-160
+        got = nearest_neighbors(points, points, 2, self_offset=0)
+        np.testing.assert_array_equal(got, argsort_oracle(points, points, 2, self_offset=0))
+        assert sum(calls) == len(points)
+
+    def test_overflowing_candidates_are_left_to_the_blocked_search(self, monkeypatch):
+        # Only three points lie a finite distance from the query, so the tree
+        # finds no fourth and fifth candidate and marks them past the last point.
+        force_tree(monkeypatch)
+        calls = count_cdist_calls(monkeypatch)
+        points = np.concatenate([1e200 * np.arange(1.0, 41.0), [0.0, 1.0, 2.0]])[:, None]
+        got = nearest_neighbors(points[[40]], points, 4)
+        np.testing.assert_array_equal(got, argsort_oracle(points[[40]], points, 4))
+        assert got.tolist() == [[40, 41, 42, 0]] and calls == [1]
+
+    @pytest.mark.parametrize(
+        "n_queries, n_points, m, k, metric, tree",
+        [
+            (10, 10, 3, 1, {}, True),
+            (10, 20, 3, 16, {"metric": "minkowski", "p": 2.0}, True),
+            (10, 20, 3, 17, {}, False),  # beyond _MAX_ROUNDS neighbours
+            (10, 10, 3, 1, {"metric": "minkowski", "p": 1.5}, False),
+            (10, 10, 3, 1, {"metric": "minkowski"}, False),
+            (10, 10, 3, 1, {"metric": "sqeuclidean"}, False),
+            (10, 10, 4, 1, {}, False),  # too many dimensions
+            (11, 9, 3, 1, {}, False),  # too few points
+            (9, 10, 3, 1, {}, False),  # too few pairs
+        ],
+    )
+    def test_when_the_tree_runs(self, n_queries, n_points, m, k, metric, tree, monkeypatch):
+        monkeypatch.setattr(neighbors, "_TREE_PAIRS", 100)
+        monkeypatch.setattr(neighbors, "_TREE_POINTS", 10)
+        monkeypatch.setattr(neighbors, "_TREE_DIMENSIONS", 3)
+        built = []
+
+        def recording(points):
+            built.append(len(points))
+            return neighbors.cKDTree.__wrapped__(points)
+
+        recording.__wrapped__ = neighbors.cKDTree
+        monkeypatch.setattr(neighbors, "cKDTree", recording)
+        rng = np.random.default_rng(44)
+        queries, points = rng.normal(size=(n_queries, m)), rng.normal(size=(n_points, m))
+        got = nearest_neighbors(queries, points, k, **metric)
+        np.testing.assert_array_equal(got, argsort_oracle(queries, points, k, **metric))
+        assert built == ([n_points] if tree else [])
+
+
+class TestTreeMatchesStableArgsort:
+    """The output checks of TestMatchesStableArgsort, with the k-d tree tried
+    on every call whatever its size (there, sizes keep to the blocked search)."""
+
+    @pytest.fixture(autouse=True)
+    def tree(self, monkeypatch):
+        force_tree(monkeypatch)
+
+    test_every_k_without_self = TestMatchesStableArgsort.test_every_k_without_self
+    test_every_k_with_self_offset = TestMatchesStableArgsort.test_every_k_with_self_offset
+    test_every_k_with_own_rows = TestMatchesStableArgsort.test_every_k_with_own_rows
+
+    @pytest.mark.parametrize("p", [1.0, 2, 2.0, 3.0])
+    def test_minkowski_metric(self, p):
+        rng = np.random.default_rng(17)
+        points = grid_points(rng, 60, 3, scale=0.5)
+        points[::2] = rng.normal(size=(30, 3))
+        for k in (1, 4):
+            got = nearest_neighbors(points[10:], points, k, self_offset=10, metric="minkowski", p=p)
+            want = argsort_oracle(points[10:], points, k, self_offset=10, metric="minkowski", p=p)
+            np.testing.assert_array_equal(got, want)
 
 
 def _knn_scores(task):
