@@ -115,7 +115,9 @@ class BinaryTask:
 
     @property
     def labels01(self) -> np.ndarray:
-        return np.repeat(np.array([0, 1], dtype=np.int64), [self.n_majority, self.n_minority])
+        labels = np.zeros(len(self.points), dtype=np.int64)
+        labels[self.n_majority :] = 1
+        return labels
 
     @property
     def n_minority(self) -> int:

@@ -100,11 +100,11 @@ def select_params(features, labels, cells, plan_seed) -> list:
     A one-point grid is chosen without being scored, and an empty grid fails
     its cell.  The other cells share the inner plan drawn from ``plan_seed``
     and are scored together by ``inner_scores``.  A grid point whose
-    resampling or fit is refused with ``ParameterError`` on an inner fold
-    scores 0 for that fold; any other exception fails its cell alone, and
-    one outside every cell's own runs (building the plan, say) fails every
-    cell that is scored.  Ties keep the earliest grid point in declared
-    order.
+    resampling or training set is refused with ``ParameterError`` on an
+    inner fold scores 0 for that fold; any other exception fails its cell
+    alone, and one outside every cell's own runs (building the plan, say)
+    fails every cell that is scored.  Ties keep the earliest grid point in
+    declared order.
     """
     cells = [(list(grid), classifier, seed) for grid, classifier, seed in cells]
     chosen = [grid[0] if grid else ParameterError("empty parameter grid") for grid, _, _ in cells]
@@ -136,11 +136,14 @@ def inner_scores(features, labels, cells, plan_seed) -> list:
     ``shared`` dict of results that depend on that task alone (an RBU removal
     order, a SMOTE neighbour table, ENN's kept indices), which every cell's
     resampler may reuse.  Grid point i of a cell on fold j draws from
-    ``derive_seed(seed, i, j)``.  The fold's predictions and scores, one row
-    per grid point of every cell, go through one ``compute_metrics`` call.
-    A grid point whose resampling or fit is refused, or whose scores are not
-    finite, scores 0 on that fold; a cell whose run raises anything else
-    fails and is not run on later folds.
+    ``derive_seed(seed, i, j)``.  A cell resamples all its grid points on a
+    fold first; the training sets its classifier accepts are then scored in
+    one ``score_sets`` call.  The fold's predictions and scores, one row per
+    grid point of every cell, go through one ``compute_metrics`` call.  A
+    grid point whose resampling or training set is refused, or whose scores
+    are not finite, scores 0 on that fold, and so does every grid point of a
+    cell whose batch is refused; a cell whose run or batch raises anything
+    else fails and is not run on later folds.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -152,38 +155,40 @@ def inner_scores(features, labels, cells, plan_seed) -> list:
         test_x, test_y = features[test_idx], labels[test_idx]
         shared = {}
         # (cell, that cell's scored grid points) in row order of the stacks.
-        scored, pred_rows, score_rows = [], [], []
+        scored, score_rows = [], []
         for cell_idx, (grid, classifier, seed) in enumerate(cells):
             if isinstance(results[cell_idx], Exception):
                 continue
-            points, preds_of, scores_of = [], [], []
             try:
+                model = make_classifier(classifier)
+                points, sets = [], []
                 for grid_idx, spec in enumerate(grid):
                     try:
                         resampled = apply_resample(
                             task, spec, seed=derive_seed(seed, grid_idx, fold_idx), shared=shared
                         )
-                        preds, test_scores = _fit_and_score(
-                            classifier, resampled.points, resampled.labels01, test_x
-                        )
+                        sets.append(model.training_set(resampled.points, resampled.labels01))
                     except ParameterError:
                         continue
-                    # Ranking refuses non-finite scores; refuse them for this row only.
-                    if np.isfinite(test_scores).all():
-                        points.append(grid_idx)
-                        preds_of.append(preds)
-                        scores_of.append(test_scores)
+                    points.append(grid_idx)
+                if not points:
+                    continue
+                test_scores = model.score_sets(sets, test_x)
+            except ParameterError:  # the classifier or the test rows: all score 0 here
+                continue
             except Exception as exc:
                 results[cell_idx] = exc
                 continue
-            if points:
-                scored.append((cell_idx, points))
-                pred_rows += preds_of
-                score_rows += scores_of
+            # Ranking refuses non-finite scores; refuse them for their row only.
+            finite = np.isfinite(test_scores).all(axis=1)
+            if finite.any():
+                scored.append((cell_idx, [p for p, ok in zip(points, finite) if ok]))
+                score_rows.append(test_scores[finite])
         if not scored:
             continue
+        score_rows = np.concatenate(score_rows)
         try:
-            metrics = compute_metrics(test_y, np.array(pred_rows), np.array(score_rows))
+            metrics = compute_metrics(test_y, predict_labels(score_rows), score_rows)
         except ParameterError:  # the fold's own labels: every grid point scores 0
             continue
         combined = sum(getattr(metrics, m) for m in SELECTION_METRICS) / len(SELECTION_METRICS)

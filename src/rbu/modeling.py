@@ -12,16 +12,17 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import neighbors
 from .errors import ParameterError
-from .neighbors import nearest_neighbors
+from .neighbors import _nearest_block, check_finite, for_each_block, nearest_neighbors
 
 VARIANCE_SMOOTHING = 1e-9
 
 
 def _binary_labels(labels) -> np.ndarray:
     """``labels`` as int64, refusing any label outside {0, 1}."""
-    labels = np.asarray(labels).astype(np.int64)
-    if (labels >> 1).any():
+    labels = np.asarray(labels).astype(np.int64, copy=False)
+    if np.count_nonzero(labels >> 1):
         raise ParameterError("labels must be 0 or 1")
     return labels
 
@@ -31,13 +32,29 @@ def _check_lengths(features: np.ndarray, labels: np.ndarray) -> None:
         raise ParameterError(f"{len(features)} feature rows but {len(labels)} labels")
 
 
-def _mean_var(x: np.ndarray):
-    """Column means and variances of ``x`` by the same reductions, in the
-    same order, as ``x.mean(axis=0)`` and ``x.var(axis=0)``."""
-    n = len(x)
-    mean = x.sum(axis=0) / n
-    centred = x - mean
-    return mean, (centred * centred).sum(axis=0) / n
+def _checked_set(features, labels):
+    """A training set as float64 rows and int64 0/1 labels, refusing a label
+    count that differs from the row count and NaN or infinite features."""
+    features = np.asarray(features, dtype=np.float64)
+    labels = _binary_labels(labels)
+    _check_lengths(features, labels)
+    check_finite(features)
+    return features, labels
+
+
+def _runs(widths) -> list:
+    """Consecutive runs of the sets ``0 .. len(widths) - 1`` that are scored
+    together: a run's padded arrays, ``len(run) * max(widths in the run)``
+    entries, stay within ``neighbors._BLOCK``, or the run is one set."""
+    runs, start, widest = [], 0, 0
+    for i, width in enumerate(widths):
+        widest = max(widest, width)
+        if i > start and (i + 1 - start) * widest > neighbors._BLOCK:
+            runs.append(range(start, i))
+            start, widest = i, width
+    if widths:
+        runs.append(range(start, len(widths)))
+    return runs
 
 
 class KnnClassifier:
@@ -47,69 +64,195 @@ class KnnClassifier:
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
         self.k = k
-        self._train = None
-        self._labels = None
+        self._set = None
 
-    def fit(self, features: np.ndarray, labels: np.ndarray):
+    def training_set(self, features, labels):
+        """``(features, labels)`` checked for :meth:`score_sets`; refuses an
+        empty set, k above its row count and NaN or infinite features."""
         features = np.asarray(features, dtype=np.float64)
         if len(features) == 0:
             raise ParameterError("empty training set")
         if self.k > len(features):
             raise ParameterError(f"k={self.k} exceeds training size {len(features)}")
-        labels = _binary_labels(labels)
-        _check_lengths(features, labels)
-        self._train = features
-        self._labels = labels
+        return _checked_set(features, labels)
+
+    def score_sets(self, sets, queries) -> np.ndarray:
+        """Scores of ``queries`` (sets x queries) by each training set of the
+        list ``sets`` from :meth:`training_set`, the same bit for bit as each
+        set gets alone; each run of sets (:func:`_runs`) in one
+        :func:`_knn_scores` call."""
+        queries = np.asarray(queries, dtype=np.float64)
+        scores = np.empty((len(sets), len(queries)))
+        for run in _runs([len(queries) * len(points) for points, _ in sets]):
+            _knn_scores(sets[run.start : run.stop], queries, self.k, scores[run.start : run.stop])
+        return scores
+
+    def fit(self, features: np.ndarray, labels: np.ndarray):
+        self._set = self.training_set(features, labels)
         return self
 
     def score_samples(self, features: np.ndarray) -> np.ndarray:
-        if self._train is None:
+        if self._set is None:
             raise ParameterError("classifier is not fitted")
-        neighbors = nearest_neighbors(features, self._train, self.k)
-        return self._labels[neighbors].mean(axis=1)
+        return self.score_sets([self._set], features)[0]
+
+
+def _knn_scores(sets, queries, k, out) -> None:
+    """Write the k-NN scores of ``queries`` by each of ``sets`` to the rows of ``out``.
+
+    One ``for_each_block`` pass computes the distances to every set's points.
+    ``cdist`` computes each pair on its own, so each set's columns, laid into
+    an +inf-padded queries x sets x widest array, hold the distances the set
+    has alone.  One ``_nearest_block`` call then picks every set's k nearest,
+    ties to the lowest index, and the padding sorts after every point.  One
+    set alone needs no padding: it is ``nearest_neighbors`` on that set.
+    """
+    if len(sets) == 1:
+        points, labels = sets[0]
+        out[0] = labels[nearest_neighbors(queries, points, k)].mean(axis=1)
+        return
+    sizes = np.array([len(points) for points, _ in sets])
+    widest = int(sizes.max())
+    # Column of the concatenated points holding each set's j-th point.
+    columns = (np.cumsum(sizes) - sizes)[:, None] + np.arange(widest)
+    padding = np.arange(widest) >= sizes[:, None]
+    columns[padding] = 0
+    votes = np.concatenate([labels for _, labels in sets])[columns]
+    which = np.arange(len(sets))[:, None]
+
+    def body(start, dist):
+        padded = np.take(dist, columns, axis=1)
+        padded[:, padding] = np.inf
+        nearest = _nearest_block(padded.reshape(-1, widest), k, None, 0)
+        picked = votes[which, nearest.reshape(len(dist), len(sets), k)]
+        out[:, start : start + len(dist)] = picked.mean(axis=2).T
+
+    for_each_block(queries, np.concatenate([points for points, _ in sets]), body)
+
+
+def _mean_var(rows, counts):
+    """Means and variances of padded row groups, bit for bit as
+    ``x.mean(axis=0)`` and ``x.var(axis=0)`` of each group's rows ``x`` alone.
+
+    ``rows`` is (longest, sets, groups, m): each group's rows come first and
+    -0.0 after them.  ``counts`` (sets x groups) gives each group's row count.
+    """
+    n = counts[..., None]
+    mean = _column_sums(rows, counts) / n
+    centred = rows - mean
+    centred[np.arange(len(rows))[:, None, None] >= counts] = 0.0
+    return mean, _column_sums(centred * centred, counts) / n
+
+
+def _column_sums(rows, counts):
+    """Each group's column sums, added in the order numpy adds a group alone.
+
+    numpy adds the rows of a matrix of two or more columns one after the
+    other, as it adds the rows of ``rows`` here, so the padding after a
+    group's rows adds exact zeros (-0.0 leaves every sum as it is).  It sums
+    a single column pairwise, grouped by the row count, so a single column
+    is summed one group at a time.
+    """
+    if rows.shape[-1] > 1:
+        return rows.sum(axis=0)
+    sums = [rows[:count, s, g].sum(axis=0) for (s, g), count in np.ndenumerate(counts)]
+    return np.array(sums).reshape(*counts.shape, 1)
 
 
 class GaussianNbClassifier:
     """Gaussian naive Bayes with empirical priors and smoothed variances."""
 
-    _fitted = False
+    _fits = None
+
+    def training_set(self, features, labels):
+        """``(features, labels)`` checked for :meth:`score_sets`; refuses a set
+        with one class only and NaN or infinite features."""
+        features, labels = _checked_set(features, labels)
+        if not 0 < np.count_nonzero(labels) < len(labels):
+            raise ParameterError("training data must contain both classes")
+        return features, labels
+
+    def score_sets(self, sets, queries) -> np.ndarray:
+        """Scores of ``queries`` (sets x queries) by each training set from
+        :meth:`training_set`, the same bit for bit as each set gets alone.
+
+        Each run of sets (:func:`_runs`) is fitted in one :func:`_gnb_fit` and
+        scored in one :func:`_gnb_score`.
+        """
+        queries = np.asarray(queries, dtype=np.float64)
+        m = queries.shape[1]
+        scores = np.empty((len(sets), len(queries)))
+        widths = [m * max(3 * len(points), 2 * len(queries)) for points, _ in sets]
+        for run in _runs(widths):
+            fits = _gnb_fit(sets[run.start : run.stop])
+            scores[run.start : run.stop] = _gnb_score(fits, queries)
+        return scores
 
     def fit(self, features: np.ndarray, labels: np.ndarray):
-        features = np.asarray(features, dtype=np.float64)
-        minority = _binary_labels(labels) == 1
-        _check_lengths(features, minority)
-        n, n_minority = len(minority), int(np.count_nonzero(minority))
-        if not 0 < n_minority < n:
-            raise ParameterError("training data must contain both classes")
-        # Floor relative to the widest feature; absolute fallback keeps the
-        # posterior strictly inside (0, 1) even for all-constant features.
-        epsilon = VARIANCE_SMOOTHING * float(_mean_var(features)[1].max())
-        if epsilon == 0.0:
-            epsilon = VARIANCE_SMOOTHING
-        mean0, var0 = _mean_var(features[~minority])
-        mean1, var1 = _mean_var(features[minority])
-        self._priors = np.array([(n - n_minority) / n, n_minority / n])
-        self._means = np.array([mean0, mean1])
-        self._vars = np.array([var0, var1]) + epsilon
-        # Log prior plus the log of each class's Gaussian normaliser.
-        log_priors = np.array([math.log(self._priors[0]), math.log(self._priors[1])])
-        self._log_offset = log_priors + -0.5 * np.log(2.0 * np.pi * self._vars).sum(axis=1)
-        self._fitted = True
+        self._fits = _gnb_fit([self.training_set(features, labels)])
+        self._priors, self._means, self._vars = (part[0] for part in self._fits[:3])
         return self
 
     def score_samples(self, features: np.ndarray) -> np.ndarray:
-        if not self._fitted:
+        if self._fits is None:
             raise ParameterError("classifier is not fitted")
-        features = np.asarray(features, dtype=np.float64)
-        # Rows x classes x features: both classes in one broadcast.
-        sq = ((features[:, None, :] - self._means) ** 2 / self._vars).sum(axis=2)
-        jll = self._log_offset - 0.5 * sq
-        shifted = jll - jll.max(axis=1, keepdims=True)
+        return _gnb_score(self._fits, np.asarray(features, dtype=np.float64))[0]
+
+
+def _gnb_fit(sets):
+    """Gaussian naive Bayes fits of checked training sets, as arrays over the
+    sets: priors (sets x 2), class means and smoothed variances (sets x 2 x
+    m) and log offsets (sets x 2).
+
+    Each set's rows, majority rows and minority rows, in their order, are
+    three groups of one rows x sets x 3 x m array for :func:`_mean_var`.
+    """
+    points = np.concatenate([points for points, _ in sets])
+    minority = np.concatenate([labels for _, labels in sets]) == 1
+    sizes = np.array([len(points) for points, _ in sets])
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(sets)), sizes)
+    row = np.arange(len(points)) - starts[owner]
+    # Minority rows before each row in its own set, and so its row in its class.
+    before = np.cumsum(minority) - minority
+    before -= before[starts][owner]
+    n_minority = np.add.reduceat(minority, starts, dtype=np.intp)
+    counts = np.column_stack([sizes, sizes - n_minority, n_minority])
+    groups = np.full((sizes.max(), len(sets), 3, points.shape[1]), -0.0)
+    groups[row, owner, 0] = points
+    groups[np.where(minority, before, row - before), owner, 1 + minority] = points
+    means, variances = _mean_var(groups, counts)
+    # Floor relative to the widest feature; absolute fallback keeps the
+    # posterior strictly inside (0, 1) even for all-constant features.
+    epsilon = VARIANCE_SMOOTHING * variances[:, 0].max(axis=1)
+    epsilon[epsilon == 0.0] = VARIANCE_SMOOTHING
+    variances = variances[:, 1:] + epsilon[:, None, None]
+    priors = counts[:, 1:] / counts[:, :1]
+    # Log prior plus the log of each class's Gaussian normaliser.
+    log_priors = np.array([[math.log(p) for p in pair] for pair in priors.tolist()])
+    log_offset = log_priors + -0.5 * np.log(2.0 * np.pi * variances).sum(axis=2)
+    return priors, means[:, 1:], variances, log_offset
+
+
+def _gnb_score(fits, queries):
+    """Positive-class scores (sets x queries) of the fits from :func:`_gnb_fit`,
+    in blocks of query rows whose arrays stay within ``neighbors._BLOCK``."""
+    _, means, variances, log_offset = fits
+    scores = np.empty((len(means), len(queries)))
+    rows = max(1, neighbors._BLOCK // means.size)
+    for start in range(0, len(queries), rows):
+        block = queries[start : start + rows]
+        # Rows x sets x classes x features: every set and both classes in one broadcast.
+        sq = ((block[:, None, None, :] - means) ** 2 / variances).sum(axis=3)
+        jll = log_offset - 0.5 * sq
+        # The maximum and the sum over the two classes, as one call each.
+        shifted = jll - np.maximum(jll[..., :1], jll[..., 1:])
         probs = np.exp(shifted)
-        posterior = probs[:, 1] / probs.sum(axis=1)
+        posterior = probs[..., 1] / (probs[..., 0] + probs[..., 1])
         # The exact posterior is strictly inside (0, 1); keep it there even
         # when the likelihood ratio underflows double precision.
-        return np.clip(posterior, 1e-300, 1.0 - 1e-16)
+        scores[:, start : start + len(block)] = np.clip(posterior, 1e-300, 1.0 - 1e-16).T
+    return scores
 
 
 def predict_labels(scores) -> np.ndarray:

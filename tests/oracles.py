@@ -17,7 +17,7 @@ from rbu import BinaryTask, Dataset, FormatError, ParameterError, apply_resample
 from rbu.baselines import RENN_MAX_PASSES
 from rbu.dataio import FeatureMeta
 from rbu.evaluation import SELECTION_METRICS, binary_task_from_labels, make_folds
-from rbu.modeling import METRIC_NAMES, VARIANCE_SMOOTHING, make_classifier
+from rbu.modeling import METRIC_NAMES, VARIANCE_SMOOTHING
 from rbu.seeding import derive_seed
 
 
@@ -193,10 +193,27 @@ def naive_gnb(features, labels, queries, var_smoothing=VARIANCE_SMOOTHING):
     return means, variances, np.clip(posterior, 1e-300, 1.0 - 1e-16)
 
 
+def naive_knn_scores(features, labels, queries, k):
+    """k-NN positive-class scores from the full ``cdist`` matrix: each query's
+    first k points in a stable argsort of its distance row (ties to the
+    lowest index), averaged as 0/1 labels.  Refuses, with ValueError, an empty
+    set, k above its row count and NaN or infinite coordinates.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    labels = np.asarray(labels).astype(np.int64)
+    queries = np.asarray(queries, dtype=np.float64)
+    if not 1 <= k <= len(features):
+        raise ValueError(f"k={k} needs 1 to {len(features)} training rows")
+    if not (np.isfinite(features).all() and np.isfinite(queries).all()):
+        raise ValueError("coordinates must be finite")
+    order = np.argsort(cdist(queries, features), axis=1, kind="stable")[:, :k]
+    return labels[order].sum(axis=1) / k
+
+
 def naive_select_params(features, labels, grid, classifier, seed, inner_repeats=3, plan_seed=None):
     """Inner selection grid point by grid point, each fold rebuilding its task
-    and every resampler run from scratch, scored by ``naive_metrics`` (and
-    ``naive_gnb`` for the gnb classifier).
+    and every resampler run from scratch, scored by ``naive_metrics`` from
+    ``naive_gnb`` or ``naive_knn_scores`` (k = 5, the k-NN default).
 
     Returns (chosen spec, per-grid-point mean scores).
     """
@@ -221,7 +238,7 @@ def naive_select_params(features, labels, grid, classifier, seed, inner_repeats=
                 if classifier == "gnb":
                     scores = naive_gnb(fit_x, fit_y, test_x)[2]
                 else:
-                    scores = make_classifier(classifier).fit(fit_x, fit_y).score_samples(test_x)
+                    scores = naive_knn_scores(fit_x, fit_y, test_x, k=5)
                 metrics = naive_metrics(labels[test_idx], scores > 0.5, scores)
                 combined = 0.0
                 for name in SELECTION_METRICS:

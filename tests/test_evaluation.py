@@ -22,7 +22,13 @@ from rbu import (
 from rbu import baselines, evaluation, neighbors, radial
 from rbu.evaluation import binary_task_from_labels, check_no_leakage, inner_scores
 from rbu.grids import named_specs, preset_grids
-from rbu.modeling import METRIC_NAMES, compute_metrics, make_classifier
+from rbu.modeling import (
+    METRIC_NAMES,
+    GaussianNbClassifier,
+    KnnClassifier,
+    compute_metrics,
+    make_classifier,
+)
 from rbu.potential import TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM
 from rbu.radial import RbuParams, rbu_kept_indices
 from rbu.seeding import derive_seed
@@ -282,30 +288,90 @@ class TestFoldMajorSelection:
         grid = [ResampleSpec("none"), ResampleSpec("rus", {"ratio": 0.5}),
                 ResampleSpec("rus", {"ratio": 1.0}), ResampleSpec("ros", {"ratio": 1.0})]
         want = inner_one(features, labels, grid, "gnb", seed=5)
-        original = evaluation._fit_and_score
-        calls = []
+        original_set = GaussianNbClassifier.training_set
+        original_scores = GaussianNbClassifier.score_sets
+        calls, batches = [], []
 
-        def patched(classifier, fit_x, fit_y, test_x):
-            # Every resampler succeeds, so calls run fold by fold, grid point
-            # by point: cell is (fold, grid point).
+        def training_set(self, fit_x, fit_y):
+            # Every resampler succeeds, so sets are made fold by fold, grid
+            # point by grid point: cell is (fold, grid point).
             cell = divmod(len(calls), len(grid))
             calls.append(cell)
             if cell == (0, 1):
                 raise ParameterError("fit refused")
-            preds, scores = original(classifier, fit_x, fit_y, test_x)
-            if cell in ((2, 3), (4, 0)):
-                scores = scores.copy()
-                scores[3] = np.nan if cell == (2, 3) else np.inf
-            return preds, scores
+            return original_set(self, fit_x, fit_y)
 
-        monkeypatch.setattr(evaluation, "_fit_and_score", patched)
+        def score_sets(self, sets, test_x):
+            # One batch per fold, a row per grid point whose set was made.
+            fold = len(batches)
+            batches.append(len(sets))
+            scores = original_scores(self, sets, test_x)
+            if fold == 2:
+                scores[3, 3] = np.nan  # grid point 3
+            if fold == 4:
+                scores[0, 3] = np.inf  # grid point 0
+            return scores
+
+        monkeypatch.setattr(GaussianNbClassifier, "training_set", training_set)
+        monkeypatch.setattr(GaussianNbClassifier, "score_sets", score_sets)
         got = inner_one(features, labels, grid, "gnb", seed=5)
         assert len(calls) == 6 * len(grid)
+        assert batches == [len(grid) - 1] + [len(grid)] * 5
         refused = [(1, 0), (3, 2), (0, 4)]  # (grid point, fold)
         assert all(want[cell] > 0 for cell in refused)
         for cell in refused:
             want[cell] = 0.0
         np.testing.assert_array_equal(got, want)
+
+    def test_error_in_one_cells_batch_fails_that_cell_alone(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        features, labels = imbalanced_dataset(rng, 36, 12)
+        grids = preset_grids("paper-final")
+        cells = [(grids["rus"], "knn", 1), (grids["smote"], "knn", 2), (grids["rus"], "gnb", 3)]
+        want = inner_scores(features, labels, cells, plan_seed=8)
+        original = KnnClassifier.score_sets
+        batches = []
+
+        def score_sets(self, sets, test_x):
+            # k-NN batches run fold by fold, cell 0 before cell 1: the fourth
+            # is cell 1's on fold 1.
+            batches.append(len(sets))
+            if len(batches) == 4:
+                raise RuntimeError("batch broke")
+            return original(self, sets, test_x)
+
+        monkeypatch.setattr(KnnClassifier, "score_sets", score_sets)
+        got = inner_scores(features, labels, cells, plan_seed=8)
+        assert isinstance(got[1], RuntimeError) and str(got[1]) == "batch broke"
+        # Cell 1 runs on no later fold; cell 0 runs on all six.
+        assert len(batches) == 2 + 2 + 4
+        for cell_idx in (0, 2):
+            np.testing.assert_array_equal(got[cell_idx], want[cell_idx])
+            grid, classifier, seed = cells[cell_idx]
+            _, means = naive_select_params(features, labels, grid, classifier, seed, plan_seed=8)
+            assert [float(np.mean(row)) for row in got[cell_idx]] == means
+
+    @pytest.mark.parametrize("classifier", ["knn", "gnb"])
+    def test_non_finite_set_is_refused_alone(self, classifier, monkeypatch):
+        # SMOTE rows holding inf: that grid point scores 0 on every fold, and
+        # no warning or NaN reaches the other sets of its batch.
+        rng = np.random.default_rng(66)
+        features, labels = imbalanced_dataset(rng, 36, 12)
+        grid = [ResampleSpec("none"), ResampleSpec("smote", {"k": 3, "ratio": 1.0}),
+                ResampleSpec("rus", {"ratio": 1.0})]
+        want = inner_one(features, labels, grid, classifier, seed=7)
+        original = baselines.smote_synthetic
+
+        def smote(*args, **kwargs):
+            synthetic = original(*args, **kwargs).copy()
+            synthetic[0, 0] = np.inf
+            return synthetic
+
+        monkeypatch.setattr(baselines, "smote_synthetic", smote)
+        got = inner_one(features, labels, grid, classifier, seed=7)
+        assert (want[1] > 0).all()
+        np.testing.assert_array_equal(got[1], np.zeros(6))
+        np.testing.assert_array_equal(got[[0, 2]], want[[0, 2]])
 
     def test_fold_without_both_classes_scores_zero_everywhere(self):
         # The metrics refuse the fold's own labels, so no grid point scores.
