@@ -17,7 +17,6 @@ pipelines (SMOTE+Tomek, SMOTE+ENN).
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
@@ -26,7 +25,7 @@ import numpy as np
 from . import radial
 from .dataio import BinaryTask
 from .errors import ParameterError
-from .neighbors import _MAX_ROUNDS, for_each_block, nearest_neighbors
+from .neighbors import _MAX_ROUNDS, for_each_block, integer_k, nearest_neighbors
 from .potential import TIE_LOWEST_INDEX
 from .radial import RbuParams, rbu_kept_indices, removal_count
 from .seeding import derive_seed
@@ -62,9 +61,7 @@ class ResampleSpec:
             if default is REQUIRED and name not in self.params:
                 raise ParameterError(f"{self.method} requires parameter {name!r}")
         if "k" in self.params:
-            k = self.params["k"]
-            if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer():
-                raise ParameterError(f"k must be an integer, got {k!r}")
+            integer_k(self.params["k"])
 
     @property
     def label(self) -> str:
@@ -79,7 +76,7 @@ class ResampleSpec:
         args = {**METHODS[self.method].params, **self.params}
         args.pop("seed", None)
         if "k" in args:
-            args["k"] = int(args["k"])
+            args["k"] = integer_k(args["k"])
         return args
 
 
@@ -255,72 +252,54 @@ def near_miss_kept_indices(task: BinaryTask, k: int, ratio: float) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# The method table: spec dispatch with index bookkeeping
+# The method table: spec dispatch, each runner returning the resampled task
 
 
-@dataclass(frozen=True)
-class ResampleOutcome:
-    """Resampling result in terms of the original task.
-
-    The output task's points are ``vstack([task.points, synthetic])[rows]``:
-    its first ``n_majority`` rows are the surviving majority rows, the rest
-    are original minority rows, their copies and synthetic points, in
-    output order.
-    """
-
-    rows: np.ndarray
-    n_majority: int
-    synthetic: np.ndarray
-
-    def resampled_task(self, task: BinaryTask) -> BinaryTask:
-        pool = np.vstack([task.points, self.synthetic]) if len(self.synthetic) else task.points
-        # The gather is a fresh array, which the new task owns uncopied.
-        return BinaryTask._stacked(
-            pool[self.rows], self.n_majority, task.minority_label, task.majority_label
-        )
+def _gathered(task: BinaryTask, rows, n_majority) -> BinaryTask:
+    """The task of ``task.points[rows]``, whose first ``n_majority`` rows are
+    majority rows; each point keeps its dataset row."""
+    source_rows = None if task.source_rows is None else task.source_rows[rows]
+    # The gather is a fresh array, which the new task owns uncopied.
+    return BinaryTask._stacked(
+        task.points[rows], n_majority, task.minority_label, task.majority_label, source_rows
+    )
 
 
-def _kept(task: BinaryTask, survivors) -> ResampleOutcome:
-    """An undersampler's outcome: the minority passes through."""
+def _kept(task: BinaryTask, survivors) -> BinaryTask:
+    """An undersampler's result: the minority passes through."""
     rows = np.concatenate([survivors, np.arange(task.n_majority, len(task.points))])
-    return ResampleOutcome(rows, len(survivors), np.empty((0, task.m)))
+    return _gathered(task, rows, len(survivors))
 
 
-def _copied(task: BinaryTask, picks) -> ResampleOutcome:
-    """ROS's outcome: the task followed by copies of the picked minority rows."""
+def _copied(task: BinaryTask, picks) -> BinaryTask:
+    """ROS's result: the task followed by copies of the picked minority rows."""
     rows = np.concatenate([np.arange(len(task.points)), task.n_majority + picks])
-    return ResampleOutcome(rows, task.n_majority, np.empty((0, task.m)))
+    return _gathered(task, rows, task.n_majority)
 
 
-def _synthesized(task: BinaryTask, synthetic) -> ResampleOutcome:
-    """An oversampler's outcome: the task followed by new points."""
-    rows = np.arange(len(task.points) + len(synthetic))
-    return ResampleOutcome(rows, task.n_majority, synthetic)
+def _synthesized(task: BinaryTask, synthetic) -> BinaryTask:
+    """An oversampler's result: the task followed by new points, whose
+    dataset row is -1."""
+    source_rows = task.source_rows
+    if source_rows is not None:
+        source_rows = np.concatenate([source_rows, np.full(len(synthetic), -1)])
+    return BinaryTask._stacked(
+        np.concatenate([task.points, synthetic]), task.n_majority, task.minority_label,
+        task.majority_label, source_rows,
+    )
 
 
-def _compose(task: BinaryTask, spec: ResampleSpec, seed, shared) -> ResampleOutcome:
+def _compose(task: BinaryTask, spec: ResampleSpec, seed, shared) -> BinaryTask:
     """Stages left to right, each on the previous stage's output; stage i
     draws from ``derive_seed(seed, i)``.  Only stage 0 sees ``task`` itself,
     so only it gets ``shared``."""
-    outcome, current = _kept(task, np.arange(task.n_majority)), task
     for i, stage in enumerate(spec.stages):
-        if i:
-            current = outcome.resampled_task(task)
-        step = apply_resample_detail(
-            current, stage, derive_seed(seed, i), shared=None if i else shared
-        )
-        # Row j of the current task is row rows[j] of the original pool; the
-        # step's synthetic points extend that pool.
-        first_new = len(task.points) + len(outcome.synthetic)
-        lookup = np.concatenate([outcome.rows, first_new + np.arange(len(step.synthetic))])
-        outcome = ResampleOutcome(
-            lookup[step.rows], step.n_majority, np.vstack([outcome.synthetic, step.synthetic])
-        )
-    return outcome
+        task = apply_resample(task, stage, derive_seed(seed, i), shared=None if i else shared)
+    return task
 
 
-def _rbu(task: BinaryTask, spec: ResampleSpec, seed, shared) -> ResampleOutcome:
-    """RBU's outcome.  The greedy loop for ratio r takes the first
+def _rbu(task: BinaryTask, spec: ResampleSpec, seed, shared) -> BinaryTask:
+    """RBU's result.  The greedy loop for ratio r takes the first
     ``removal_count(r)`` steps of the loop for ratio 1.0, so with ``shared``
     one ratio-1.0 removal order per (gamma, tie rule, tie seed) serves every
     ratio."""
@@ -336,7 +315,7 @@ def _rbu(task: BinaryTask, spec: ResampleSpec, seed, shared) -> ResampleOutcome:
     return _kept(task, np.delete(np.arange(task.n_majority), order[:n_remove]))
 
 
-def _kept_once(task: BinaryTask, spec: ResampleSpec, shared, kept) -> ResampleOutcome:
+def _kept_once(task: BinaryTask, spec: ResampleSpec, shared, kept) -> BinaryTask:
     """An undersampler whose kept indices ``kept()`` depend on the task and
     the spec's arguments alone: with ``shared``, once per argument set."""
     return _kept(task, _reuse(shared, (spec.method, *spec.args.values()), kept))
@@ -348,7 +327,7 @@ class Method:
     REQUIRED), and how a spec of it runs: ``run(task, spec, seed, shared)``."""
 
     params: dict
-    run: Callable[[BinaryTask, ResampleSpec, object, dict | None], ResampleOutcome]
+    run: Callable[[BinaryTask, ResampleSpec, object, dict | None], BinaryTask]
 
 
 # The runners look the index functions up by name when called, so that
@@ -400,20 +379,15 @@ METHODS = {
 }
 
 
-def apply_resample_detail(
-    task: BinaryTask, spec: ResampleSpec, seed=None, shared=None
-) -> ResampleOutcome:
-    """Run a spec and report which rows survived / were added.
+def apply_resample(task: BinaryTask, spec: ResampleSpec, seed=None, shared=None) -> BinaryTask:
+    """Run a spec and return the resampled task.
 
-    ``shared`` is a dict owned by one training task (one inner fold of
-    parameter selection).  Runners keep there what depends on that task
-    alone (an RBU removal order, a SMOTE neighbour table, the kept indices
-    of ENN, RENN and NearMiss), so that other specs run on the same task
-    reuse it; results are identical with or without it.
+    The result's ``source_rows`` is each point's dataset row, -1 for a point
+    the spec made, or None when ``task`` has none.  ``shared`` is a dict
+    owned by one training task (one inner fold of parameter selection).
+    Runners keep there what depends on that task alone (an RBU removal
+    order, a SMOTE neighbour table, the kept indices of ENN, RENN and
+    NearMiss), so that other specs run on the same task reuse it; results
+    are identical with or without it.
     """
     return METHODS[spec.method].run(task, spec, spec.params.get("seed", seed), shared)
-
-
-def apply_resample(task: BinaryTask, spec: ResampleSpec, seed=None, shared=None) -> BinaryTask:
-    """Run a spec and return the resampled task."""
-    return apply_resample_detail(task, spec, seed=seed, shared=shared).resampled_task(task)

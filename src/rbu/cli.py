@@ -17,7 +17,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .baselines import METHODS, apply_resample_detail
+from .baselines import METHODS
+# perfbench/tracing.py patches this name; --trace 1 fails without it.
+from .baselines import apply_resample as apply_resample_detail
 from .dataio import (
     Dataset,
     apply_standardizer,
@@ -143,22 +145,21 @@ def main():
 # resample
 
 
-def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, outcome) -> Dataset:
+def rebuild_dataset(raw: Dataset, encoded: Dataset, scaler, task, result) -> Dataset:
     """Assemble the resampled dataset in the raw value space.
 
-    Surviving original rows keep their file order and exact cell values;
-    duplicated and synthetic rows are appended at the end.  Synthetic points
-    are mapped back through the standardizer, with categorical coordinates
-    snapped to the nearest valid code.
+    ``result`` is ``task`` resampled.  Surviving original rows keep their
+    file order and exact cell values; duplicated and synthetic rows are
+    appended at the end.  Synthetic points are mapped back through the
+    standardizer, with categorical coordinates snapped to the nearest valid
+    code.
     """
-    n, rows = len(task.points), outcome.rows
-    copies = np.bincount(rows[rows < n], minlength=n)
-    keep = np.zeros(raw.n, dtype=bool)
-    keep[task.source_rows[copies > 0]] = True
-    duplicates = np.repeat(task.source_rows, np.maximum(copies - 1, 0))
-    source = np.concatenate([np.flatnonzero(keep), duplicates])
+    made = result.source_rows < 0
+    copies = np.bincount(result.source_rows[~made], minlength=raw.n)
+    duplicates = np.repeat(task.source_rows, np.maximum(copies[task.source_rows] - 1, 0))
+    source = np.concatenate([np.flatnonzero(copies), duplicates])
 
-    synthetic = scaler.inverse_transform(outcome.synthetic[rows[rows >= n] - n])
+    synthetic = scaler.inverse_transform(result.points[made])
     # A float raw matrix holds numeric columns only, which decode to floats.
     decoded = np.empty(synthetic.shape, dtype=raw.features.dtype)
     for j, meta in enumerate(encoded.feature_meta):
@@ -211,13 +212,13 @@ def resample(input_path, method, gamma, ratio, k, clean_k, tie_rule, output,
     encoded = encode_categoricals(raw)
     scaler = fit_standardizer(encoded)
     task = split_binary(apply_standardizer(scaler, encoded), minority_label)
-    outcome = apply_resample_detail(task, spec, seed=seed)
-    result = rebuild_dataset(raw, encoded, scaler, task, outcome)
-    text = serialize_keel(result, relation="resampled") if fmt == "keel" else serialize_csv(result)
+    result = apply_resample_detail(task, spec, seed=seed)
+    rebuilt = rebuild_dataset(raw, encoded, scaler, task, result)
+    text = serialize_keel(rebuilt, relation="resampled") if fmt == "keel" else serialize_csv(rebuilt)
 
     summary = (
-        f"majority: {task.n_majority} -> {outcome.n_majority}\n"
-        f"minority: {task.n_minority} -> {len(outcome.rows) - outcome.n_majority}"
+        f"majority: {task.n_majority} -> {result.n_majority}\n"
+        f"minority: {task.n_minority} -> {result.n_minority}"
     )
     if output:
         Path(output).write_text(text)

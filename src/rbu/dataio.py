@@ -78,7 +78,9 @@ class BinaryTask:
     ``majority`` and ``minority`` are views of ``points``, into which the
     constructor copies its inputs once (``_stacked`` takes an array over
     uncopied); ``labels01`` is each row's class (0/1).
-    ``source_rows``, set by :func:`split_binary`, is each point's dataset row.
+    ``source_rows`` is each point's dataset row, as :func:`split_binary` sets
+    it, or -1 for a point a resampler made; it is None for a task without a
+    dataset.
     """
 
     points: np.ndarray
@@ -99,11 +101,12 @@ class BinaryTask:
                   majority_label, source_rows)
 
     @classmethod
-    def _stacked(cls, points, n_majority, minority_label, majority_label):
-        """A task that takes ``points`` (majority rows, then minority) as its
-        own, uncopied: no one else may hold or change the array."""
+    def _stacked(cls, points, n_majority, minority_label, majority_label, source_rows):
+        """A task that takes ``points`` (majority rows, then minority) and
+        ``source_rows`` as its own, uncopied: no one else may hold or change
+        the arrays."""
         task = object.__new__(cls)
-        task._own(points, n_majority, minority_label, majority_label, None)
+        task._own(points, n_majority, minority_label, majority_label, source_rows)
         return task
 
     def _own(self, points, n_majority, minority_label, majority_label, source_rows):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataio import BinaryTask, Dataset, DatasetStats, apply_standardizer, encode_categoricals, fit_standardizer, split_binary
 from .errors import ParameterError
-from .neighbors import nearest_neighbors
+from .neighbors import integer_k, nearest_neighbors
 
 CATEGORIES = ("safe", "borderline", "rare", "outlier")
 
@@ -53,6 +53,7 @@ def categorize_minority(task: BinaryTask, k: int = 5, p: float = 2.0) -> Minorit
     Minkowski-p metric (p > 0; p = inf is Chebyshev); distance ties go to the
     lowest index.
     """
+    k = integer_k(k)
     if k < 1:
         raise ParameterError(f"k must be >= 1, got {k}")
     if not p > 0:

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import neighbors
 from .errors import ParameterError
-from .neighbors import _nearest_block, check_finite, for_each_block, nearest_neighbors
+from .neighbors import _nearest_block, check_finite, for_each_block, integer_k, nearest_neighbors
 
 VARIANCE_SMOOTHING = 1e-9
 
@@ -61,6 +61,7 @@ class KnnClassifier:
     """k-nearest-neighbors with the minority fraction as the score."""
 
     def __init__(self, k: int = 5):
+        k = integer_k(k)
         if k < 1:
             raise ParameterError(f"k must be >= 1, got {k}")
         self.k = k
@@ -190,7 +191,6 @@ class GaussianNbClassifier:
 
     def fit(self, features: np.ndarray, labels: np.ndarray):
         self._fits = _gnb_fit([self.training_set(features, labels)])
-        self._priors, self._means, self._vars = (part[0] for part in self._fits[:3])
         return self
 
     def score_samples(self, features: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ query and compute whole rows only for the queries it cannot settle.
 
 from __future__ import annotations
 
+import numbers
 import os
 from threading import Lock, Thread
 
@@ -83,6 +84,14 @@ def check_finite(*arrays) -> None:
     for values in arrays:
         if not np.isfinite(values).all():
             raise ParameterError("coordinates must be finite (no NaN or infinity)")
+
+
+def integer_k(k) -> int:
+    """A neighbour count ``k`` as an int; an integral float passes, a bool
+    or any other value raises ParameterError."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer():
+        raise ParameterError(f"k must be an integer, got {k!r}")
+    return int(k)
 
 
 def single_thread_blocks() -> None:

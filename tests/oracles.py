@@ -13,10 +13,11 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
-from rbu import BinaryTask, Dataset, FormatError, ParameterError, apply_resample
-from rbu.baselines import RENN_MAX_PASSES
+from rbu import BinaryTask, Dataset, FormatError, ParameterError, ResampleSpec, apply_resample
+from rbu.baselines import METHODS, RENN_MAX_PASSES
 from rbu.dataio import FeatureMeta
 from rbu.evaluation import SELECTION_METRICS, binary_task_from_labels, make_folds
+from rbu.grids import named_specs
 from rbu.modeling import METRIC_NAMES, VARIANCE_SMOOTHING
 from rbu.seeding import derive_seed
 
@@ -319,23 +320,41 @@ def naive_stack(task):
     return features, labels
 
 
-def naive_rebuild(raw, encoded, scaler, task, outcome):
+# The method table's names, with "pipeline" standing for ROS then SMOTE (copied
+# and synthetic rows in one result), and the stl and senn pipelines.
+RESAMPLE_NAMES = sorted(METHODS) + ["stl", "senn"]
+
+
+def resample_spec(name, ratio, k):
+    """A spec of one of ``RESAMPLE_NAMES`` with the given ratio and k, where
+    it takes them; RBU runs with gamma 1."""
+    if name in ("stl", "senn"):
+        (spec,) = named_specs(name, {"k": [k], "ratio": [ratio]}, k)
+        return spec
+    if name == "pipeline":
+        return ResampleSpec("pipeline", stages=(
+            ResampleSpec("ros", {"ratio": ratio}), ResampleSpec("smote", {"k": k, "ratio": 1.0}),
+        ))
+    given_params = {"ratio": ratio, "k": k, "gamma": 1.0}
+    return ResampleSpec(name, {p: v for p, v in given_params.items() if p in METHODS[name].params})
+
+
+def naive_rebuild(raw, encoded, scaler, task, result):
     """``cli.rebuild_dataset``'s rows, one at a time, as (cells, label) pairs.
 
-    Every dataset row the outcome uses at least once comes first, in file
+    Every dataset row the result uses at least once comes first, in file
     order; then one more copy of a minority row for each further use of it,
-    in minority order; then each synthetic point, in outcome order, mapped
-    back through the standardizer cell by cell, a categorical cell snapped
-    to the nearest code (halves to even) within the declared codes.
+    in minority order; then each synthetic point (dataset row -1), in result
+    order, mapped back through the standardizer cell by cell, a categorical
+    cell snapped to the nearest code (halves to even) within the declared
+    codes.
     """
-    n_points = task.n_majority + task.n_minority
     uses, synthetic = {}, []
-    for row in outcome.rows:
-        if row < n_points:
-            source = int(task.source_rows[row])
-            uses[source] = uses.get(source, 0) + 1
+    for point, source in zip(result.points, result.source_rows):
+        if source >= 0:
+            uses[int(source)] = uses.get(int(source), 0) + 1
         else:
-            synthetic.append(outcome.synthetic[row - n_points])
+            synthetic.append(point)
     order = [i for i in range(raw.n) if uses.get(i, 0) > 0]
     for source in task.source_rows[task.n_majority :]:
         order += [int(source)] * (uses.get(int(source), 0) - 1)
@@ -350,6 +369,21 @@ def naive_rebuild(raw, encoded, scaler, task, outcome):
             cells.append(value)
         expected.append((cells, task.minority_label))
     return expected
+
+
+def numbered(task):
+    """``task`` whose dataset rows are its own row numbers, so that a
+    resampled task's ``source_rows`` index ``task.points``."""
+    return BinaryTask(task.majority, task.minority, task.minority_label, task.majority_label,
+                      source_rows=np.arange(len(task.points)))
+
+
+def with_synthetic(task, synthetic):
+    """``task`` followed by the minority points ``synthetic``, which come
+    from no dataset row (-1), as an oversampler's result is."""
+    return BinaryTask(task.majority, np.vstack([task.minority, synthetic]), task.minority_label,
+                      task.majority_label,
+                      source_rows=np.concatenate([task.source_rows, np.full(len(synthetic), -1)]))
 
 
 def make_task(majority, minority):

@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from rbu import (
+    BinaryTask,
     ParameterError,
     RbuParams,
     ResampleSpec,
     apply_resample,
+    apply_standardizer,
+    encode_categoricals,
+    fit_standardizer,
+    parse_csv,
     rbu_undersample,
+    split_binary,
 )
 from rbu import baselines, neighbors
 from rbu.baselines import (
-    apply_resample_detail,
     enn_kept_indices,
     near_miss_kept_indices,
     renn_kept_indices,
@@ -25,14 +30,18 @@ from rbu.baselines import (
     smote_synthetic,
     tomek_kept_indices,
 )
+from rbu.seeding import derive_seed
 
 from oracles import (
+    RESAMPLE_NAMES,
     argsort_smote_synthetic,
     make_task,
     naive_pipeline,
     naive_renn_kept,
     naive_tomek_kept,
+    numbered,
     random_task,
+    resample_spec,
 )
 
 
@@ -407,19 +416,20 @@ class TestOutcome:
     def test_rows_rebuild_the_resampled_task(self, method):
         rng = np.random.default_rng(19)
         for seed in range(4):
-            task = random_task(rng, 24, 7, 2, spread=1.0)
-            detail = apply_resample_detail(task, EVERY_METHOD[method], seed=seed)
+            task = numbered(random_task(rng, 24, 7, 2, spread=1.0))
             out = apply_resample(task, EVERY_METHOD[method], seed=seed)
-            points = np.vstack([task.majority, task.minority, detail.synthetic])[detail.rows]
-            assert points[: detail.n_majority].tobytes() == out.majority.tobytes()
-            assert points[detail.n_majority :].tobytes() == out.minority.tobytes()
+            rows = out.source_rows
+            assert len(rows) == len(out.points)
+            # Every point not made by the method is the task row it names.
+            assert out.points[rows >= 0].tobytes() == task.points[rows[rows >= 0]].tobytes()
             # The new task's classes are views of its own, fresh points.
             assert out.majority.base is out.points and out.minority.base is out.points
             assert not np.shares_memory(out.points, task.points)
             # Majority rows come from the majority, the rest from the minority
-            # and the synthetic points.
-            assert (detail.rows[: detail.n_majority] < task.n_majority).all()
-            assert (detail.rows[detail.n_majority :] >= task.n_majority).all()
+            # or the method.
+            majority, minority = rows[: out.n_majority], rows[out.n_majority :]
+            assert ((0 <= majority) & (majority < task.n_majority)).all()
+            assert ((minority >= task.n_majority) | (minority == -1)).all()
 
 
 class TestPipeline:
@@ -434,11 +444,10 @@ class TestPipeline:
             out = apply_resample(task, spec, seed=seed)
             assert out.majority.tobytes() == expected.majority.tobytes()
             assert out.minority.tobytes() == expected.minority.tobytes()
-            # The detail rebuilds both classes from the original task.
-            detail = apply_resample_detail(task, spec, seed=seed)
-            points = np.vstack([task.majority, task.minority, detail.synthetic])[detail.rows]
-            assert points[: detail.n_majority].tobytes() == expected.majority.tobytes()
-            assert points[detail.n_majority :].tobytes() == expected.minority.tobytes()
+            # Its source rows name the original task's rows it kept or copied.
+            rows = apply_resample(numbered(task), spec, seed=seed).source_rows
+            kept = expected.points[rows >= 0]
+            assert kept.tobytes() == task.points[rows[rows >= 0]].tobytes()
 
     def test_singleton_equals_direct_call(self):
         rng = np.random.default_rng(13)
@@ -647,3 +656,66 @@ def test_oversamplers_extend_minority_and_leave_majority(extra, n_min, method, s
     np.testing.assert_array_equal(out.majority, task.majority)
     np.testing.assert_array_equal(out.minority[: task.n_minority], task.minority)
     assert len(out.minority) == task.n_majority
+
+
+def synthetic_count(task, spec, seed):
+    """The points the SMOTE stages of ``spec`` add to ``task``, from the
+    sizes of each stage's input and output."""
+    pipeline = spec.method == "pipeline"
+    count = 0
+    for i, stage in enumerate(spec.stages if pipeline else (spec,)):
+        out = apply_resample(task, stage, seed=derive_seed(seed, i) if pipeline else seed)
+        if stage.method == "smote":
+            count += len(out.points) - len(task.points)
+        task = out
+    return count
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-3, 3),  # repeated values make distance ties
+            st.floats(-10, 10, allow_nan=False),
+            st.booleans(),  # a minority row, anywhere in the file
+        ),
+        min_size=6,
+        max_size=24,
+    ).filter(lambda rs: 2 <= sum(r[2] for r in rs) <= len(rs) / 2),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.integers(1, 4),
+    st.integers(0, 2**32),
+)
+def test_source_rows_name_the_standardized_dataset_rows(rows, ratio, k, seed):
+    text = "x,y,class\n" + "".join(
+        f"{x},{y!r},{'pos' if minority else 'neg'}\n" for x, y, minority in rows
+    )
+    encoded = encode_categoricals(parse_csv(text))
+    standardized = apply_standardizer(fit_standardizer(encoded), encoded)
+    task = split_binary(standardized, "pos")
+    bare = BinaryTask(task.majority, task.minority, task.minority_label, task.majority_label)
+    shared = {}  # one dict for every spec, as in an inner fold
+    for name in RESAMPLE_NAMES:
+        spec = resample_spec(name, ratio, k)
+        try:
+            out = apply_resample(task, spec, seed=seed)
+        except ParameterError:
+            continue  # the method refuses this task
+        source = out.source_rows
+        made = source == -1
+        assert len(source) == len(out.points) and (made | (source >= 0)).all()
+        assert out.points[~made].tobytes() == standardized.features[source[~made]].tobytes()
+        assert not made[: out.n_majority].any()
+        assert (standardized.labels[source[: out.n_majority]] == "neg").all()
+        minority = source[out.n_majority :][~made[out.n_majority :]]
+        assert (standardized.labels[minority] == "pos").all()
+        assert np.count_nonzero(made) == synthetic_count(task, spec, seed)
+
+        reused = apply_resample(task, spec, seed=seed, shared=shared)
+        assert reused.points.tobytes() == out.points.tobytes()
+        assert reused.n_majority == out.n_majority
+        np.testing.assert_array_equal(reused.source_rows, source)
+
+        unnumbered = apply_resample(bare, spec, seed=seed)
+        assert unnumbered.source_rows is None
+        assert unnumbered.points.tobytes() == out.points.tobytes()

@@ -13,10 +13,11 @@ from rbu import (
     parse_keel,
     split_binary,
 )
-from rbu.baselines import ResampleOutcome
 from rbu.cli import flag_grids, main, rebuild_dataset
 from rbu.errors import ParameterError
 from rbu.grids import DEFAULT_CLEAN_K, METHOD_NAMES, PRESETS, named_specs, preset_grids
+
+from oracles import with_synthetic
 
 KEEL_IMBALANCED_HEADER = (
     "@relation toy\n"
@@ -264,12 +265,8 @@ def test_rebuild_snaps_synthetic_categories_to_valid_codes():
     task = split_binary(apply_standardizer(scaler, encoded))
     # Colour codes: red 0, blue 1, green 2.  Halves round to even.
     points = np.array([[0.5, -2.0], [1.5, 2.4], [2.5, 9.0], [3.0, 0.5], [3.5, 1.5]])
-    outcome = ResampleOutcome(
-        rows=np.arange(len(task.points) + len(points)),
-        n_majority=task.n_majority,
-        synthetic=scaler.transform(points),
-    )
-    result = rebuild_dataset(raw, encoded, scaler, task, outcome)
+    resampled = with_synthetic(task, scaler.transform(points))
+    result = rebuild_dataset(raw, encoded, scaler, task, resampled)
     assert list(result.features[-5:, 1]) == ["red", "green", "green", "red", "green"]
     np.testing.assert_allclose(result.features[-5:, 0].astype(float), points[:, 0])
     assert list(result.labels[-5:]) == ["pos"] * 5

@@ -21,7 +21,6 @@ from rbu import (
     serialize_keel,
     split_binary,
 )
-from rbu.baselines import ResampleOutcome
 from rbu.cli import rebuild_dataset
 from rbu.dataio import FeatureMeta
 
@@ -31,6 +30,7 @@ from oracles import (
     naive_read_rows,
     naive_serialize_csv,
     naive_serialize_keel,
+    with_synthetic,
 )
 
 KEEL_TOY = """\
@@ -334,11 +334,14 @@ class TestBinaryTask:
 
     def test_stacked_takes_its_array_over(self):
         points = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0], [6.0, 7.0], [8.0, 9.0]])
-        task = BinaryTask._stacked(points, 3, "pos", "neg")
+        source_rows = np.array([4, 0, 2, -1, 1])
+        task = BinaryTask._stacked(points, 3, "pos", "neg", source_rows)
         assert task.points is points and task.majority.base is points
+        assert task.source_rows is source_rows
         assert (task.n_majority, task.n_minority, task.minority_label) == (3, 2, "pos")
-        assert task.majority_label == "neg" and task.source_rows is None
+        assert task.majority_label == "neg"
         np.testing.assert_array_equal(task.minority, points[3:])
+        assert BinaryTask._stacked(points, 3, "pos", "neg", None).source_rows is None
 
     @pytest.mark.parametrize(
         "majority, minority, message",
@@ -677,12 +680,8 @@ class TestWritersMatchPerCellOracle:
         encoded = encode_categoricals(raw)
         scaler = fit_standardizer(encoded)
         task = split_binary(apply_standardizer(scaler, encoded))
-        outcome = ResampleOutcome(
-            rows=np.arange(len(task.points) + len(points)),
-            n_majority=task.n_majority,
-            synthetic=scaler.transform(np.array(points)),
-        )
-        d = rebuild_dataset(raw, encoded, scaler, task, outcome)
+        resampled = with_synthetic(task, scaler.transform(np.array(points)))
+        d = rebuild_dataset(raw, encoded, scaler, task, resampled)
         assert serialize_keel(d) == naive_serialize_keel(d)
         assert serialize_csv(d) == naive_serialize_csv(d)
 

@@ -32,7 +32,7 @@ from rbu.modeling import (
 from rbu.potential import TIE_LOWEST_INDEX, TIE_SEEDED_RANDOM
 from rbu.radial import RbuParams, rbu_kept_indices
 from rbu.seeding import derive_seed
-from rbu.baselines import apply_resample, apply_resample_detail
+from rbu.baselines import apply_resample
 
 from oracles import (
     make_task,
@@ -40,6 +40,7 @@ from oracles import (
     naive_report_ranks,
     naive_select_params,
     naive_stack,
+    numbered,
     random_task,
 )
 
@@ -389,10 +390,16 @@ def tie_heavy_task(rng, n_majority, n_minority):
     )
 
 
+def fold_tasks(rng):
+    """A random and a tie-heavy task, numbered so that a result's
+    ``source_rows`` say which of their rows it holds."""
+    return [numbered(random_task(rng, 30, 9, 2)), numbered(tie_heavy_task(rng, 30, 9))]
+
+
 def assert_same_outcome(got, want):
-    np.testing.assert_array_equal(got.rows, want.rows)
+    assert got.points.tobytes() == want.points.tobytes()
     assert got.n_majority == want.n_majority
-    np.testing.assert_array_equal(got.synthetic, want.synthetic)
+    np.testing.assert_array_equal(got.source_rows, want.source_rows)
 
 
 class TestSharedFoldWork:
@@ -405,39 +412,36 @@ class TestSharedFoldWork:
         "tie_rule, tie_seed", [(TIE_LOWEST_INDEX, None), (TIE_SEEDED_RANDOM, 11)]
     )
     def test_rbu_shared_order_matches_plain_run_at_every_ratio(self, tie_rule, tie_seed):
-        rng = np.random.default_rng(57)
-        tasks = [random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)]
-        for task in tasks:
+        for task in fold_tasks(np.random.default_rng(57)):
             shared = {}
             for gamma in (0.5, 2.0):
                 for ratio in self.RATIOS:
                     params = {"gamma": gamma, "ratio": ratio, "tie_rule": tie_rule,
                               "tie_seed": tie_seed}
-                    got = apply_resample_detail(task, ResampleSpec("rbu", params), shared=shared)
+                    got = apply_resample(task, ResampleSpec("rbu", params), shared=shared)
                     want = rbu_kept_indices(task, RbuParams(**params))
-                    np.testing.assert_array_equal(got.rows[: got.n_majority], want)
+                    np.testing.assert_array_equal(got.source_rows[: got.n_majority], want)
 
     def test_smote_and_pipelines_match_plain_runs(self):
-        rng = np.random.default_rng(58)
         smote = [ResampleSpec("smote", {"k": k, "ratio": r}) for k in (1, 3, 5, 9)
                  for r in (0.5, 1.0)]
         axes = {"k": [1, 5], "ratio": [0.5, 1.0]}
         pipelines = named_specs("stl", axes, 3) + named_specs("senn", axes, 3)
-        for task in (random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)):
+        for task in fold_tasks(np.random.default_rng(58)):
             shared = {}
             for i, spec in enumerate(smote + pipelines):
                 assert_same_outcome(
-                    apply_resample_detail(task, spec, seed=i, shared=shared),
-                    apply_resample_detail(task, spec, seed=i),
+                    apply_resample(task, spec, seed=i, shared=shared),
+                    apply_resample(task, spec, seed=i),
                 )
 
     def test_smote_table_is_searched_narrow_and_widened_for_a_larger_k(self, monkeypatch):
         # 40 minority rows: the table holds _MAX_ROUNDS neighbours, not 39,
         # and a search runs again only for a k beyond the table's width.
         rng = np.random.default_rng(66)
-        task = random_task(rng, 60, 40, 2)
+        task = numbered(random_task(rng, 60, 40, 2))
         ks = (1, 5, 16, 3, 20, 9, 25, 39, 50)
-        want = [apply_resample_detail(task, ResampleSpec("smote", {"k": k, "ratio": 1.0}), seed=k)
+        want = [apply_resample(task, ResampleSpec("smote", {"k": k, "ratio": 1.0}), seed=k)
                 for k in ks]
         widths = []
         original = baselines.nearest_neighbors
@@ -450,19 +454,18 @@ class TestSharedFoldWork:
         shared = {}
         for k, expected in zip(ks, want):
             spec = ResampleSpec("smote", {"k": k, "ratio": 1.0})
-            assert_same_outcome(apply_resample_detail(task, spec, seed=k, shared=shared), expected)
+            assert_same_outcome(apply_resample(task, spec, seed=k, shared=shared), expected)
         assert neighbors._MAX_ROUNDS == 16
         assert widths == [16, 20, 25, 39]
 
     def test_deterministic_undersamplers_run_once_per_arguments(self, monkeypatch):
-        rng = np.random.default_rng(65)
         specs = [ResampleSpec("enn", {"k": k}) for k in (1, 3)]
         specs += [ResampleSpec("renn", {"k": k}) for k in (1, 3)]
         specs += [ResampleSpec("near_miss", {"k": k, "ratio": r}) for k in (1, 3)
                   for r in (0.5, 1.0)]
         names = ("enn_kept_indices", "renn_kept_indices", "near_miss_kept_indices")
-        for task in (random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)):
-            want = [apply_resample_detail(task, spec, seed=i) for i, spec in enumerate(specs)]
+        for task in fold_tasks(np.random.default_rng(65)):
+            want = [apply_resample(task, spec, seed=i) for i, spec in enumerate(specs)]
             calls = []
             for name in names:
                 original = getattr(baselines, name)
@@ -477,7 +480,7 @@ class TestSharedFoldWork:
             for _ in range(2):  # the second round reuses every result
                 for i, spec in enumerate(specs):
                     assert_same_outcome(
-                        apply_resample_detail(task, spec, seed=i, shared=shared), want[i]
+                        apply_resample(task, spec, seed=i, shared=shared), want[i]
                     )
             assert len(calls) == len(specs)
             monkeypatch.undo()
@@ -485,7 +488,6 @@ class TestSharedFoldWork:
     def test_later_stages_do_not_share_the_first_stage_task(self):
         # Stage 1 resamples stage 0's output; results it kept in the fold's
         # dict would be wrong for the fold's own task, and the reverse.
-        rng = np.random.default_rng(59)
         smote_half = ResampleSpec("smote", {"k": 3, "ratio": 0.5})
         smote_full = ResampleSpec("smote", {"k": 3, "ratio": 1.0})
         rbu_half = ResampleSpec("rbu", {"gamma": 1.0, "ratio": 0.5})
@@ -497,7 +499,7 @@ class TestSharedFoldWork:
             (rbu_half, rbu_full),
         ]
         singles = [smote_full, rbu_full]
-        for task in (random_task(rng, 30, 9, 2), tie_heavy_task(rng, 30, 9)):
+        for task in fold_tasks(np.random.default_rng(59)):
             shared = {}
             for i, (first, second) in enumerate(pairs):
                 spec = ResampleSpec("pipeline", stages=(first, second))
@@ -507,8 +509,8 @@ class TestSharedFoldWork:
                 np.testing.assert_array_equal(got.minority, want.minority)
             for i, spec in enumerate(singles):
                 assert_same_outcome(
-                    apply_resample_detail(task, spec, seed=i, shared=shared),
-                    apply_resample_detail(task, spec, seed=i),
+                    apply_resample(task, spec, seed=i, shared=shared),
+                    apply_resample(task, spec, seed=i),
                 )
 
 

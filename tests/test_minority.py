@@ -104,6 +104,22 @@ class TestCategorize:
                     for s in same]
         assert list(categorize_minority(task, k=5, p=np.inf).categories) == expected
 
+    @pytest.mark.parametrize("k", [2.5, True, "3", float("nan")])
+    def test_non_integer_k_refused(self, k):
+        task = random_task(np.random.default_rng(24), 12, 5, 2)
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            categorize_minority(task, k=k)
+
+    def test_k_below_one_refused(self):
+        task = random_task(np.random.default_rng(24), 12, 5, 2)
+        with pytest.raises(ParameterError, match="k must be >= 1"):
+            categorize_minority(task, k=0.0)
+
+    def test_integral_float_k_runs_as_int(self):
+        task = random_task(np.random.default_rng(26), 25, 10, 3, spread=1.0)
+        report = categorize_minority(task, k=3.0)
+        assert type(report.k) is int and report == categorize_minority(task, k=3)
+
     def test_too_small_dataset(self):
         task = make_task([[0.0], [1.0]], [[2.0]])
         with pytest.raises(ParameterError, match="at least"):

@@ -78,6 +78,24 @@ class TestKnn:
         with pytest.raises(ParameterError, match="5 feature rows but"):
             KnnClassifier(k=1).fit(np.arange(5.0)[:, None], np.arange(n_labels) % 2)
 
+    @pytest.mark.parametrize("k", [2.5, True, "3", float("nan")])
+    def test_non_integer_k_refused(self, k):
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            KnnClassifier(k=k)
+
+    def test_k_below_one_refused(self):
+        with pytest.raises(ParameterError, match="k must be >= 1"):
+            KnnClassifier(k=0.0)
+
+    def test_integral_float_k_runs_as_int(self):
+        X = np.array([[0.0], [0.1], [0.2], [0.3], [0.4], [9.0]])
+        y = np.array([1, 1, 0, 0, 0, 1])
+        model = KnnClassifier(k=3.0)
+        assert type(model.k) is int and model.k == 3
+        queries = np.array([[0.05], [8.0]])
+        want = KnnClassifier(k=3).fit(X, y).score_samples(queries)
+        np.testing.assert_array_equal(model.fit(X, y).score_samples(queries), want)
+
     def test_distance_tie_prefers_lower_train_index(self):
         X = np.array([[1.0], [-1.0], [9.0]])
         y = np.array([1, 0, 0])
@@ -128,8 +146,9 @@ class TestGaussianNb:
         X = np.array([[-1.0], [1.0], [-1.2], [0.8], [1.1]])
         y = np.array([0, 1, 0, 0, 1])
         model = GaussianNbClassifier().fit(X, y)
-        assert model._priors.tolist() == [0.6, 0.4]
-        assert model._priors.sum() == pytest.approx(1.0)
+        priors, *_ = model._fits
+        assert priors[0].tolist() == [0.6, 0.4]
+        assert priors[0].sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("m", range(1, 12))
     def test_fit_and_score_match_naive_gnb_bit_for_bit(self, m):
@@ -148,8 +167,9 @@ class TestGaussianNb:
                                      np.full((2, m), -40.0)])
                 means, variances, scores = naive_gnb(features, labels, queries)
                 model = GaussianNbClassifier().fit(features, labels)
-                np.testing.assert_array_equal(model._means, means)
-                np.testing.assert_array_equal(model._vars, variances)
+                _, fitted_means, fitted_variances, _ = model._fits
+                np.testing.assert_array_equal(fitted_means[0], means)
+                np.testing.assert_array_equal(fitted_variances[0], variances)
                 np.testing.assert_array_equal(model.score_samples(queries), scores)
 
     def test_labels_outside_zero_one_refused(self):

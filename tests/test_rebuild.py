@@ -1,4 +1,4 @@
-"""``cli.rebuild_dataset`` against a row-by-row oracle, on the outcomes of
+"""``cli.rebuild_dataset`` against a row-by-row oracle, on the results of
 every resampling method.
 
 ``--hypothesis-profile=ci`` runs these properties with ten times the default
@@ -10,35 +10,16 @@ from hypothesis import strategies as st
 
 from rbu import (
     ParameterError,
-    ResampleSpec,
+    apply_resample,
     apply_standardizer,
     encode_categoricals,
     fit_standardizer,
     parse_csv,
     split_binary,
 )
-from rbu.baselines import METHODS, apply_resample_detail
 from rbu.cli import rebuild_dataset
-from rbu.grids import named_specs
 
-from oracles import naive_rebuild
-
-# The method table's names, with "pipeline" standing for ROS then SMOTE (copied
-# and synthetic rows in one outcome), and the stl and senn pipelines.
-METHOD_CHOICES = sorted(METHODS) + ["stl", "senn"]
-
-
-def spec_of(method, ratio, k):
-    if method in ("stl", "senn"):
-        (spec,) = named_specs(method, {"k": [k], "ratio": [ratio]}, k)
-        return spec
-    if method == "pipeline":
-        return ResampleSpec("pipeline", stages=(
-            ResampleSpec("ros", {"ratio": ratio}), ResampleSpec("smote", {"k": k, "ratio": 1.0}),
-        ))
-    given_params = {"ratio": ratio, "k": k, "gamma": 1.0}
-    return ResampleSpec(method, {p: v for p, v in given_params.items() if p in METHODS[method].params})
-
+from oracles import RESAMPLE_NAMES, naive_rebuild, resample_spec
 
 rows = st.lists(
     st.tuples(
@@ -55,7 +36,7 @@ rows = st.lists(
 @settings(derandomize=True, deadline=None)
 @given(
     rows,
-    st.sampled_from(METHOD_CHOICES),
+    st.sampled_from(RESAMPLE_NAMES),
     st.sampled_from([0.0, 0.5, 1.0]),
     st.integers(1, 4),
     st.integers(0, 2**32),
@@ -69,9 +50,9 @@ def test_rebuild_matches_row_by_row_oracle(rows, method, ratio, k, seed):
     scaler = fit_standardizer(encoded)
     task = split_binary(apply_standardizer(scaler, encoded), "pos")
     try:
-        outcome = apply_resample_detail(task, spec_of(method, ratio, k), seed=seed)
+        result = apply_resample(task, resample_spec(method, ratio, k), seed=seed)
     except ParameterError:
         return  # the method refuses this task: nothing to rebuild
-    got = rebuild_dataset(raw, encoded, scaler, task, outcome)
-    want = naive_rebuild(raw, encoded, scaler, task, outcome)
+    got = rebuild_dataset(raw, encoded, scaler, task, result)
+    want = naive_rebuild(raw, encoded, scaler, task, result)
     assert [(list(got.features[i]), got.labels[i]) for i in range(got.n)] == want

@@ -123,8 +123,9 @@ class TestBatchedScoring:
             alone_scores = alone.score_samples(queries)
         assert_same_bits(got, [naive_gnb(p, y, queries)[2] for p, y in sets])
         means, variances, _ = naive_gnb(*sets[-1], queries)
-        assert_same_bits(alone._means, means)
-        assert_same_bits(alone._vars, variances)
+        _, fitted_means, fitted_variances, _ = alone._fits
+        assert_same_bits(fitted_means[0], means)
+        assert_same_bits(fitted_variances[0], variances)
         assert_same_bits(alone_scores, got[-1])
 
     @pytest.mark.parametrize("model", [KnnClassifier(2), GaussianNbClassifier()])
