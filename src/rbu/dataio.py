@@ -110,11 +110,10 @@ class BinaryTask:
         return task
 
     def _own(self, points, n_majority, minority_label, majority_label, source_rows):
-        fields = dict(points=points, n_majority=n_majority, minority_label=minority_label,
-                      majority_label=majority_label, source_rows=source_rows,
-                      majority=points[:n_majority], minority=points[n_majority:])
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+        # Written past the frozen __setattr__, as dataclasses' own __init__ does.
+        self.__dict__.update(points=points, n_majority=n_majority, minority_label=minority_label,
+                             majority_label=majority_label, source_rows=source_rows,
+                             majority=points[:n_majority], minority=points[n_majority:])
 
     @property
     def labels01(self) -> np.ndarray:

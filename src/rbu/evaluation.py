@@ -18,7 +18,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .baselines import ResampleSpec, apply_resample
+from .baselines import METHODS, ResampleSpec, apply_resample, plan_grid
 from .dataio import BinaryTask, encode_categoricals, fit_standardizer, split_binary
 from .errors import LeakageError, ParameterError
 from .minority import dataset_stats
@@ -134,16 +134,20 @@ def inner_scores(features, labels, cells, plan_seed) -> list:
 
     Folds run one at a time.  Each fold builds its task once and keeps a
     ``shared`` dict of results that depend on that task alone (an RBU removal
-    order, a SMOTE neighbour table, ENN's kept indices), which every cell's
+    order, a SMOTE neighbour table, ENN's kept indices), which every
     resampler may reuse.  Grid point i of a cell on fold j draws from
-    ``derive_seed(seed, i, j)``.  A cell resamples all its grid points on a
-    fold first; the training sets its classifier accepts are then scored in
-    one ``score_sets`` call.  The fold's predictions and scores, one row per
-    grid point of every cell, go through one ``compute_metrics`` call.  A
-    grid point whose resampling or training set is refused, or whose scores
-    are not finite, scores 0 on that fold, and so does every grid point of a
-    cell whose batch is refused; a cell whose run or batch raises anything
-    else fails and is not run on later folds.
+    ``derive_seed(seed, i, j)``.  Each fold plans the resampling of every
+    cell's grid points (``plan_grid``), so that the grid points of one
+    method, both classifiers' cells included, are resampled in one
+    ``run_grid`` call.  A cell's training sets that its classifier accepts
+    are then scored in one ``score_sets`` call.  The fold's predictions and
+    scores, one row per grid point of every cell, go through one
+    ``compute_metrics`` call.  A grid point whose resampling or training set
+    is refused, or whose scores are not finite, scores 0 on that fold, and
+    so does every grid point of a cell whose batch is refused; a cell whose
+    run or batch raises anything else fails and is not run on later folds,
+    and so does every cell with a grid point in a ``run_grid`` call that
+    raises.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -154,9 +158,10 @@ def inner_scores(features, labels, cells, plan_seed) -> list:
         task = binary_task_from_labels(features[train_idx], labels[train_idx])
         test_x, test_y = features[test_idx], labels[test_idx]
         shared = {}
+        seeds = _plan_cells(cells, results, fold_idx, shared)
         # (cell, that cell's scored grid points) in row order of the stacks.
         scored, score_rows = [], []
-        for cell_idx, (grid, classifier, seed) in enumerate(cells):
+        for cell_idx, (grid, classifier, _) in enumerate(cells):
             if isinstance(results[cell_idx], Exception):
                 continue
             try:
@@ -165,7 +170,7 @@ def inner_scores(features, labels, cells, plan_seed) -> list:
                 for grid_idx, spec in enumerate(grid):
                     try:
                         resampled = apply_resample(
-                            task, spec, seed=derive_seed(seed, grid_idx, fold_idx), shared=shared
+                            task, spec, seed=seeds[cell_idx][grid_idx], shared=shared
                         )
                         sets.append(model.training_set(resampled.points, resampled.labels01))
                     except ParameterError:
@@ -197,6 +202,25 @@ def inner_scores(features, labels, cells, plan_seed) -> list:
             results[cell_idx][points, fold_idx] = combined[start : start + len(points)]
             start += len(points)
     return results
+
+
+def _plan_cells(cells, results, fold_idx, shared) -> dict:
+    """``cell -> its grid points' seeds`` on the fold, for every cell not
+    failed in ``results``, with their resampling planned in ``shared``."""
+    seeds = {}
+    for cell_idx, (grid, _, seed) in enumerate(cells):
+        if not isinstance(results[cell_idx], Exception):
+            # A method that draws nothing needs no seed.
+            seeds[cell_idx] = [
+                derive_seed(seed, grid_idx, fold_idx) if METHODS[spec.method].seeded else None
+                for grid_idx, spec in enumerate(grid)
+            ]
+    plan_grid(
+        [spec for cell_idx in seeds for spec in cells[cell_idx][0]],
+        [seed for cell_seeds in seeds.values() for seed in cell_seeds],
+        shared,
+    )
+    return seeds
 
 
 # ---------------------------------------------------------------------------

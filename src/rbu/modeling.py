@@ -120,6 +120,7 @@ def _knn_scores(sets, queries, k, out) -> None:
     columns[padding] = 0
     votes = np.concatenate([labels for _, labels in sets])[columns]
     which = np.arange(len(sets))[:, None]
+    check_finite(queries)  # the sets were checked by ``training_set``
 
     def body(start, dist):
         padded = np.take(dist, columns, axis=1)

@@ -109,6 +109,7 @@ def mutual_potential(x, task: BinaryTask, gamma: float) -> float:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (task.m,):
         raise ParameterError(f"point has shape {x.shape}, task dimensionality is {task.m}")
+    check_finite(x, task.points)
     return float(_potential(x[None, :], task.majority, task.minority, inv_g2)[0])
 
 
@@ -141,6 +142,15 @@ class PotentialField:
         self._phi = phi
         self._centred = _centred(self._inv_g2, points)[0]
         self.removed_count = 0
+
+    @classmethod
+    def _of_centred(cls, centred: np.ndarray, phi: np.ndarray, inv_g2: float):
+        """The field of majority points already centred and checked by
+        :func:`_centred`, with their potentials ``phi``, taken over uncopied."""
+        field = object.__new__(cls)
+        field._phi, field._centred, field._inv_g2 = phi, centred, inv_g2
+        field.removed_count = 0
+        return field
 
     def __len__(self) -> int:
         return len(self._phi) - self.removed_count
@@ -244,7 +254,7 @@ def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     majority = np.asarray(task.majority, dtype=np.float64)
     centred, minority = _centred(inv_g2, majority, task.minority)
     phi = _potential(centred, centred, minority, inv_g2)
-    return PotentialField(majority, phi, gamma)
+    return PotentialField._of_centred(centred, phi, inv_g2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,5 +323,6 @@ def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> P
         raise ParameterError("bounds and their cell widths must be finite")
 
     cells = np.stack([np.repeat(xs, resolution), np.tile(ys, resolution)], axis=1)
+    check_finite(task.points)
     phi = _potential(cells, task.majority, task.minority, inv_g2)
     return PotentialGrid(bounds, int(resolution), phi.reshape(resolution, resolution))

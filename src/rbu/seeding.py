@@ -12,5 +12,5 @@ import hashlib
 
 def derive_seed(*parts) -> int:
     """Collapse the master seed and a unit identity into a 63-bit seed."""
-    digest = hashlib.sha256("\x1f".join(repr(p) for p in parts).encode()).digest()
+    digest = hashlib.sha256("\x1f".join(map(repr, parts)).encode()).digest()
     return int.from_bytes(digest[:8], "big") >> 1

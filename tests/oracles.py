@@ -10,6 +10,7 @@ import io
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
@@ -323,6 +324,17 @@ def naive_stack(task):
 # The method table's names, with "pipeline" standing for ROS then SMOTE (copied
 # and synthetic rows in one result), and the stl and senn pipelines.
 RESAMPLE_NAMES = sorted(METHODS) + ["stl", "senn"]
+
+
+@st.composite
+def rows_with_minority(draw, cells):
+    """Lists of 6 to 24 rows ``(*cells, minority)`` of which 2 to half are
+    minority rows: the minority count is drawn first, then its positions."""
+    n = draw(st.integers(6, 24))
+    n_minority = draw(st.integers(2, n // 2))
+    minority = set(draw(st.permutations(range(n)))[:n_minority])
+    rows = draw(st.lists(cells, min_size=n, max_size=n))
+    return [(*row, i in minority) for i, row in enumerate(rows)]
 
 
 def resample_spec(name, ratio, k):

@@ -42,6 +42,7 @@ from oracles import (
     numbered,
     random_task,
     resample_spec,
+    rows_with_minority,
 )
 
 
@@ -673,15 +674,12 @@ def synthetic_count(task, spec, seed):
 
 @settings(derandomize=True, deadline=None)
 @given(
-    st.lists(
+    rows_with_minority(  # minority rows anywhere in the file
         st.tuples(
             st.integers(-3, 3),  # repeated values make distance ties
             st.floats(-10, 10, allow_nan=False),
-            st.booleans(),  # a minority row, anywhere in the file
-        ),
-        min_size=6,
-        max_size=24,
-    ).filter(lambda rs: 2 <= sum(r[2] for r in rs) <= len(rs) / 2),
+        )
+    ),
     st.sampled_from([0.0, 0.5, 1.0]),
     st.integers(1, 4),
     st.integers(0, 2**32),

@@ -1,6 +1,6 @@
 import itertools
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -351,6 +351,28 @@ class TestFoldMajorSelection:
             grid, classifier, seed = cells[cell_idx]
             _, means = naive_select_params(features, labels, grid, classifier, seed, plan_seed=8)
             assert [float(np.mean(row)) for row in got[cell_idx]] == means
+
+    def test_each_fold_resamples_a_method_in_one_grid(self, monkeypatch):
+        # Both classifiers' cells of a method share one run_grid call per
+        # inner fold, and the scores are those of the cells run one by one.
+        rng = np.random.default_rng(69)
+        features, labels = imbalanced_dataset(rng, 36, 12)
+        grids = preset_grids("paper-final")
+        cells = [(grids[name], classifier, derive_seed(name, classifier))
+                 for name in ("smote", "rus") for classifier in ("knn", "gnb")]
+        want = [inner_scores(features, labels, [cell], plan_seed=9)[0] for cell in cells]
+        calls = []
+        original = baselines.run_grid
+
+        def counted(task, specs, seeds, shared=None):
+            calls.append((specs[0].method, len(specs)))
+            return original(task, specs, seeds, shared)
+
+        monkeypatch.setattr(baselines, "run_grid", counted)
+        got = inner_scores(features, labels, cells, plan_seed=9)
+        assert calls == [("smote", 30), ("rus", 6)] * 6
+        for got_scores, want_scores in zip(got, want):
+            np.testing.assert_array_equal(got_scores, want_scores)
 
     @pytest.mark.parametrize("classifier", ["knn", "gnb"])
     def test_non_finite_set_is_refused_alone(self, classifier, monkeypatch):
@@ -784,6 +806,31 @@ class TestSweepUnits:
             assert row["error"] == "RuntimeError: rus broke on one inner fold"
         others = [r for r in report.runs if r["method"] != "rus"]
         assert others == clean.runs
+
+    def test_pipeline_stage_error_fails_that_pipelines_cells(self, monkeypatch):
+        # senn's batched ENN stage raises: the grid points of one pipeline
+        # kind run as one grid per inner fold, so senn fails for both
+        # classifiers, and stl, whose stage 0 is the same SMOTE, does not.
+        features, labels = self._dataset(68)
+        methods = preset_grids("paper-final")
+        without = {name: grid for name, grid in methods.items() if name != "senn"}
+        clean = run_experiment({"d": as_dataset(features, labels)}, without, ["knn", "gnb"],
+                               seed=5, repeats=1)
+
+        def broken(task, outputs, specs, shared):
+            raise RuntimeError("enn stage broke")
+
+        monkeypatch.setitem(baselines.METHODS, "enn",
+                            replace(baselines.METHODS["enn"], run_extended=broken))
+        report = run_experiment({"d": as_dataset(features, labels)}, methods, ["knn", "gnb"],
+                                seed=5, repeats=1)
+        failed = [r for r in report.runs if r.get("error") is not None]
+        assert sorted((r["method"], r["classifier"]) for r in failed) == sorted(
+            ("senn", classifier) for classifier in ("knn", "gnb") for _ in range(2)
+        )
+        for row in failed:
+            assert row["error"] == "RuntimeError: enn stage broke"
+        assert [r for r in report.runs if r["method"] != "senn"] == clean.runs
 
     def test_dataset_too_small_for_the_inner_plan(self):
         # Five minority rows per outer half; the inner plan needs six.

@@ -362,6 +362,31 @@ class TestMatchesStableArgsort:
             np.testing.assert_array_equal(got, argsort_oracle(points, points, k, self_offset=0))
             assert calls == [len(points[start : start + 3]) for start in range(0, n_points, 3)]
 
+    @pytest.mark.parametrize("rows", [99, 100])
+    @pytest.mark.parametrize("columns", [20, 21])
+    @pytest.mark.parametrize("k", [2, 5, 16, 17])
+    def test_block_rule_boundary(self, rows, columns, k, monkeypatch):
+        # A block of at least 100 rows takes argmin rounds from 21 columns,
+        # for k up to _MAX_ROUNDS; either way the picks are the argsort's.
+        assert (neighbors._BATCH_ROWS, neighbors._BATCH_COLUMNS) == (100, 20)
+        assert columns <= neighbors._SORT_COLUMNS and neighbors._MAX_ROUNDS == 16
+        rounds = []
+        original = neighbors._argmin_rounds
+
+        def recorded(*args):
+            rounds.append(True)
+            return original(*args)
+
+        monkeypatch.setattr(neighbors, "_argmin_rounds", recorded)
+        rng = np.random.default_rng([rows, columns, k])
+        points = grid_points(rng, columns, 2)  # tie-heavy rows
+        queries = grid_points(rng, rows, 2)
+        got = neighbors._nearest_block(cdist(queries, points), k, None, 0)
+        np.testing.assert_array_equal(got, argsort_oracle(queries, points, k))
+        assert bool(rounds) == (rows >= 100 and columns > 20 and k <= 16)
+        own = neighbors._nearest_block(cdist(points, points), k, 0, 0)
+        np.testing.assert_array_equal(own, argsort_oracle(points, points, k, self_offset=0))
+
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_minkowski_metric(self, p):
         rng = np.random.default_rng(17)

@@ -19,18 +19,15 @@ from rbu import (
 )
 from rbu.cli import rebuild_dataset
 
-from oracles import RESAMPLE_NAMES, naive_rebuild, resample_spec
+from oracles import RESAMPLE_NAMES, naive_rebuild, resample_spec, rows_with_minority
 
-rows = st.lists(
+rows = rows_with_minority(
     st.tuples(
         st.integers(-3, 3),  # repeated values make distance ties
         st.floats(-10, 10, allow_nan=False),
         st.sampled_from(["red", "blue", "green"]),
-        st.booleans(),  # a minority row
-    ),
-    min_size=6,
-    max_size=24,
-).filter(lambda rs: 2 <= sum(r[3] for r in rs) <= len(rs) / 2)
+    )
+)
 
 
 @settings(derandomize=True, deadline=None)
