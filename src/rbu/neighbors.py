@@ -93,11 +93,11 @@ def check_finite(*arrays) -> None:
             raise ParameterError("coordinates must be finite (no NaN or infinity)")
 
 
-def integer_k(k) -> int:
-    """A neighbour count ``k`` as an int; an integral float passes, a bool
-    or any other value raises ParameterError."""
+def integer_k(k, name="k") -> int:
+    """A count ``k`` as an int; an integral float passes, a bool or any
+    other value raises ParameterError naming it ``name``."""
     if isinstance(k, bool) or not isinstance(k, numbers.Real) or not float(k).is_integer():
-        raise ParameterError(f"k must be an integer, got {k!r}")
+        raise ParameterError(f"{name} must be an integer, got {k!r}")
     return int(k)
 
 

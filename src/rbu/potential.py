@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataio import BinaryTask
 from .errors import ParameterError
-from .neighbors import check_finite, for_each_block
+from .neighbors import check_finite, for_each_block, integer_k
 
 # exp(x) is exactly 0.0 for every x below this, but numpy reaches that zero
 # on a path about 8x slower than the ordinary one.
@@ -34,6 +34,15 @@ _EXP_REACH = math.sqrt(-_EXP_FLOOR)
 # 10% live 510 / 385 us, 20% live 486 / 543 us; 81-91% live (gamma 0.3)
 # 1,340-1,680 / 2,160-4,120 us.
 _GATHER_SHARE = 0.15
+
+# Widened by the slack below, a bound on every RBF the greedy update would
+# subtract is kept only while that slack is under this: an argument at or
+# below _EXP_FLOOR then stays below -745.14, whose exp is exactly 0.0.
+_SLACK_LIMIT = 0.03
+
+# Subtracting less than this share of |phi| rounds back to phi: it is below
+# half an ulp of phi, or of the next float toward zero at a power of two.
+_QUIET_SHARE = 2.0**-54
 
 TIE_LOWEST_INDEX = "lowest-index"
 TIE_SEEDED_RANDOM = "seeded-random"
@@ -54,13 +63,15 @@ def check_gamma(gamma) -> float:
     return 1.0 / square
 
 
-def _exp_in_place(arg: np.ndarray) -> np.ndarray:
+def _exp_in_place(arg: np.ndarray, on_gather=None) -> np.ndarray:
     """``np.exp(arg)`` bit for bit, written into ``arg``.
 
     When some arguments lie at or below ``_EXP_FLOOR``, numpy's slow
     underflow path is never taken: if few of the others are left, only they
-    are exponentiated, into a zeroed block; else the dead ones are set to
-    -0.0 before the call and their results (1.0) multiplied by zero after it.
+    are exponentiated, into a zeroed block, and ``on_gather``, if given, is
+    called with their sorted flat indices and their values, an array it may
+    overwrite; else the dead ones are set to -0.0 before the call and their
+    results (1.0) multiplied by zero after it.
     """
     # Every argument is <= 0, so the initial value only lets an empty block through.
     if arg.min(initial=0.0) > _EXP_FLOOR:
@@ -71,6 +82,8 @@ def _exp_in_place(arg: np.ndarray) -> np.ndarray:
         values = np.exp(arg.take(picks))
         arg.fill(0.0)
         arg.put(picks, values)
+        if on_gather is not None:
+            on_gather(picks, values)
         return arg
     np.maximum(arg, _EXP_FLOOR, out=arg)  # -inf times zero would be NaN
     arg *= live
@@ -79,9 +92,15 @@ def _exp_in_place(arg: np.ndarray) -> np.ndarray:
     return arg
 
 
-def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float) -> np.ndarray:
+def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float, row_max=None) -> np.ndarray:
     """Sum of RBF contributions of ``points`` at each query, in blocks;
-    ``inv_g2`` is ``check_gamma(gamma)``."""
+    ``inv_g2`` is ``check_gamma(gamma)``.
+
+    With ``queries`` and ``points`` the same array, ``row_max`` may be an
+    array of one entry per point: the rows of blocks that take
+    ``_exp_in_place``'s gather path get their ``_off_diagonal_max``, and
+    the others are left as they are, so dense blocks pay no extra pass.
+    """
     scale = -inv_g2
     out = np.empty(len(queries))
 
@@ -89,10 +108,30 @@ def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float) -> np.ndar
         # A d^2 / gamma^2 past the float range becomes -inf, its exact limit.
         with np.errstate(over="ignore"):
             arg *= scale
-        out[start : start + len(arg)] = _exp_in_place(arg).sum(axis=1)
+        rows = slice(start, start + len(arg))
+        on_gather = None
+        if row_max is not None:
+            def on_gather(picks, values):
+                row_max[rows] = _off_diagonal_max(picks, values, start, arg.shape)
+
+        out[rows] = _exp_in_place(arg, on_gather).sum(axis=1)
 
     for_each_block(queries, points, body, "sqeuclidean")
     return out
+
+
+def _off_diagonal_max(picks, values, start, shape) -> np.ndarray:
+    """Largest of ``values``, at the sorted flat indices ``picks`` of the
+    live entries of a block of ``shape`` whose row r is point ``start + r``,
+    in each row off its own column; -inf for a row with no such entry.
+    Overwrites ``values``."""
+    rows, width = shape
+    row_starts = np.arange(0, rows * width, width)
+    # A point's squared distance to itself is 0.0, so its own entry is always
+    # live and every row holds at least that one.
+    own = np.searchsorted(picks, row_starts + np.arange(start, start + rows))
+    values[own] = -math.inf
+    return np.maximum.reduceat(values, np.searchsorted(picks, row_starts))
 
 
 def _potential(queries, majority, minority, inv_g2: float) -> np.ndarray:
@@ -123,6 +162,10 @@ class PotentialField:
     contribution, taken on distances between points centred on their mean.
     Removed points keep ``-inf``; :attr:`phi` reads the remaining potentials.
 
+    A field from :func:`init_field` also keeps, per point, an upper bound on
+    every RBF that point's removal subtracts (see :func:`_quiet_bounds`), so
+    that removals which provably change no potential skip the update.
+
     Mutable; owned by one logical thread at a time.
     """
 
@@ -141,14 +184,17 @@ class PotentialField:
             raise ParameterError("potentials must be finite")
         self._phi = phi
         self._centred = _centred(self._inv_g2, points)[0]
+        self._quiet = np.full(len(phi), math.inf)
         self.removed_count = 0
 
     @classmethod
-    def _of_centred(cls, centred: np.ndarray, phi: np.ndarray, inv_g2: float):
+    def _of_centred(cls, centred: np.ndarray, phi: np.ndarray, inv_g2: float, quiet: np.ndarray):
         """The field of majority points already centred and checked by
-        :func:`_centred`, with their potentials ``phi``, taken over uncopied."""
+        :func:`_centred`, with their potentials ``phi`` and bounds ``quiet``
+        from :func:`_quiet_bounds`, taken over uncopied."""
         field = object.__new__(cls)
         field._phi, field._centred, field._inv_g2 = phi, centred, inv_g2
+        field._quiet = quiet
         field.removed_count = 0
         return field
 
@@ -186,8 +232,16 @@ class PotentialField:
         Ties are broken by the lowest original index, or uniformly at random
         when ``tie_rule`` is ``"seeded-random"`` (then ``rng`` is required).
         ``count`` calls with a count of 1 remove the same points, and leave the
-        same potentials, bit for bit, as one call with ``count``.
+        same potentials, bit for bit, as one call with ``count``.  ``count``
+        follows ``integer_k``'s rule: an integral float runs as an int, and a
+        bool or a non-integral value raises ParameterError.
+
+        A quiet removal, whose point's bound is 0 or below ``_QUIET_SHARE``
+        times every remaining |potential|, would change no potential by a
+        bit, so it skips the update.  The smallest |potential| is taken again
+        only after an update has run.
         """
+        count = integer_k(count, "count")
         if count < 0:
             raise ParameterError(f"count must be >= 0, got {count}")
         if count > len(self):
@@ -198,11 +252,22 @@ class PotentialField:
         scaled_sq = inv_g2 * np.einsum("ij,ij->i", centred, centred)
         reach = math.sqrt(scaled_sq.max(initial=0.0))
         arg, zeros = np.empty(len(phi)), np.zeros(len(phi))
+        quiet, quiet_below, inf = self._quiet.tolist(), None, math.inf
         removed = []
         for _ in range(count):
             index = pick()
             removed.append(index)
-            phi[index] = -math.inf
+            phi[index] = -inf
+            bound = quiet[index]
+            if bound < inf:
+                if not bound:
+                    continue
+                if quiet_below is None:
+                    # Removed points read inf here, so they never set the minimum.
+                    quiet_below = _QUIET_SHARE * float(np.abs(phi, out=arg).min())
+                if bound < quiet_below:
+                    continue
+            quiet_below = None
             x = centred[index]
             x_sq = inv_g2 * float(x.dot(x))
             # -||p - x||^2 / gamma^2 by the dot-product identity.  Centred
@@ -243,6 +308,29 @@ def _centred(inv_g2: float, majority: np.ndarray, *others: np.ndarray) -> list:
     return centred
 
 
+def _quiet_bounds(row_max: np.ndarray, centred: np.ndarray, inv_g2: float) -> np.ndarray:
+    """For each centred majority point, an upper bound on every RBF that
+    :meth:`PotentialField.pop_greedy` subtracts from another potential when
+    it removes the point; ``row_max`` is the largest such RBF by ``cdist``
+    (``_rbf_sums``), -inf for none above ``_EXP_FLOOR``, or +inf.
+
+    The update's exponent, by the dot-product identity, and ``cdist``'s lie
+    within a slack of 8 (m + 4) float64 epsilons times the largest scaled
+    squared norm S: the two rounding-error bounds, (4m + 11) and (4m + 12)
+    half-epsilons times S, doubled.  The bound is ``row_max`` plus two of
+    the smallest subnormals (``exp``'s own rounding in both), times
+    exp(slack) and a margin for these products; 0 for -inf, as every
+    exponent at or below ``_EXP_FLOOR`` then stays where ``exp`` is 0.0.
+    A slack of ``_SLACK_LIMIT`` or more makes every bound +inf.
+    """
+    squares = np.einsum("ij,ij->i", centred, centred).max(initial=0.0)
+    slack = 8.0 * (centred.shape[1] + 4) * 2.0**-52 * inv_g2 * float(squares)
+    if not slack < _SLACK_LIMIT:
+        return np.full(len(row_max), math.inf)
+    bounds = (row_max + 2.0**-1073) * (math.exp(slack) * (1.0 + 2.0**-40))
+    return np.maximum(bounds, 0.0, out=bounds)
+
+
 def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     """Potential of every majority point against the full original task.
 
@@ -253,8 +341,11 @@ def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     inv_g2 = check_gamma(gamma)
     majority = np.asarray(task.majority, dtype=np.float64)
     centred, minority = _centred(inv_g2, majority, task.minority)
-    phi = _potential(centred, centred, minority, inv_g2)
-    return PotentialField._of_centred(centred, phi, inv_g2)
+    row_max = np.full(len(centred), math.inf)
+    # _potential's arithmetic, with the majority block's row maxima kept.
+    phi = _rbf_sums(centred, centred, inv_g2, row_max) - _rbf_sums(centred, minority, inv_g2)
+    quiet = _quiet_bounds(row_max, centred, inv_g2)
+    return PotentialField._of_centred(centred, phi, inv_g2, quiet)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from rbu import (
     potential_grid,
     neighbors,
 )
+from rbu import potential
 from rbu.potential import _EXP_FLOOR, _GATHER_SHARE, _exp_in_place, check_gamma
 from rbu.radial import RbuParams
 
@@ -409,6 +410,24 @@ class TestExpInPlace:
         assert _exp_in_place(np.empty((0, 4))).shape == (0, 4)
 
 
+def count_updates(monkeypatch):
+    """A list that gains one entry for each greedy update run from now on:
+    each update starts with one ``np.matmul`` in ``rbu.potential``."""
+    updates = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def matmul(*args, **kwargs):
+            updates.append(None)
+            return np.matmul(*args, **kwargs)
+
+    monkeypatch.setattr(potential, "np", CountingNumpy())
+    return updates
+
+
 def dense_reference_order(task, gamma, count, tie_rule, seed):
     """Greedy removal order and final potentials, with every update taken over
     the whole field and a seeded-random pick that always calls ``rng.choice``."""
@@ -434,7 +453,50 @@ def dense_reference_order(task, gamma, count, tie_rule, seed):
     return order, phi
 
 
+@st.composite
+def clustered_tasks(draw):
+    """A task of 1 to 4 clusters of spread 1 in 1 to 5 dimensions, and a
+    gamma from 1e-3 to 2.5.  Rounded coordinates make exact ties and
+    repeated points; majority points placed on minority points have
+    potentials near 0; the whole task may sit up to 1e6 from the origin.
+    Small gammas leave most points beyond the exp floor of each other, so
+    that steps go quiet."""
+    m = draw(st.integers(1, 5))
+    clusters = draw(st.integers(1, 4))
+    n_majority = draw(st.integers(2, 60))
+    n_minority = draw(st.integers(1, n_majority))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.normal(0.0, draw(st.sampled_from([0.0, 3.0, 30.0])), size=(clusters, m))
+    points = centres[rng.integers(0, clusters, n_majority + n_minority)]
+    points = points + rng.normal(size=points.shape)
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:
+        points = points.round(decimals)
+    majority, minority = points[:n_majority], points[n_majority:]
+    on_minority = draw(st.integers(0, n_minority))
+    majority[:on_minority] = minority[:on_minority]
+    offset = draw(st.sampled_from([0.0, 1.0, 1e3, 1e6]))
+    gamma = 10.0 ** (draw(st.integers(-30, 3)) / 10 + draw(st.floats(0.0, 0.1)))
+    return make_task(majority + offset, minority + offset), gamma
+
+
 class TestPopGreedy:
+    @settings(derandomize=True, deadline=None)
+    @given(
+        clustered_tasks(),
+        st.sampled_from(["lowest-index", "seeded-random"]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+    )
+    def test_matches_dense_reference_on_clustered_tasks(self, task_gamma, tie_rule, seed, share):
+        task, gamma = task_gamma
+        count = round(share * task.n_majority)
+        field = init_field(task, gamma)
+        order = field.pop_greedy(count, tie_rule, np.random.default_rng(seed))
+        expected, phi = dense_reference_order(task, gamma, count, tie_rule, seed)
+        assert order.tolist() == expected
+        assert field._phi.tobytes() == phi.tobytes()
+
     @pytest.mark.parametrize("tie_rule", ["lowest-index", "seeded-random"])
     @pytest.mark.parametrize("gamma", [0.3, 1.0, 4.0])
     def test_matches_dense_reference_bit_for_bit(self, gamma, tie_rule):
@@ -450,16 +512,96 @@ class TestPopGreedy:
         assert len(field) == 0 and field.removed_count == 40
 
     @pytest.mark.parametrize("tie_rule", ["lowest-index", "seeded-random"])
-    def test_single_steps_match_one_call(self, tie_rule):
+    def test_single_steps_match_one_call(self, tie_rule, monkeypatch):
         rng = np.random.default_rng(53)
-        task = random_task(rng, 30, 10, 4)
-        greedy = init_field(task, 0.9)
-        order = greedy.pop_greedy(12, tie_rule, np.random.default_rng(3))
-        stepwise, steps_rng = init_field(task, 0.9), np.random.default_rng(3)
-        for index in order:
-            assert stepwise.pop_greedy(1, tie_rule, steps_rng).tolist() == [index]
-        np.testing.assert_array_equal(greedy._phi, stepwise._phi)
-        assert len(greedy) == len(stepwise) == 18
+        spread = random_task(rng, 30, 10, 4)
+        # At gamma 0.05 the ten pairs lie within a few gamma of each other and
+        # far from everything else: a mix of quiet and updating steps.
+        majority = spread.majority.copy()
+        majority[20:] = majority[:10] + rng.normal(0.0, 0.05, size=(10, 4))
+        paired = make_task(majority, spread.minority)
+        updates = count_updates(monkeypatch)
+        for task, gamma, count, quiet in ((spread, 0.9, 12, False), (paired, 0.05, 20, True)):
+            greedy = init_field(task, gamma)
+            updates.clear()
+            order = greedy.pop_greedy(count, tie_rule, np.random.default_rng(3))
+            assert (0 < len(updates) < count) if quiet else len(updates) == count
+            stepwise, steps_rng = init_field(task, gamma), np.random.default_rng(3)
+            for index in order:
+                assert stepwise.pop_greedy(1, tie_rule, steps_rng).tolist() == [index]
+            assert greedy._phi.tobytes() == stepwise._phi.tobytes()
+            assert len(greedy) == len(stepwise) == 30 - count
+
+    @pytest.mark.parametrize("tie_rule", ["lowest-index", "seeded-random"])
+    def test_quiet_steps_skip_the_update(self, tie_rule, monkeypatch):
+        # 8-D points of spread 1 at gamma 0.05 lie far beyond the exp floor
+        # of each other, save the ten near pairs.
+        rng = np.random.default_rng(54)
+        task = random_task(rng, 200, 60, 8, spread=1.0)
+        majority = task.majority.copy()
+        majority[190:] = majority[:10] + rng.normal(0.0, 0.05, size=(10, 8))
+        task = make_task(majority, task.minority)
+        field = init_field(task, 0.05)
+        updates = count_updates(monkeypatch)
+        order = field.pop_greedy(140, tie_rule, np.random.default_rng(5))
+        assert 0 < len(updates) <= 20
+        expected, phi = dense_reference_order(task, 0.05, 140, tie_rule, 5)
+        assert order.tolist() == expected
+        assert field._phi.tobytes() == phi.tobytes()
+
+    @pytest.mark.parametrize(
+        "span, gamma, quiet",
+        [
+            (10.0, 0.1, 0.0),
+            (1e6, 1.0, np.inf),  # the slack is too wide
+            (1e150, 1.0, np.inf),
+            (0.01, 1.0, np.inf),  # a dense block
+        ],
+    )
+    def test_quiet_bounds(self, span, gamma, quiet):
+        # Ten points in a row, so that their block can take the gather path.
+        task = make_task(np.arange(10.0)[:, None] * span, [[-5.0 * span]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = init_field(task, gamma)
+            assert field._quiet.tolist() == [quiet] * 10
+            assert field.pop_greedy(10.0).tolist() == dense_reference_order(
+                task, gamma, 10, "lowest-index", 0
+            )[0]
+
+    def test_quiet_bound_covers_each_rbf(self):
+        # The first two points are 25 gamma apart; the rest lie far from all.
+        majority = np.array([0.0, 2.5] + [10.0 * i for i in range(4, 12)])[:, None]
+        field = init_field(make_task(majority, [[200.0]]), 0.1)
+        rbf = math.exp(-625.0)
+        assert rbf <= field._quiet[0] == field._quiet[1] <= rbf * (1 + 1e-8)
+        assert field._quiet[2:].tolist() == [0.0] * 8
+
+    def test_quiet_rule_at_its_edges(self):
+        # Potentials set by hand pick points 3, 0 and 2 first.  Point 3's RBF
+        # at point 4, 2^-50, moves that potential of 1.0 although it is far
+        # below point 1's potential.  Removing point 0 then takes point 1's
+        # potential, e^-1, to about 0, so that the far smaller RBF of point
+        # 2 at point 1 moves it too.  The others lie far from all, so point 5
+        # goes next, quietly.
+        majority = [0.0, 1.0, 8.0, 100.0, 100.0 + math.sqrt(50 * math.log(2))]
+        majority = np.array(majority + [200.0 * i for i in range(1, 8)])[:, None]
+        field = init_field(make_task(majority, [[-500.0]]), 1.0)
+        assert np.isfinite(field._quiet).all()
+        phi = np.array([7.0, math.exp(-1), 6.0, 8.0] + [1.0] * 8)
+        field._phi, dense = phi.copy(), PotentialField(majority, phi.copy(), 1.0)
+        assert field.pop_greedy(4).tolist() == dense.pop_greedy(4).tolist() == [3, 0, 2, 5]
+        assert field._phi.tobytes() == dense._phi.tobytes()
+        assert 0 < abs(field._phi[1]) < 1e-9 and field._phi[4] < 1.0
+
+    def test_count_taken_by_the_integer_rule(self):
+        field = init_field(make_task([[0.0], [1.0], [2.0]], []), 1.0)
+        for count in (1.5, True, "1", None):
+            with pytest.raises(ParameterError, match="count must be an integer"):
+                field.pop_greedy(count)
+        assert field.pop_greedy(2.0).tolist() == [1, 0]
+        assert field.pop_greedy(np.int64(1)).tolist() == [2]
+        assert len(field) == 0
 
     def test_count_checked_against_remaining_points(self):
         field = init_field(make_task([[0.0], [1.0], [2.0]], []), 1.0)
