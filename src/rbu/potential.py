@@ -24,9 +24,6 @@ from .neighbors import check_finite, for_each_block, integer_k
 # on a path about 8x slower than the ordinary one.
 _EXP_FLOOR = -745.2
 
-# A scaled distance |p - x| / gamma beyond this has an RBF of exactly 0.0.
-_EXP_REACH = math.sqrt(-_EXP_FLOOR)
-
 # A block with at most this share of arguments above _EXP_FLOOR has only
 # those gathered and exponentiated; a denser one takes the masked passes.
 # timeit, one 21 x 6000 block, masked / gathered: 3-4% live (the rbu-large
@@ -35,10 +32,20 @@ _EXP_REACH = math.sqrt(-_EXP_FLOOR)
 # 1,340-1,680 / 2,160-4,120 us.
 _GATHER_SHARE = 0.15
 
-# Widened by the slack below, a bound on every RBF the greedy update would
-# subtract is kept only while that slack is under this: an argument at or
-# below _EXP_FLOOR then stays below -745.14, whose exp is exactly 0.0.
-_SLACK_LIMIT = 0.03
+# The greedy loop drops removed rows from its stored rows once they make up
+# this share of them and number at least _STALE_MIN.  Per step at gamma 1,
+# dropping / not: 1,500 rows of 8-D points 11.7 / 13.2 us, 40 rows of 5-D
+# points 7.8 / 6.4 us (best of 5; x86-64, numpy 2.4, scipy 1.17).
+_STALE_SHARE = 1 / 8
+_STALE_MIN = 64
+
+# With at most _AHEAD_ROWS rows stored, a row's call costs more than the row,
+# so an update also takes the rows of the _AHEAD likeliest next picks.  Per
+# step, alone / with 15 ahead: 1,500 to 500 rows of 8-D points at gamma 1,
+# 14.6 / 12.2 us; 25-60 rows in 6-D at gamma 0.1, 1 and 10, 12.4 / 5.1,
+# 6.5 / 4.6 and 6.6 / 4.8 us; 300 steps from 4,000 rows, 25.8 / 29.3 us.
+_AHEAD = 15
+_AHEAD_ROWS = 2048
 
 # Subtracting less than this share of |phi| rounds back to phi: it is below
 # half an ulp of phi, or of the next float toward zero at a power of two.
@@ -73,8 +80,9 @@ def _exp_in_place(arg: np.ndarray, on_gather=None) -> np.ndarray:
     overwrite; else the dead ones are set to -0.0 before the call and their
     results (1.0) multiplied by zero after it.
     """
-    # Every argument is <= 0, so the initial value only lets an empty block through.
-    if arg.min(initial=0.0) > _EXP_FLOOR:
+    # The smallest argument, read by argmin, which skips min's Python wrapper:
+    # about 1 us of a greedy step's row (numpy 2.4).
+    if not arg.size or arg.item(arg.argmin()) > _EXP_FLOOR:
         return np.exp(arg, out=arg)
     live = arg > _EXP_FLOOR
     if np.count_nonzero(live) <= _GATHER_SHARE * arg.size:
@@ -159,21 +167,22 @@ class PotentialField:
     point therefore includes its own unit self-contribution) and the full
     minority set.  :meth:`pop_greedy` removes points without recomputing
     anything: the others only shrink by each removed point's RBF
-    contribution, taken on distances between points centred on their mean.
-    Removed points keep ``-inf``; :attr:`phi` reads the remaining potentials.
+    contribution, taken from ``cdist``'s squared distances as in
+    :func:`init_field`.  Removed points keep ``-inf``; :attr:`phi` reads the
+    remaining potentials.
 
-    A field from :func:`init_field` also keeps, per point, an upper bound on
-    every RBF that point's removal subtracts (see :func:`_quiet_bounds`), so
-    that removals which provably change no potential skip the update.
+    A field from :func:`init_field` also keeps, per point, the largest RBF
+    that point's removal subtracts from another potential, or +inf where it
+    was not taken, so that removals which provably change no potential skip
+    the update.
 
     Mutable; owned by one logical thread at a time.
     """
 
     def __init__(self, points: np.ndarray, phi: np.ndarray, gamma: float):
-        """Raises ParameterError unless ``points`` is a 2-D array with one row
-        per entry of the finite potentials ``phi``, and for coordinates that
-        ``init_field`` refuses."""
-        self._inv_g2 = check_gamma(gamma)
+        """Raises ParameterError unless ``points`` is a 2-D array of finite
+        coordinates with one row per entry of the finite potentials ``phi``."""
+        inv_g2 = check_gamma(gamma)
         points = np.asarray(points, dtype=np.float64)
         phi = np.asarray(phi, dtype=np.float64)
         if points.ndim != 2 or phi.shape != (len(points),):
@@ -182,21 +191,17 @@ class PotentialField:
             )
         if not np.isfinite(phi).all():
             raise ParameterError("potentials must be finite")
-        self._phi = phi
-        self._centred = _centred(self._inv_g2, points)[0]
-        self._quiet = np.full(len(phi), math.inf)
-        self.removed_count = 0
+        check_finite(points)
+        self._store(points, phi, inv_g2, np.full(len(phi), math.inf))
 
-    @classmethod
-    def _of_centred(cls, centred: np.ndarray, phi: np.ndarray, inv_g2: float, quiet: np.ndarray):
-        """The field of majority points already centred and checked by
-        :func:`_centred`, with their potentials ``phi`` and bounds ``quiet``
-        from :func:`_quiet_bounds`, taken over uncopied."""
-        field = object.__new__(cls)
-        field._phi, field._centred, field._inv_g2 = phi, centred, inv_g2
-        field._quiet = quiet
-        field.removed_count = 0
-        return field
+    def _store(self, points, phi, inv_g2, quiet):
+        """Take over checked ``points``, their potentials ``phi`` and quiet
+        bounds ``quiet`` uncopied."""
+        self._phi, self._inv_g2, self._quiet = phi, inv_g2, quiet
+        # The stored rows: original indices, ascending, and their points.
+        # Removed rows are dropped from them now and then (see pop_greedy).
+        self._rows, self._points = np.arange(len(phi)), points
+        self.removed_count = 0
 
     def __len__(self) -> int:
         return len(self._phi) - self.removed_count
@@ -205,24 +210,6 @@ class PotentialField:
     def phi(self) -> np.ndarray:
         """Potentials of the remaining points, in original order."""
         return self._phi[self._phi > -np.inf]
-
-    def _picker(self, tie_rule, rng):
-        """Function giving the index of a maximal potential under ``tie_rule``:
-        the lowest, or a uniformly random one drawn from ``rng``."""
-        if tie_rule == TIE_LOWEST_INDEX:
-            return self._phi.argmax
-        if tie_rule == TIE_SEEDED_RANDOM:
-            if rng is None:
-                raise ParameterError("seeded-random tie rule requires an rng")
-            phi = self._phi
-
-            def pick():
-                top = np.flatnonzero(phi == phi.max())
-                # Choosing from one candidate draws nothing from rng.
-                return top[0] if len(top) == 1 else rng.choice(top)
-
-            return pick
-        raise ParameterError(f"unknown tie rule {tie_rule!r}")
 
     def pop_greedy(self, count: int, tie_rule=TIE_LOWEST_INDEX, rng=None) -> np.ndarray:
         """Original indices of ``count`` points removed one by one, each with
@@ -236,116 +223,128 @@ class PotentialField:
         follows ``integer_k``'s rule: an integral float runs as an int, and a
         bool or a non-integral value raises ParameterError.
 
-        A quiet removal, whose point's bound is 0 or below ``_QUIET_SHARE``
-        times every remaining |potential|, would change no potential by a
-        bit, so it skips the update.  The smallest |potential| is taken again
-        only after an update has run.
+        Each update takes its point's row of squared distances from
+        ``for_each_block``, over the stored rows only: once removed rows
+        make up ``_STALE_SHARE`` of them (and at least ``_STALE_MIN``), they
+        are dropped, keeping original order, so that both tie rules see the
+        same candidates in the same order.  With few rows stored, the call
+        also takes the rows of the ``_AHEAD`` likeliest next picks, which
+        later updates use as they are.  A quiet removal, whose point's
+        bound is 0 or below ``_QUIET_SHARE`` times every remaining
+        |potential|, would change no potential by a bit, so it skips the
+        update.  The smallest |potential| is taken again only after an
+        update has run.
         """
         count = integer_k(count, "count")
         if count < 0:
             raise ParameterError(f"count must be >= 0, got {count}")
         if count > len(self):
             raise ParameterError("cannot pop from an empty potential field")
-        pick = self._picker(tie_rule, rng)
-        phi, centred, inv_g2 = self._phi, self._centred, self._inv_g2
-        scaled_t = np.ascontiguousarray(centred.T * (2.0 * inv_g2))
-        scaled_sq = inv_g2 * np.einsum("ij,ij->i", centred, centred)
-        reach = math.sqrt(scaled_sq.max(initial=0.0))
-        arg, zeros = np.empty(len(phi)), np.zeros(len(phi))
+        pick = _picker(tie_rule, rng)
+        rows, points, scale = self._rows, self._points, -self._inv_g2
+        phi = self._phi[rows]
+        stale, limit = len(rows) - len(self), max(_STALE_SHARE * len(rows), _STALE_MIN)
         quiet, quiet_below, inf = self._quiet.tolist(), None, math.inf
-        removed = []
-        for _ in range(count):
-            index = pick()
-            removed.append(index)
-            phi[index] = -inf
-            bound = quiet[index]
-            if bound < inf:
-                if not bound:
-                    continue
-                if quiet_below is None:
-                    # Removed points read inf here, so they never set the minimum.
-                    quiet_below = _QUIET_SHARE * float(np.abs(phi, out=arg).min())
-                if bound < quiet_below:
-                    continue
-            quiet_below = None
-            x = centred[index]
-            x_sq = inv_g2 * float(x.dot(x))
-            # -||p - x||^2 / gamma^2 by the dot-product identity.  Centred
-            # norms stay near the distances themselves, so little is lost to
-            # cancellation; clamp the tiny positives it can leave.
-            np.matmul(x, scaled_t, out=arg)
-            arg -= scaled_sq
-            arg -= x_sq
-            np.minimum(arg, zeros, out=arg)
-            # No argument is below -(reach + |x| / gamma)^2.  Those at or
-            # below _EXP_FLOOR have an RBF of exactly 0 and leave their
-            # potential as it is, so only the others are exponentiated.
-            if reach + math.sqrt(x_sq) < _EXP_REACH or arg.min() > _EXP_FLOOR:
-                phi -= np.exp(arg, out=arg)
-            else:
-                live = np.flatnonzero(arg > _EXP_FLOOR)
-                phi[live] -= np.exp(arg[live])
+        removed, fetched, rbf = [], {}, None
+
+        def update(start, arg):
+            arg *= scale
+            np.subtract(phi, _exp_in_place(arg)[0], out=phi)
+
+        def fill(start, arg):
+            with np.errstate(over="ignore"):
+                arg *= scale
+            rbf[start : start + len(arg)] = _exp_in_place(arg)
+
+        # A d^2 / gamma^2 past the float range becomes -inf, its exact limit.
+        # The pick's row alone fits one block, so update runs on this thread,
+        # under this state; fill may run on others and sets its own.
+        with np.errstate(over="ignore"):
+            for _ in range(count):
+                at = pick(phi)
+                index = int(rows[at])
+                removed.append(index)
+                phi[at] = -inf
+                stale += 1
+                bound = quiet[index]
+                if bound < inf:
+                    if not bound:
+                        continue
+                    if quiet_below is None:
+                        # Removed points read inf here, so they never set the minimum.
+                        quiet_below = _QUIET_SHARE * float(np.abs(phi).min())
+                    if bound < quiet_below:
+                        continue
+                quiet_below = None
+                row = fetched.pop(at, None)
+                if row is None:
+                    # A row stays exact until the stored rows change, which
+                    # happens only here.
+                    x, fetched = points[at : at + 1], {}
+                    if stale >= limit:
+                        live = phi > -inf
+                        rows, points, phi = rows[live], points[live], phi[live]
+                        stale, limit = 0, max(_STALE_SHARE * len(rows), _STALE_MIN)
+                    if len(phi) > _AHEAD_ROWS:
+                        for_each_block(x, points, update, "sqeuclidean")
+                        continue
+                    top = _leaders(phi)
+                    rbf = np.empty((len(top) + 1, len(points)))
+                    for_each_block(np.vstack((x, points[top])), points, fill, "sqeuclidean")
+                    row, *rest = rbf
+                    fetched = dict(zip(top.tolist(), rest))
+                np.subtract(phi, row, out=phi)
+        self._phi[rows] = phi
+        self._phi[removed] = -inf
+        self._rows, self._points = rows, points
         self.removed_count += count
         return np.array(removed, dtype=np.intp)
 
 
-def _centred(inv_g2: float, majority: np.ndarray, *others: np.ndarray) -> list:
-    """``majority`` and ``others`` minus the majority mean.
-
-    Raises ParameterError for NaN or infinite coordinates and for points so
-    far from that mean, in units of gamma, that the greedy loop would
-    overflow: it works with coordinates times 2/gamma^2 and with dot-product
-    terms of up to 4 max|p|^2 / gamma^2.
-    """
-    check_finite(majority, *others)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centre = majority.mean(axis=0) if len(majority) else np.zeros(majority.shape[1])
-        centred = [points - centre for points in (majority, *others)]
-        largest = np.max([np.einsum("ij,ij->i", c, c).max(initial=0.0) for c in centred])
-        headroom = 4.0 * inv_g2 * np.maximum(largest, 0.5)
-    if not np.isfinite(headroom):
-        raise ParameterError("coordinates too large: centred squared norms overflow")
-    return centred
+def _leaders(phi):
+    """Positions of the ``_AHEAD`` entries of ``phi`` that the lowest-index
+    rule would pick next if none changed: the highest, ties to the lowest."""
+    ahead = min(_AHEAD, len(phi))
+    edge = phi[np.argpartition(phi, -ahead)[-ahead:]].min(initial=math.inf)
+    above = np.flatnonzero(phi > edge)
+    return np.concatenate((above, np.flatnonzero(phi == edge)[: ahead - len(above)]))
 
 
-def _quiet_bounds(row_max: np.ndarray, centred: np.ndarray, inv_g2: float) -> np.ndarray:
-    """For each centred majority point, an upper bound on every RBF that
-    :meth:`PotentialField.pop_greedy` subtracts from another potential when
-    it removes the point; ``row_max`` is the largest such RBF by ``cdist``
-    (``_rbf_sums``), -inf for none above ``_EXP_FLOOR``, or +inf.
+def _picker(tie_rule, rng):
+    """Function giving the index of a maximal entry of an array under
+    ``tie_rule``: the lowest, or a uniformly random one drawn from ``rng``.
+    Raises ParameterError for an unknown rule, or a random one without rng."""
+    if tie_rule == TIE_LOWEST_INDEX:
+        return np.ndarray.argmax
+    if tie_rule == TIE_SEEDED_RANDOM:
+        if rng is None:
+            raise ParameterError("seeded-random tie rule requires an rng")
 
-    The update's exponent, by the dot-product identity, and ``cdist``'s lie
-    within a slack of 8 (m + 4) float64 epsilons times the largest scaled
-    squared norm S: the two rounding-error bounds, (4m + 11) and (4m + 12)
-    half-epsilons times S, doubled.  The bound is ``row_max`` plus two of
-    the smallest subnormals (``exp``'s own rounding in both), times
-    exp(slack) and a margin for these products; 0 for -inf, as every
-    exponent at or below ``_EXP_FLOOR`` then stays where ``exp`` is 0.0.
-    A slack of ``_SLACK_LIMIT`` or more makes every bound +inf.
-    """
-    squares = np.einsum("ij,ij->i", centred, centred).max(initial=0.0)
-    slack = 8.0 * (centred.shape[1] + 4) * 2.0**-52 * inv_g2 * float(squares)
-    if not slack < _SLACK_LIMIT:
-        return np.full(len(row_max), math.inf)
-    bounds = (row_max + 2.0**-1073) * (math.exp(slack) * (1.0 + 2.0**-40))
-    return np.maximum(bounds, 0.0, out=bounds)
+        def pick(phi):
+            top = np.flatnonzero(phi == phi.max())
+            # Choosing from one candidate draws nothing from rng.
+            return top[0] if len(top) == 1 else rng.choice(top)
+
+        return pick
+    raise ParameterError(f"unknown tie rule {tie_rule!r}")
 
 
 def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     """Potential of every majority point against the full original task.
 
-    Raises ParameterError for NaN or infinite coordinates and for points so
-    far from the majority mean, in units of gamma, that the field's scaled
-    squared norms overflow.
+    Raises ParameterError for NaN or infinite coordinates.
     """
     inv_g2 = check_gamma(gamma)
     majority = np.asarray(task.majority, dtype=np.float64)
-    centred, minority = _centred(inv_g2, majority, task.minority)
-    row_max = np.full(len(centred), math.inf)
-    # _potential's arithmetic, with the majority block's row maxima kept.
-    phi = _rbf_sums(centred, centred, inv_g2, row_max) - _rbf_sums(centred, minority, inv_g2)
-    quiet = _quiet_bounds(row_max, centred, inv_g2)
-    return PotentialField._of_centred(centred, phi, inv_g2, quiet)
+    minority = task.minority
+    check_finite(majority, minority)
+    row_max = np.full(len(majority), math.inf)
+    # _potential's arithmetic, with the majority block's row maxima kept:
+    # each is exactly the largest RBF the point's removal subtracts.
+    phi = _rbf_sums(majority, majority, inv_g2, row_max) - _rbf_sums(majority, minority, inv_g2)
+    field = object.__new__(PotentialField)
+    field._store(majority, phi, inv_g2, np.maximum(row_max, 0.0, out=row_max))
+    return field
 
 
 # ---------------------------------------------------------------------------

@@ -39,16 +39,15 @@ class RbuParams:
 
 
 def removal_count(n_majority: int, n_minority: int, ratio: float) -> int:
-    """Number of majority points the greedy loop removes."""
-    return math.ceil(ratio * (n_majority - n_minority))
+    """Number of majority points an undersampler removes, or of minority
+    points an oversampler adds: none when the minority is not smaller."""
+    return max(0, math.ceil(ratio * (n_majority - n_minority)))
 
 
 def rbu_removal_order(task: BinaryTask, params: RbuParams) -> np.ndarray:
     """Original majority indices in the order the greedy loop removes them."""
     if task.n_minority < 1:
         raise ParameterError("minority set must hold at least one point")
-    if task.n_majority < task.n_minority:
-        raise ParameterError("majority set smaller than minority set")
     n_remove = removal_count(task.n_majority, task.n_minority, params.ratio)
     if n_remove == 0:
         return np.empty(0, dtype=np.intp)

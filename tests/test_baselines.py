@@ -610,6 +610,18 @@ class TestSpecDispatch:
         np.testing.assert_array_equal(out.majority, task.majority)
         np.testing.assert_array_equal(out.minority, task.minority)
 
+    @pytest.mark.parametrize("ratio", [0.5, 1.0])
+    @pytest.mark.parametrize("method", ["rus", "ros", "smote", "near_miss", "rbu"])
+    def test_minority_not_smaller_leaves_the_task_unchanged(self, method, ratio):
+        # A method's ratio is a share of the majority excess, and a task whose
+        # minority outnumbers its majority has none.
+        task = numbered(random_task(np.random.default_rng(18), 5, 6, 2, spread=1.0))
+        args = {"ratio": ratio, "gamma": 1.0} if method == "rbu" else {"ratio": ratio}
+        out = apply_resample(task, ResampleSpec(method, args), seed=0)
+        assert out.n_majority == task.n_majority
+        assert out.points.tobytes() == task.points.tobytes()
+        np.testing.assert_array_equal(out.source_rows, task.source_rows)
+
     def test_spec_seed_takes_precedence(self):
         rng = np.random.default_rng(17)
         task = random_task(rng, 16, 5, 2)

@@ -219,7 +219,7 @@ RESAMPLE_DIGESTS = {
     "renn": "2b53c757fc4dc64d30a64daac3b7a7631a4166bc23914699f9cc765cdf8891dd",
     "tomek": "c51353d29e2c8add6b8d9e1dc3a4a3be42aea876d56e9caa919f7124d976b997",
     "nm": "01c2e5d48584095edca02ef13bf2806ba56456cb2b330da62ae1f976735fa04b",
-    "rbu": "792e6c518ba49735d6a168585f61a903e185b661f7f268c144fa35501d7cac42",
+    "rbu": "4db95a1b5056fa8ebfc97fc5049fd9f657a36549e8849c3ea0264a38aa09bb78",
     "stl": "9b2031d4cba5cd0dba479d4e957a745de6959eda8dee7a2a180b908d88ce4f85",
     "senn": "20048d4d9a374a3e94edbad4a65f9167f612bd06fc226f0b67c0ce286f4c2f89",
 }

@@ -576,6 +576,24 @@ class TestRunExperiment:
         ]
         assert 0.0 <= metrics["g_mean"] <= 1.0
 
+    def test_minority_outnumbering_the_majority_fails_no_run(self):
+        # Folds of a balanced dataset can hold more minority than majority
+        # rows; every ratio method then trains on the fold as it is.
+        features, labels = imbalanced_dataset(np.random.default_rng(61), 21, 21)
+        methods = {
+            name: [ResampleSpec(method, {"ratio": r, **extra}) for r in (0.5, 1.0)]
+            for name, method, extra in [
+                ("rus", "rus", {}), ("ros", "ros", {}), ("smote", "smote", {}),
+                ("nm", "near_miss", {}), ("rbu", "rbu", {"gamma": 1.0}),
+            ]
+        }
+        report = run_experiment(
+            {"bal": as_dataset(features, labels)}, methods, ["knn"], seed=3,
+            minority_labels={"bal": "pos"},
+        )
+        assert len(report.runs) == 50
+        assert all(row["metrics"] is not None for row in report.runs)
+
     def test_jobs_parallel_identical_report(self):
         datasets = self._datasets(n=2)
         methods = {

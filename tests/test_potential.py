@@ -20,7 +20,7 @@ from rbu import potential
 from rbu.potential import _EXP_FLOOR, _GATHER_SHARE, _exp_in_place, check_gamma
 from rbu.radial import RbuParams
 
-from oracles import make_task, naive_potential, random_task, random_task_for_gamma
+from oracles import make_task, naive_potential, naive_rbu_trace, random_task, random_task_for_gamma
 
 finite_coord = st.floats(min_value=-50, max_value=50, allow_nan=False)
 point2 = st.tuples(finite_coord, finite_coord)
@@ -235,29 +235,45 @@ class TestInitField:
         with pytest.raises(ParameterError, match="finite"):
             init_field(make_task([[0.0, 0.0], [1.0, 0.0]], [[0.0, value]]), 1.0)
 
-    def test_overflowing_centred_norm_refused(self):
+    def test_overflowing_squared_distance_matches_mutual_potential(self):
+        # The squared distances to the far point overflow to inf: its RBF at
+        # the others, and theirs at it, is exactly 0.
         task = make_task([[0.0, 0.0], [1e200, 0.0], [2.0, 0.0]], [[0.5, 0.5]])
-        with pytest.raises(ParameterError, match="overflow"):
-            init_field(task, 1.0)
+        with np.errstate(over="ignore"):
+            naive_order = naive_rbu_trace(task.majority, task.minority, 1.0, 1.0)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = init_field(task, 1.0)
+            expected = [mutual_potential(p, task, 1.0) for p in task.majority]
+            assert field.phi.tolist() == expected
+            assert field.pop_greedy(2).tolist() == naive_order
 
-    def test_overflowing_scaled_norm_refused(self):
-        # Centred squared norms near 1e303 are finite, but not once divided
-        # by gamma^2 = 1e-6.  Accepted, they would give the greedy loop NaN
-        # potentials and a removal order that repeats indices.
+    def test_overflowing_scaled_distance_matches_mutual_potential(self):
+        # Squared distances near 1e303 are finite, but not once divided by
+        # gamma^2 = 1e-6: every point sees only itself.
         rng = np.random.default_rng(0)
         task = make_task(rng.normal(size=(6, 2)) * 3e151, rng.normal(size=(2, 2)) * 3e151)
-        with pytest.raises(ParameterError, match="coordinates too large"):
-            init_field(task, 1e-3)
-        assert mutual_potential(task.majority[0], task, 1e-3) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field = init_field(task, 1e-3)
+            assert field.phi.tolist() == [1.0] * 6
+            assert mutual_potential(task.majority[0], task, 1e-3) == 1.0
+            assert field.pop_greedy(6).tolist() == list(range(6))
 
     def test_matches_mutual_potential_per_point(self):
+        # One arithmetic: each potential is mutual_potential's, bit for bit,
+        # for two clusters up to 1e12 apart.
         rng = np.random.default_rng(11)
-        task = random_task(rng, 12, 5, 2)
-        field = init_field(task, 1.3)
-        for i in range(task.n_majority):
-            assert field.phi[i] == pytest.approx(
-                mutual_potential(task.majority[i], task, 1.3), abs=1e-9
-            )
+        for span in (0.0, 1.0, 1e4, 1e8, 1e12):
+            for m in range(1, 9):
+                task = random_task(rng, 12, 5, m, spread=1.0)
+                far = np.zeros(m)
+                far[0] = span
+                task = make_task(task.majority + rng.integers(0, 2, (12, 1)) * far,
+                                 task.minority + rng.integers(0, 2, (5, 1)) * far)
+                field = init_field(task, 1.3)
+                expected = [mutual_potential(p, task, 1.3) for p in task.majority]
+                assert np.array_equal(field.phi, expected)
 
 
 class TestPopMax:
@@ -322,12 +338,15 @@ class TestFieldConstruction:
         with pytest.raises(ParameterError, match="2-D points"):
             PotentialField(np.zeros(3), np.zeros(3), 1.0)
 
-    def test_overflowing_points_refused(self):
-        # Accepted, the greedy loop's dot products overflow and the field
-        # keeps a potential the removed point should have lowered.
+    def test_overflowing_points_give_the_naive_update(self):
+        # The far point's squared distances overflow to inf, so its removal
+        # subtracts exactly 0; point 2's then subtracts e^-1 from point 0.
         points = np.array([[0.0, 0.0], [1e300, 0.0], [1.0, 0.0]])
-        with pytest.raises(ParameterError, match="coordinates too large"):
-            PotentialField(points, np.array([1.0, 3.0, 2.0]), 1.0)
+        field = PotentialField(points, np.array([1.0, 3.0, 2.0]), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert field.pop_greedy(2).tolist() == [1, 2]
+        assert field.phi.tolist() == [1.0 - math.exp(-1.0)]
 
 
 class TestSubtract:
@@ -412,7 +431,7 @@ class TestExpInPlace:
 
 def count_updates(monkeypatch):
     """A list that gains one entry for each greedy update run from now on:
-    each update starts with one ``np.matmul`` in ``rbu.potential``."""
+    each update ends with one ``np.subtract`` in ``rbu.potential``."""
     updates = []
 
     class CountingNumpy:
@@ -420,22 +439,33 @@ def count_updates(monkeypatch):
             return getattr(np, name)
 
         @staticmethod
-        def matmul(*args, **kwargs):
+        def subtract(*args, **kwargs):
             updates.append(None)
-            return np.matmul(*args, **kwargs)
+            return np.subtract(*args, **kwargs)
 
     monkeypatch.setattr(potential, "np", CountingNumpy())
     return updates
 
 
+def count_row_calls(monkeypatch):
+    """A list that gains the number of query rows of each distance call that
+    ``rbu.potential`` makes from now on."""
+    calls = []
+
+    def counting_blocks(queries, *args, **kwargs):
+        calls.append(len(queries))
+        return neighbors.for_each_block(queries, *args, **kwargs)
+
+    monkeypatch.setattr(potential, "for_each_block", counting_blocks)
+    return calls
+
+
 def dense_reference_order(task, gamma, count, tie_rule, seed):
-    """Greedy removal order and final potentials, with every update taken over
-    the whole field and a seeded-random pick that always calls ``rng.choice``."""
+    """Greedy removal order and final potentials, with every update a whole
+    ``cdist`` row over the field and a seeded-random pick that always calls
+    ``rng.choice``."""
     inv_g2 = check_gamma(gamma)
     phi = init_field(task, gamma).phi.copy()
-    centred = task.majority - task.majority.mean(axis=0)
-    scaled_t = np.ascontiguousarray(centred.T * (2.0 * inv_g2))
-    scaled_sq = inv_g2 * np.einsum("ij,ij->i", centred, centred)
     rng = np.random.default_rng(seed)
     order = []
     for _ in range(count):
@@ -445,11 +475,9 @@ def dense_reference_order(task, gamma, count, tie_rule, seed):
             index = int(rng.choice(np.flatnonzero(phi == phi.max())))
         order.append(index)
         phi[index] = -np.inf
-        x = centred[index]
-        arg = x @ scaled_t
-        arg -= scaled_sq
-        arg -= inv_g2 * float(x @ x)
-        phi -= np.exp(np.minimum(arg, 0.0))
+        with np.errstate(over="ignore"):
+            arg = cdist(task.majority[index : index + 1], task.majority, "sqeuclidean")[0] * -inv_g2
+        phi -= np.exp(arg)
     return order, phi
 
 
@@ -549,12 +577,49 @@ class TestPopGreedy:
         assert order.tolist() == expected
         assert field._phi.tobytes() == phi.tobytes()
 
+    @pytest.mark.parametrize("ahead_rows", [0, potential._AHEAD_ROWS])
+    @pytest.mark.parametrize("tie_rule", ["lowest-index", "seeded-random"])
+    def test_dropping_removed_rows_keeps_every_bit(self, tie_rule, ahead_rows, monkeypatch):
+        # 300 points with exact ties, every step an update: the stored rows
+        # are dropped several times, within a call and across calls.  With
+        # rows taken ahead, most updates use a row taken by an earlier call.
+        monkeypatch.setattr(potential, "_AHEAD_ROWS", ahead_rows)
+        rng = np.random.default_rng(55)
+        task = make_task(rng.integers(0, 6, size=(300, 3)), rng.integers(0, 6, size=(40, 3)))
+        field = init_field(task, 1.0)
+        calls = count_row_calls(monkeypatch)
+        order = field.pop_greedy(250, tie_rule, np.random.default_rng(8))
+        if ahead_rows:
+            assert len(calls) < 125 and set(calls) == {potential._AHEAD + 1}
+        else:
+            assert calls == [1] * 250
+        expected, phi = dense_reference_order(task, 1.0, 250, tie_rule, 8)
+        assert order.tolist() == expected
+        assert field._phi.tobytes() == phi.tobytes()
+        assert len(field._rows) < 300 - potential._STALE_MIN
+        stepwise, steps_rng = init_field(task, 1.0), np.random.default_rng(8)
+        for index in order:
+            assert stepwise.pop_greedy(1, tie_rule, steps_rng).tolist() == [index]
+        assert stepwise._phi.tobytes() == phi.tobytes()
+
+    def test_last_pick_after_rows_ahead_empties_the_field(self, monkeypatch):
+        # Every potential is exactly 1.0, so the picks run in index order and
+        # each 16th misses the rows taken ahead; the 65th finds no row left.
+        rng = np.random.default_rng(5)
+        task = make_task(rng.normal(size=(65, 6)), rng.normal(size=(20, 6)) + 0.5)
+        field = init_field(task, 0.1)
+        calls = count_row_calls(monkeypatch)
+        assert field.pop_greedy(65).tolist() == list(range(65))
+        assert calls == [potential._AHEAD + 1] * 4 + [1]
+        _, phi = dense_reference_order(task, 0.1, 65, "lowest-index", 0)
+        assert field._phi.tobytes() == phi.tobytes()
+
     @pytest.mark.parametrize(
         "span, gamma, quiet",
         [
             (10.0, 0.1, 0.0),
-            (1e6, 1.0, np.inf),  # the slack is too wide
-            (1e150, 1.0, np.inf),
+            (1e6, 1.0, 0.0),
+            (1e150, 1.0, 0.0),
             (0.01, 1.0, np.inf),  # a dense block
         ],
     )
