@@ -19,6 +19,7 @@ pipelines (SMOTE+Tomek, SMOTE+ENN).
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -40,7 +41,7 @@ from .neighbors import (
 )
 from .potential import TIE_LOWEST_INDEX
 from .radial import RbuParams, rbu_kept_indices, removal_count
-from .seeding import derive_seed
+from .seeding import check_seed, derive_seed
 
 RENN_MAX_PASSES = 100
 
@@ -53,7 +54,9 @@ class ResampleSpec:
     """Method identifier plus its hyperparameters; pipelines carry stages.
 
     The parameters are checked against the method's schema when the spec is
-    built.  ``seed``, which every method accepts, pins the random stream.
+    built: ``k`` must be an integer, and ``ratio`` and ``gamma`` real
+    numbers.  ``seed``, which every method accepts, pins the random stream:
+    None or a non-negative integer.
     """
 
     method: str
@@ -74,6 +77,11 @@ class ResampleSpec:
                 raise ParameterError(f"{self.method} requires parameter {name!r}")
         if "k" in self.params:
             integer_k(self.params["k"])
+        for name in ("ratio", "gamma"):
+            value = self.params.get(name, 0.0)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
+        check_seed(self.params.get("seed"))
 
     @property
     def label(self) -> str:
@@ -707,7 +715,8 @@ def _planned(task, spec, seed, shared):
 
 def apply_resample(task: BinaryTask, spec: ResampleSpec, seed=None, shared=None) -> BinaryTask:
     """Run a spec and return the resampled task: ``run_grid`` with one spec,
-    or the grid that ``plan_grid`` planned it in.
+    or the grid that ``plan_grid`` planned it in.  ``seed`` must be None or
+    a non-negative integer.
 
     The result's ``source_rows`` is each point's dataset row, -1 for a point
     the spec made, or None when ``task`` has none.  ``shared`` is a dict
@@ -718,6 +727,7 @@ def apply_resample(task: BinaryTask, spec: ResampleSpec, seed=None, shared=None)
     specs run on the same task reuse it; results are identical with or
     without it.
     """
+    check_seed(seed)
     result = _planned(task, spec, seed, shared)
     if result is None:
         (result,) = run_grid(task, [spec], [seed], shared)

@@ -25,7 +25,7 @@ from .minority import dataset_stats
 # Unused here, but perfbench/tracing.py patches this name; --trace 1 fails without it.
 from .minority import categorize_minority  # noqa: F401
 from .modeling import METRIC_NAMES, compute_metrics, make_classifier, midranks, predict_labels
-from .neighbors import single_thread_blocks
+from .neighbors import integer_k, single_thread_blocks
 from .seeding import derive_seed
 
 SCHEMA_VERSION = 1
@@ -40,7 +40,9 @@ CELL_FIELDS = ("dataset", "classifier", "method")
 def make_folds(labels, repeats: int, seed) -> tuple:
     """Seeded stratified half-and-half splits, as ``(train, test)`` index
     pairs.  Each repeat contributes two folds, (half A trains, half B tests)
-    and the swap, so folds ``2r`` and ``2r + 1`` belong to repeat ``r``."""
+    and the swap, so folds ``2r`` and ``2r + 1`` belong to repeat ``r``.
+    ``repeats`` follows ``integer_k``'s rule."""
+    repeats = integer_k(repeats, "repeats")
     if repeats < 1:
         raise ParameterError(f"repeats must be at least 1, got {repeats}")
     labels = np.asarray(labels)

@@ -70,15 +70,13 @@ def check_gamma(gamma) -> float:
     return 1.0 / square
 
 
-def _exp_in_place(arg: np.ndarray, on_gather=None) -> np.ndarray:
+def _exp_in_place(arg: np.ndarray) -> np.ndarray:
     """``np.exp(arg)`` bit for bit, written into ``arg``.
 
     When some arguments lie at or below ``_EXP_FLOOR``, numpy's slow
     underflow path is never taken: if few of the others are left, only they
-    are exponentiated, into a zeroed block, and ``on_gather``, if given, is
-    called with their sorted flat indices and their values, an array it may
-    overwrite; else the dead ones are set to -0.0 before the call and their
-    results (1.0) multiplied by zero after it.
+    are exponentiated, into a zeroed block; else the dead ones are set to
+    -0.0 before the call and their results (1.0) multiplied by zero after it.
     """
     # The smallest argument, read by argmin, which skips min's Python wrapper:
     # about 1 us of a greedy step's row (numpy 2.4).
@@ -90,8 +88,6 @@ def _exp_in_place(arg: np.ndarray, on_gather=None) -> np.ndarray:
         values = np.exp(arg.take(picks))
         arg.fill(0.0)
         arg.put(picks, values)
-        if on_gather is not None:
-            on_gather(picks, values)
         return arg
     np.maximum(arg, _EXP_FLOOR, out=arg)  # -inf times zero would be NaN
     arg *= live
@@ -100,46 +96,46 @@ def _exp_in_place(arg: np.ndarray, on_gather=None) -> np.ndarray:
     return arg
 
 
-def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float, row_max=None) -> np.ndarray:
-    """Sum of RBF contributions of ``points`` at each query, in blocks;
-    ``inv_g2`` is ``check_gamma(gamma)``.
+def _rbf_blocks(queries, points, inv_g2: float, body) -> None:
+    """Call ``body(start, rbf)`` for blocks of query rows that tile
+    ``queries``, ``rbf`` holding the RBF ``exp(-d^2 / gamma^2)`` of each
+    query of the block at each point; ``inv_g2`` is ``check_gamma(gamma)``.
 
-    With ``queries`` and ``points`` the same array, ``row_max`` may be an
-    array of one entry per point: the rows of blocks that take
-    ``_exp_in_place``'s gather path get their ``_off_diagonal_max``, and
-    the others are left as they are, so dense blocks pay no extra pass.
+    Every RBF of this module is computed here, from ``for_each_block``'s
+    squared distances, whose rules ``body`` follows: it writes only the rows
+    of its own block, and may run on another thread.
     """
     scale = -inv_g2
-    out = np.empty(len(queries))
 
-    def body(start, arg):
+    def rbf_body(start, arg):
         # A d^2 / gamma^2 past the float range becomes -inf, its exact limit.
         with np.errstate(over="ignore"):
             arg *= scale
-        rows = slice(start, start + len(arg))
-        on_gather = None
+        body(start, _exp_in_place(arg))
+
+    for_each_block(queries, points, rbf_body, "sqeuclidean")
+
+
+def _rbf_sums(queries: np.ndarray, points: np.ndarray, inv_g2: float, row_max=None) -> np.ndarray:
+    """Sum of RBF contributions of ``points`` at each query; ``inv_g2`` is
+    ``check_gamma(gamma)``.
+
+    With ``queries`` and ``points`` the same array, ``row_max`` may be an
+    array of one entry per point, which receives each point's largest RBF
+    at the other points: 0.0 where there is none.
+    """
+    out = np.empty(len(queries))
+
+    def body(start, rbf):
+        rows = slice(start, start + len(rbf))
+        out[rows] = rbf.sum(axis=1)
         if row_max is not None:
-            def on_gather(picks, values):
-                row_max[rows] = _off_diagonal_max(picks, values, start, arg.shape)
+            own = np.arange(len(rbf))
+            rbf[own, own + start] = 0.0
+            row_max[rows] = rbf.max(axis=1)
 
-        out[rows] = _exp_in_place(arg, on_gather).sum(axis=1)
-
-    for_each_block(queries, points, body, "sqeuclidean")
+    _rbf_blocks(queries, points, inv_g2, body)
     return out
-
-
-def _off_diagonal_max(picks, values, start, shape) -> np.ndarray:
-    """Largest of ``values``, at the sorted flat indices ``picks`` of the
-    live entries of a block of ``shape`` whose row r is point ``start + r``,
-    in each row off its own column; -inf for a row with no such entry.
-    Overwrites ``values``."""
-    rows, width = shape
-    row_starts = np.arange(0, rows * width, width)
-    # A point's squared distance to itself is 0.0, so its own entry is always
-    # live and every row holds at least that one.
-    own = np.searchsorted(picks, row_starts + np.arange(start, start + rows))
-    values[own] = -math.inf
-    return np.maximum.reduceat(values, np.searchsorted(picks, row_starts))
 
 
 def _potential(queries, majority, minority, inv_g2: float) -> np.ndarray:
@@ -167,14 +163,14 @@ class PotentialField:
     point therefore includes its own unit self-contribution) and the full
     minority set.  :meth:`pop_greedy` removes points without recomputing
     anything: the others only shrink by each removed point's RBF
-    contribution, taken from ``cdist``'s squared distances as in
-    :func:`init_field`.  Removed points keep ``-inf``; :attr:`phi` reads the
-    remaining potentials.
+    contribution, computed by ``_rbf_blocks`` as in :func:`init_field`.
+    Removed points keep ``-inf``; :attr:`phi` reads the remaining potentials.
 
-    A field from :func:`init_field` also keeps, per point, the largest RBF
-    that point's removal subtracts from another potential, or +inf where it
-    was not taken, so that removals which provably change no potential skip
-    the update.
+    Each point also has a quiet bound: the largest RBF that its removal
+    subtracts from another potential, so that removals which provably
+    change no potential skip the update.  A bound that could never prove
+    that is +inf, as is every bound of a field not built by
+    :func:`init_field`.
 
     Mutable; owned by one logical thread at a time.
     """
@@ -192,12 +188,7 @@ class PotentialField:
         if not np.isfinite(phi).all():
             raise ParameterError("potentials must be finite")
         check_finite(points)
-        self._store(points, phi, inv_g2, np.full(len(phi), math.inf))
-
-    def _store(self, points, phi, inv_g2, quiet):
-        """Take over checked ``points``, their potentials ``phi`` and quiet
-        bounds ``quiet`` uncopied."""
-        self._phi, self._inv_g2, self._quiet = phi, inv_g2, quiet
+        self._phi, self._inv_g2, self._quiet = phi, inv_g2, np.full(len(phi), math.inf)
         # The stored rows: original indices, ascending, and their points.
         # Removed rows are dropped from them now and then (see pop_greedy).
         self._rows, self._points = np.arange(len(phi)), points
@@ -223,8 +214,8 @@ class PotentialField:
         follows ``integer_k``'s rule: an integral float runs as an int, and a
         bool or a non-integral value raises ParameterError.
 
-        Each update takes its point's row of squared distances from
-        ``for_each_block``, over the stored rows only: once removed rows
+        Each update takes its point's row of RBFs from ``_rbf_blocks``,
+        over the stored rows only: once removed rows
         make up ``_STALE_SHARE`` of them (and at least ``_STALE_MIN``), they
         are dropped, keeping original order, so that both tie rules see the
         same candidates in the same order.  With few rows stored, the call
@@ -241,59 +232,52 @@ class PotentialField:
         if count > len(self):
             raise ParameterError("cannot pop from an empty potential field")
         pick = _picker(tie_rule, rng)
-        rows, points, scale = self._rows, self._points, -self._inv_g2
+        rows, points, inv_g2 = self._rows, self._points, self._inv_g2
         phi = self._phi[rows]
         stale, limit = len(rows) - len(self), max(_STALE_SHARE * len(rows), _STALE_MIN)
         quiet, quiet_below, inf = self._quiet.tolist(), None, math.inf
         removed, fetched, rbf = [], {}, None
 
-        def update(start, arg):
-            arg *= scale
-            np.subtract(phi, _exp_in_place(arg)[0], out=phi)
+        def update(start, block):
+            np.subtract(phi, block[0], out=phi)
 
-        def fill(start, arg):
-            with np.errstate(over="ignore"):
-                arg *= scale
-            rbf[start : start + len(arg)] = _exp_in_place(arg)
+        def fill(start, block):
+            rbf[start : start + len(block)] = block
 
-        # A d^2 / gamma^2 past the float range becomes -inf, its exact limit.
-        # The pick's row alone fits one block, so update runs on this thread,
-        # under this state; fill may run on others and sets its own.
-        with np.errstate(over="ignore"):
-            for _ in range(count):
-                at = pick(phi)
-                index = int(rows[at])
-                removed.append(index)
-                phi[at] = -inf
-                stale += 1
-                bound = quiet[index]
-                if bound < inf:
-                    if not bound:
-                        continue
-                    if quiet_below is None:
-                        # Removed points read inf here, so they never set the minimum.
-                        quiet_below = _QUIET_SHARE * float(np.abs(phi).min())
-                    if bound < quiet_below:
-                        continue
-                quiet_below = None
-                row = fetched.pop(at, None)
-                if row is None:
-                    # A row stays exact until the stored rows change, which
-                    # happens only here.
-                    x, fetched = points[at : at + 1], {}
-                    if stale >= limit:
-                        live = phi > -inf
-                        rows, points, phi = rows[live], points[live], phi[live]
-                        stale, limit = 0, max(_STALE_SHARE * len(rows), _STALE_MIN)
-                    if len(phi) > _AHEAD_ROWS:
-                        for_each_block(x, points, update, "sqeuclidean")
-                        continue
-                    top = _leaders(phi)
-                    rbf = np.empty((len(top) + 1, len(points)))
-                    for_each_block(np.vstack((x, points[top])), points, fill, "sqeuclidean")
-                    row, *rest = rbf
-                    fetched = dict(zip(top.tolist(), rest))
-                np.subtract(phi, row, out=phi)
+        for _ in range(count):
+            at = pick(phi)
+            index = int(rows[at])
+            removed.append(index)
+            phi[at] = -inf
+            stale += 1
+            bound = quiet[index]
+            if bound < inf:
+                if not bound:
+                    continue
+                if quiet_below is None:
+                    # Removed points read inf here, so they never set the minimum.
+                    quiet_below = _QUIET_SHARE * float(np.abs(phi).min())
+                if bound < quiet_below:
+                    continue
+            quiet_below = None
+            row = fetched.pop(at, None)
+            if row is None:
+                # A row stays exact until the stored rows change, which
+                # happens only here.
+                x, fetched = points[at : at + 1], {}
+                if stale >= limit:
+                    live = phi > -inf
+                    rows, points, phi = rows[live], points[live], phi[live]
+                    stale, limit = 0, max(_STALE_SHARE * len(rows), _STALE_MIN)
+                if len(phi) > _AHEAD_ROWS:
+                    _rbf_blocks(x, points, inv_g2, update)
+                    continue
+                top = _leaders(phi)
+                rbf = np.empty((len(top) + 1, len(points)))
+                _rbf_blocks(np.vstack((x, points[top])), points, inv_g2, fill)
+                row, *rest = rbf
+                fetched = dict(zip(top.tolist(), rest))
+            np.subtract(phi, row, out=phi)
         self._phi[rows] = phi
         self._phi[removed] = -inf
         self._rows, self._points = rows, points
@@ -332,18 +316,23 @@ def _picker(tie_rule, rng):
 def init_field(task: BinaryTask, gamma: float) -> PotentialField:
     """Potential of every majority point against the full original task.
 
+    Each point's quiet bound (see :class:`PotentialField`) is its largest
+    RBF at another majority point, read from the same blocks as the
+    potentials, and +inf where that is at least ``2 * _QUIET_SHARE`` times
+    the task's number of points: no |potential| exceeds that number, so
+    such a removal could never be quiet.
+
     Raises ParameterError for NaN or infinite coordinates.
     """
     inv_g2 = check_gamma(gamma)
     majority = np.asarray(task.majority, dtype=np.float64)
     minority = task.minority
     check_finite(majority, minority)
-    row_max = np.full(len(majority), math.inf)
-    # _potential's arithmetic, with the majority block's row maxima kept:
-    # each is exactly the largest RBF the point's removal subtracts.
-    phi = _rbf_sums(majority, majority, inv_g2, row_max) - _rbf_sums(majority, minority, inv_g2)
-    field = object.__new__(PotentialField)
-    field._store(majority, phi, inv_g2, np.maximum(row_max, 0.0, out=row_max))
+    quiet = np.empty(len(majority))
+    phi = _rbf_sums(majority, majority, inv_g2, quiet) - _rbf_sums(majority, minority, inv_g2)
+    field = PotentialField(majority, phi, gamma)
+    quiet[quiet >= 2 * _QUIET_SHARE * len(task.points)] = math.inf
+    field._quiet = quiet
     return field
 
 
@@ -399,6 +388,7 @@ def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> P
     """
     if task.m != 2:
         raise ParameterError(f"potential grids are defined for 2-D data, got m={task.m}")
+    resolution = integer_k(resolution, "resolution")
     if resolution < 2:
         raise ParameterError(f"resolution must be >= 2, got {resolution}")
     inv_g2 = check_gamma(gamma)
@@ -415,4 +405,4 @@ def potential_grid(task: BinaryTask, gamma: float, bounds, resolution: int) -> P
     cells = np.stack([np.repeat(xs, resolution), np.tile(ys, resolution)], axis=1)
     check_finite(task.points)
     phi = _potential(cells, task.majority, task.minority, inv_g2)
-    return PotentialGrid(bounds, int(resolution), phi.reshape(resolution, resolution))
+    return PotentialGrid(bounds, resolution, phi.reshape(resolution, resolution))

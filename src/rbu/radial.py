@@ -17,6 +17,7 @@ import numpy as np
 from .dataio import BinaryTask
 from .errors import ParameterError
 from .potential import TIE_LOWEST_INDEX, TIE_RULES, TIE_SEEDED_RANDOM, check_gamma, init_field
+from .seeding import check_seed
 
 
 @dataclass(frozen=True)
@@ -34,6 +35,7 @@ class RbuParams:
             raise ParameterError(f"ratio must lie in [0, 1], got {self.ratio}")
         if self.tie_rule not in TIE_RULES:
             raise ParameterError(f"unknown tie rule {self.tie_rule!r}")
+        check_seed(self.tie_seed, "tie_seed")
         if self.tie_rule == TIE_SEEDED_RANDOM and self.tie_seed is None:
             raise ParameterError("seeded-random tie rule requires tie_seed")
 

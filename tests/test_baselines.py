@@ -533,6 +533,32 @@ class TestSpecDispatch:
         with pytest.raises(ParameterError, match="integer"):
             ResampleSpec("enn", {"k": k})
 
+    @pytest.mark.parametrize("name", ["ratio", "gamma"])
+    @pytest.mark.parametrize("value", ["0.5", True, None, [1.0]])
+    def test_ratio_and_gamma_must_be_real_numbers(self, name, value):
+        # Accepted, a string ratio failed every run with a TypeError.
+        params = {"gamma": 1.0, "ratio": 1.0, name: value}
+        with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+            ResampleSpec("rbu", params)
+        for number in (1, np.float64(0.5)):
+            ResampleSpec("rbu", {**params, name: number})
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", np.int64(-2)])
+    def test_bad_seed_refused(self, seed):
+        # Passed on, -1 made numpy raise ValueError and 1.5 TypeError.
+        task = random_task(np.random.default_rng(23), 8, 3, 2)
+        for method, params in (("rus", {"ratio": 1.0}), ("tomek", {})):
+            with pytest.raises(ParameterError, match="seed must be None or a non-negative integer"):
+                apply_resample(task, ResampleSpec(method, params), seed=seed)
+            with pytest.raises(ParameterError, match="seed must be None or a non-negative integer"):
+                ResampleSpec(method, {**params, "seed": seed})
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(7), 2**63 - 1])
+    def test_good_seeds_run(self, seed):
+        task = random_task(np.random.default_rng(23), 8, 3, 2)
+        out = apply_resample(task, ResampleSpec("rus", {"ratio": 1.0, "seed": seed}), seed=5)
+        assert out.n_majority == out.n_minority == 3
+
     def test_integer_valued_float_k_runs_as_int_and_keeps_its_label(self):
         spec = ResampleSpec("smote", {"k": 5.0, "ratio": 1.0})
         assert spec.label == "smote(k=5.0, ratio=1.0)"

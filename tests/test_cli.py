@@ -279,6 +279,18 @@ def test_resample_k_zero_exits_2(runner, tmp_path, method):
     assert result.exit_code == 2, result.output
 
 
+@pytest.mark.parametrize("seed", ["-5", "-1"])
+@pytest.mark.parametrize("method", ["rus", "tomek"])
+def test_resample_negative_seed_exits_2(runner, tmp_path, method, seed):
+    # Passed on to numpy, a negative seed printed a traceback and exited 1.
+    data = keel_blob_file(tmp_path)
+    result = runner.invoke(main, ["resample", str(data), "--method", method, "--seed", seed])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == (
+        f"parameter error: seed must be None or a non-negative integer, got {int(seed)}\n"
+    )
+
+
 class TestTypify:
     def test_lonely_minority_point_is_outlier(self, runner, tmp_path):
         lines = [KEEL_IMBALANCED_HEADER.rstrip("\n")]
@@ -533,13 +545,16 @@ class TestEvaluateAndSweep:
                 {"name": "stl", "method": "pipeline",
                  "stages": [{"method": "smote", "gird": {"ratio": [1.0]}}, {"method": "tomek"}]},
                 {"name": "stl", "method": "pipeline", "stages": {"method": "tomek"}},
+                {"name": "rus", "method": "rus", "grid": {"ratio": ["0.5", 1.0]}},
+                {"name": "rbu", "method": "rbu", "grid": {"gamma": [True], "ratio": [1.0]}},
             ]),
             [1, 2],
         ],
         ids=["misspelled", "fractional-k", "stage-extra", "grid-list", "axis-scalar",
              "axis-empty", "entry-not-object", "stage-not-object", "name-not-string",
              "entry-unknown-key", "plain-entry-stages", "pipeline-entry-grid",
-             "stage-unknown-key", "stages-not-list", "doc-not-object"],
+             "stage-unknown-key", "stages-not-list", "ratio-string", "gamma-bool",
+             "doc-not-object"],
     )
     def test_invalid_grid_file_refused_before_any_report(self, runner, tmp_path, doc):
         data = keel_blob_file(tmp_path, n_majority=36, n_minority=12)

@@ -141,6 +141,18 @@ class TestMakeFolds:
         with pytest.raises(ParameterError, match="repeats"):
             make_folds(np.array([0] * 10 + [1] * 10), repeats=repeats, seed=0)
 
+    @pytest.mark.parametrize("repeats", [1.5, True, "2", None])
+    def test_repeats_must_be_an_integer(self, repeats):
+        # Accepted, True ran as 1 repeat and 1.5 raised a TypeError.
+        with pytest.raises(ParameterError, match="repeats must be an integer"):
+            make_folds(np.array([0] * 10 + [1] * 10), repeats=repeats, seed=0)
+
+    def test_integral_float_repeats_run_as_int(self):
+        labels = np.array([0] * 10 + [1] * 10)
+        plan = make_folds(labels, repeats=2.0, seed=4)
+        for got, expected in zip(plan, make_folds(labels, repeats=2, seed=4), strict=True):
+            assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(10, 40), st.integers(10, 40), st.integers(0, 10_000))
     def test_partition_property(self, n0, n1, seed):

@@ -249,11 +249,16 @@ class TestThreadsMatchSerial:
         task = random_task(rng, 45, 14, 3)
         queries = rng.normal(size=(20, 3))
         inv_g2 = check_gamma(0.7)
-        whole = (_rbf_sums(queries, task.majority, inv_g2), init_field(task, 0.7).phi)
+
+        def run():
+            field, row_max = init_field(task, 0.7), np.empty(task.n_majority)
+            _rbf_sums(task.majority, task.majority, inv_g2, row_max)
+            return _rbf_sums(queries, task.majority, inv_g2), field.phi, field._quiet, row_max
+
+        whole = run()
         self.threaded(monkeypatch, cpus, block, task.n_majority)
-        got = (_rbf_sums(queries, task.majority, inv_g2), init_field(task, 0.7).phi)
-        for threaded, serial in zip(got, whole):
-            np.testing.assert_array_equal(threaded, serial)
+        for threaded, serial in zip(run(), whole):
+            assert threaded.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("cpus, block", CASES)
     def test_nearest_neighbors(self, cpus, block, monkeypatch):

@@ -481,6 +481,13 @@ def dense_reference_order(task, gamma, count, tie_rule, seed):
     return order, phi
 
 
+def scattered_task():
+    """30 majority points of N(0, 1) in 6-D and 10 minority points: at gamma
+    0.1 many pairs lie within the exp floor, and every RBF between two of
+    them is far below half an ulp of 1.0."""
+    return random_task(np.random.default_rng(5), 30, 10, 6, spread=1.0)
+
+
 @st.composite
 def clustered_tasks(draw):
     """A task of 1 to 4 clusters of spread 1 in 1 to 5 dimensions, and a
@@ -605,9 +612,10 @@ class TestPopGreedy:
     def test_last_pick_after_rows_ahead_empties_the_field(self, monkeypatch):
         # Every potential is exactly 1.0, so the picks run in index order and
         # each 16th misses the rows taken ahead; the 65th finds no row left.
+        # Built without quiet bounds, the field updates at every step.
         rng = np.random.default_rng(5)
         task = make_task(rng.normal(size=(65, 6)), rng.normal(size=(20, 6)) + 0.5)
-        field = init_field(task, 0.1)
+        field = PotentialField(task.majority, init_field(task, 0.1).phi, 0.1)
         calls = count_row_calls(monkeypatch)
         assert field.pop_greedy(65).tolist() == list(range(65))
         assert calls == [potential._AHEAD + 1] * 4 + [1]
@@ -620,19 +628,44 @@ class TestPopGreedy:
             (10.0, 0.1, 0.0),
             (1e6, 1.0, 0.0),
             (1e150, 1.0, 0.0),
-            (0.01, 1.0, np.inf),  # a dense block
+            (0.01, 1.0, np.inf),  # RBFs near 1: never quiet
+            pytest.param(None, 0.1, None, id="dense-block"),
         ],
     )
     def test_quiet_bounds(self, span, gamma, quiet):
-        # Ten points in a row, so that their block can take the gather path.
-        task = make_task(np.arange(10.0)[:, None] * span, [[-5.0 * span]])
+        if span is None:
+            # Many pairs lie within the exp floor, so the block takes the
+            # dense path, yet each bound is the exact off-diagonal maximum.
+            task = scattered_task()
+            rbf = np.exp(cdist(task.majority, task.majority, "sqeuclidean") * -check_gamma(gamma))
+            np.fill_diagonal(rbf, 0.0)
+            assert np.count_nonzero(rbf) > _GATHER_SHARE * rbf.size
+            expected = rbf.max(axis=1)
+            assert 0 < expected.max() < 2.0**-53 * len(task.points)
+        else:
+            # Ten points in a row, so that their block can take the gather path.
+            task = make_task(np.arange(10.0)[:, None] * span, [[-5.0 * span]])
+            expected = np.full(10, quiet)
+        count = task.n_majority
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             field = init_field(task, gamma)
-            assert field._quiet.tolist() == [quiet] * 10
-            assert field.pop_greedy(10.0).tolist() == dense_reference_order(
-                task, gamma, 10, "lowest-index", 0
+            assert field._quiet.tobytes() == expected.tobytes()
+            assert field.pop_greedy(count).tolist() == dense_reference_order(
+                task, gamma, count, "lowest-index", 0
             )[0]
+
+    def test_dense_block_steps_go_quiet(self, monkeypatch):
+        # Every potential reads exactly 1.0, and no removal moves one by a bit.
+        task = scattered_task()
+        field = init_field(task, 0.1)
+        assert field.phi.tolist() == [1.0] * 30
+        updates = count_updates(monkeypatch)
+        order = field.pop_greedy(20)
+        assert updates == []
+        expected, phi = dense_reference_order(task, 0.1, 20, "lowest-index", 0)
+        assert order.tolist() == expected
+        assert field._phi.tobytes() == phi.tobytes()
 
     def test_quiet_bound_covers_each_rbf(self):
         # The first two points are 25 gamma apart; the rest lie far from all.
@@ -652,7 +685,8 @@ class TestPopGreedy:
         majority = [0.0, 1.0, 8.0, 100.0, 100.0 + math.sqrt(50 * math.log(2))]
         majority = np.array(majority + [200.0 * i for i in range(1, 8)])[:, None]
         field = init_field(make_task(majority, [[-500.0]]), 1.0)
-        assert np.isfinite(field._quiet).all()
+        assert field._quiet[:2].tolist() == [np.inf] * 2  # e^-1: never quiet
+        assert np.isfinite(field._quiet[2:]).all()
         phi = np.array([7.0, math.exp(-1), 6.0, 8.0] + [1.0] * 8)
         field._phi, dense = phi.copy(), PotentialField(majority, phi.copy(), 1.0)
         assert field.pop_greedy(4).tolist() == dense.pop_greedy(4).tolist() == [3, 0, 2, 5]
@@ -719,6 +753,11 @@ class TestPotentialGrid:
         task = make_task([[0.0, 0.0]], [])
         with pytest.raises(ParameterError, match="resolution"):
             potential_grid(task, 1.0, ((0, 1), (0, 1)), 1)
+        for resolution in (2.5, True, "3"):
+            with pytest.raises(ParameterError, match="resolution must be an integer"):
+                potential_grid(task, 1.0, ((0, 1), (0, 1)), resolution)
+        whole = potential_grid(task, 1.0, ((0, 1), (0, 1)), 3.0)  # a TypeError before
+        assert whole.to_json() == potential_grid(task, 1.0, ((0, 1), (0, 1)), 3).to_json()
         with pytest.raises(ParameterError, match="bounds"):
             potential_grid(task, 1.0, ((1, 0), (0, 1)), 4)
 

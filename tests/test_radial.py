@@ -23,6 +23,13 @@ class TestParams:
         with pytest.raises(ParameterError):
             RbuParams(gamma=1.0, ratio=1.0, tie_rule="seeded-random")
 
+    @pytest.mark.parametrize("tie_seed", [-1, 1.5, True, "0"])
+    def test_tie_seed_must_be_a_non_negative_integer(self, tie_seed):
+        # Accepted, a bad tie seed let the run fail inside numpy.
+        for tie_rule in ("lowest-index", "seeded-random"):
+            with pytest.raises(ParameterError, match="tie_seed must be None or a non-negative"):
+                RbuParams(gamma=1.0, ratio=1.0, tie_rule=tie_rule, tie_seed=tie_seed)
+
     def test_ratio_zero_is_legal(self):
         RbuParams(gamma=1.0, ratio=0.0)
 
